@@ -69,11 +69,11 @@ class ExperimentConfig:
 
 
 def parse_key_values(text: str) -> dict[str, str]:
-    """Raw "key = value" lines; '#' comments and blank lines are skipped."""
+    """Raw "key = value" lines; '#' starts a comment and blank lines are skipped."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
@@ -357,7 +357,7 @@ def run_growth_comparison(
     for i in range(n_seeds):
         sn_net, _ = grow(replace(sn_instance, seed=sn_instance.seed + i))
         if sn_net.n_nodes < checkpoints[-1]:
-            raise RuntimeError(
+            raise ValueError(
                 f"growth saturated at {sn_net.n_nodes} nodes before checkpoint {checkpoints[-1]}"
             )
         ba_net = grow_ba(replace(ba_params, seed=ba_params.seed + i))

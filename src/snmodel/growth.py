@@ -3,8 +3,8 @@
 The growth loop derives a candidate structure from a randomly chosen template,
 rejects duplicates and candidates that would be isolated, and otherwise adds
 the node together with every edge allowed by the distance rule. Distances are
-static, so the insertion-time scan against all existing nodes determines the
-complete pairwise edge relation.
+static, so the insertion-time neighbour search against all existing nodes
+determines the complete pairwise edge relation.
 """
 
 from __future__ import annotations
@@ -87,54 +87,102 @@ class GrowthTrace:
     checkpoints: list[tuple[int, int, int]] = field(default_factory=list)
 
 
+def _resized(a: np.ndarray, shape: tuple[int, ...], fill: int | bool) -> np.ndarray:
+    """*a* copied into the leading corner of a *fill*-padded array of *shape*."""
+    out = np.full(shape, fill, dtype=a.dtype)
+    out[tuple(slice(0, n) for n in a.shape)] = a
+    return out
+
+
 class GroupIndex:
-    """Vectorized distance scans against all indexed structures.
+    """Neighbour search over indexed structures by multi-index hashing.
 
     Each structure is encoded as the sequence of ids of its full symbol
     groups; group equality (multiset rule plus match table) is precomputed
     into a boolean matrix over the ids observed so far. Structures are stored
-    column-wise, one sentinel-padded array per group position, so the
-    distance from a candidate to every indexed structure is one cheap 1-d
-    gather per position. The sentinel compares equal to everything, which
-    implements "exceeding symbols are disregarded".
+    as rows of one sentinel-padded id matrix. The sentinel compares equal to
+    everything, which implements "exceeding symbols are disregarded".
+
+    Candidates are found with the pigeonhole filter of multi-index hashing
+    (Norouzi, Punjani & Fleet, CVPR 2012; Manku, Jain & Das Sarma, WWW 2007).
+    With d = max_distance and b = max(1, G0 // (d+1)) for the group count G0
+    of the first appended structure, two structures that both have at least
+    (d+1)*b groups and lie within distance d agree in every group of at
+    least one of their first d+1 blocks of b groups. Each such structure is
+    hashed under its d+1 block keys; shorter ones go on a list that every
+    search verifies, and a shorter candidate is verified against everything.
+    A key holds the groups' canonical ids: the group's multiset, merged into
+    one class with every multiset the match table links it to. The table
+    relation is not transitive, so keys may over-match; verification against
+    the exact relation removes the extras.
     """
 
     _PAD = 0
 
     def __init__(self, cfg: DistanceConfig, capacity: int = 64) -> None:
         self._unit = cfg.unit_distance
-        self._table = cfg.match_table
+        self._max_d = cfg.max_distance
         self._group_ids: dict[str, int] = {}
-        self._groups: list[str] = [""]  # id 0 is the sentinel
+        self._n_groups = 1  # id 0 is the sentinel
+        self._multiset_ids: dict[str, int] = {}
+        table = cfg.match_table
+        self._table_entries = table.entries if table is not None else {}
+        self._class_of = self._table_classes()
+        # Per group id: its multiset id (exact relation) and canonical id (keys).
+        self._multiset = np.full(8, -1, dtype=np.int32)
+        self._canonical = np.full(8, -1, dtype=np.int32)
         self._eq = np.zeros((8, 8), dtype=bool)
         self._eq[self._PAD, self._PAD] = True
-        self._capacity = max(capacity, 16)
-        self._cols: list[np.ndarray] = []
-        self._acc = np.zeros(self._capacity, dtype=np.int32)
-        self._buf = np.zeros(self._capacity, dtype=np.int8)
+        self._rows = np.full((max(capacity, 16), 1), self._PAD, dtype=np.int32)
         self._n = 0
+        self._block = 0  # b; fixed by the first append
+        self._buckets: list[dict[bytes, list[int]]] = [{} for _ in range(self._max_d + 1)]
+        self._short: list[int] = []
 
     def __len__(self) -> int:
         return self._n
 
+    def _table_classes(self) -> dict[str, str]:
+        """Union-find over the multisets the match table links: multiset -> root."""
+        parent: dict[str, str] = {}
+
+        def find(key: str) -> str:
+            root = parent.setdefault(key, key)
+            while root != parent[root]:
+                root = parent[root]
+            while parent[key] != root:
+                parent[key], key = root, parent[key]
+            return root
+
+        for group, partners in self._table_entries.items():
+            for partner in partners:
+                parent[find("".join(sorted(partner)))] = find("".join(sorted(group)))
+        return {key: find(key) for key in parent}
+
+    def _multiset_id(self, key: str) -> int:
+        return self._multiset_ids.setdefault(key, len(self._multiset_ids))
+
     def _register_group(self, group: str) -> int:
-        gid = len(self._groups)
+        gid = self._n_groups
         if gid >= self._eq.shape[0]:
-            grown = np.zeros((2 * gid, 2 * gid), dtype=bool)
-            grown[: self._eq.shape[0], : self._eq.shape[1]] = self._eq
-            self._eq = grown
+            size = 2 * gid
+            self._eq = _resized(self._eq, (size, size), False)
+            self._multiset = _resized(self._multiset, (size,), -1)
+            self._canonical = _resized(self._canonical, (size,), -1)
         key = "".join(sorted(group))
-        self._eq[gid, gid] = True
-        self._eq[gid, self._PAD] = True
-        self._eq[self._PAD, gid] = True
-        for other, oid in self._group_ids.items():
-            equal = key == "".join(sorted(other)) or (
-                self._table is not None and self._table.declares_equal(group, other)
-            )
-            self._eq[gid, oid] = equal
-            self._eq[oid, gid] = equal
+        multiset = self._multiset_id(key)
+        self._multiset[gid] = multiset
+        self._canonical[gid] = self._multiset_id(self._class_of.get(key, key))
+        row = self._multiset[: gid + 1] == multiset
+        for partner in self._table_entries.get(group, ()):
+            pid = self._group_ids.get(partner)
+            if pid is not None:
+                row[pid] = True
+        row[self._PAD] = True
+        self._eq[gid, : gid + 1] = row
+        self._eq[: gid + 1, gid] = row
         self._group_ids[group] = gid
-        self._groups.append(group)
+        self._n_groups += 1
         return gid
 
     def encode(self, word: str) -> np.ndarray:
@@ -149,43 +197,56 @@ class GroupIndex:
             ids[i] = gid
         return ids
 
-    def _grow_capacity(self) -> None:
-        self._capacity *= 2
-        for j, col in enumerate(self._cols):
-            grown = np.full(self._capacity, self._PAD, dtype=np.int32)
-            grown[: self._n] = col[: self._n]
-            self._cols[j] = grown
-        self._acc = np.zeros(self._capacity, dtype=np.int32)
-        self._buf = np.zeros(self._capacity, dtype=np.int8)
+    def _keys(self, encoded: np.ndarray) -> list[bytes] | None:
+        """The block keys of *encoded*, or None when it is too short to hash."""
+        n_blocks, block = self._max_d + 1, self._block
+        if encoded.shape[0] < n_blocks * block:
+            return None
+        canonical = self._canonical[encoded[: n_blocks * block]].reshape(n_blocks, block)
+        return [key.tobytes() for key in canonical]
 
     def append(self, encoded: np.ndarray) -> None:
-        if self._n >= self._capacity:
-            self._grow_capacity()
-        while len(self._cols) < encoded.shape[0]:
-            self._cols.append(np.full(self._capacity, self._PAD, dtype=np.int32))
-        for j, col in enumerate(self._cols):
-            col[self._n] = encoded[j] if j < encoded.shape[0] else self._PAD
+        if self._n == 0:
+            self._block = max(1, encoded.shape[0] // (self._max_d + 1))
+        capacity, width = self._rows.shape
+        if self._n >= capacity or encoded.shape[0] > width:
+            if self._n >= capacity:
+                capacity *= 2
+            if encoded.shape[0] > width:
+                width = max(encoded.shape[0], 2 * width)
+            self._rows = _resized(self._rows, (capacity, width), self._PAD)
+        self._rows[self._n, : encoded.shape[0]] = encoded
+        keys = self._keys(encoded)
+        if keys is None:
+            self._short.append(self._n)
+        else:
+            for bucket, key in zip(self._buckets, keys):
+                bucket.setdefault(key, []).append(self._n)
         self._n += 1
+
+    def _verify(self, encoded: np.ndarray, idx: np.ndarray | slice) -> np.ndarray:
+        """Distance from the encoded candidate to the indexed structures *idx*."""
+        # Positions past the stored width meet only padding, which matches.
+        g = min(encoded.shape[0], self._rows.shape[1])
+        matches = self._eq[self._rows[idx, :g], encoded[:g]]
+        return (g - np.count_nonzero(matches, axis=1)).astype(np.int32)
 
     def distances(self, encoded: np.ndarray) -> np.ndarray:
         """Distance from the encoded candidate to every indexed structure."""
-        n = self._n
-        if n == 0:
-            return np.zeros(0, dtype=np.int32)
-        width = max(len(self._cols), encoded.shape[0])
-        eq_int = self._eq.view(np.int8)
-        acc = self._acc[:n]
-        buf = self._buf[:n]
-        acc[:] = 0
-        for j in range(width):
-            gid = int(encoded[j]) if j < encoded.shape[0] else self._PAD
-            if j < len(self._cols):
-                np.take(eq_int[gid], self._cols[j][:n], out=buf)
-                acc += buf
-            else:
-                # Candidate positions past every stored width always match.
-                acc += 1
-        return width - acc
+        return self._verify(encoded, slice(0, self._n))
+
+    def neighbours(self, encoded: np.ndarray) -> np.ndarray:
+        """Sorted indices of the indexed structures within max_distance."""
+        if self._n == 0:
+            return np.zeros(0, dtype=np.int64)
+        keys = self._keys(encoded)
+        if keys is None:
+            return np.flatnonzero(self.distances(encoded) <= self._max_d)
+        hits = set(self._short)
+        for bucket, key in zip(self._buckets, keys):
+            hits.update(bucket.get(key, ()))
+        idx = np.array(sorted(hits), dtype=np.int64)
+        return idx[self._verify(encoded, idx) <= self._max_d]
 
 
 def _network_from_adjacency(
@@ -229,9 +290,8 @@ def grow_incremental(
 
     for word in instance.initial_structures:
         encoded = index.encode(word)
-        distances = index.distances(encoded)
-        neighbors = np.flatnonzero(distances <= instance.distance.max_distance)
-        neighbor_arrays.append(neighbors.astype(np.int64))
+        neighbors = index.neighbours(encoded)
+        neighbor_arrays.append(neighbors)
         n_edges += neighbors.shape[0]
         index.append(encoded)
         seen[word] = len(structures)
@@ -244,7 +304,6 @@ def grow_incremental(
 
     record_checkpoint()
     budget = instance.attempt_budget
-    max_d = instance.distance.max_distance
     while len(structures) < instance.target_nodes and trace.attempts < budget:
         trace.attempts += 1
         template = rng.randrange(len(structures))
@@ -262,12 +321,11 @@ def grow_incremental(
             trace.rejected_duplicate += 1
             continue
         encoded = index.encode(word)
-        distances = index.distances(encoded)
-        neighbors = np.flatnonzero(distances <= max_d)
+        neighbors = index.neighbours(encoded)
         if neighbors.shape[0] == 0:
             trace.rejected_isolated += 1
             continue
-        neighbor_arrays.append(neighbors.astype(np.int64))
+        neighbor_arrays.append(neighbors)
         n_edges += neighbors.shape[0]
         index.append(encoded)
         seen[word] = len(structures)
@@ -284,6 +342,57 @@ def grow_incremental(
     return net, trace
 
 
+def _edit_space_size(instance: Instance) -> int | None:
+    """Distinct words among the initial structures and all their single edits.
+
+    Lists exactly what ``apply_random_edit`` can return for each edit kind
+    it can draw, so once that many distinct structures exist every further
+    batch draw repeats one. Returns None, without listing, when the edit
+    counts (mutate L(A-1), insert (L+1)A, delete L, duplicate L(L+1)/2 per
+    initial word of length L over A symbols) exceed the attempt budget, since
+    the budget then cannot exhaust the space anyway.
+    """
+    probs = instance.probs
+    # The cumulative thresholds of apply_random_edit; a kind can be drawn
+    # when its interval of [0, 1) is not empty.
+    up_to_insert = probs.mutate + probs.insert
+    up_to_delete = up_to_insert + probs.delete
+    mutate, insert = probs.mutate > 0, up_to_insert > probs.mutate
+    delete, duplicate = up_to_delete > up_to_insert, up_to_delete < 1.0
+
+    symbols = instance.alphabet.symbols
+    n_symbols = len(symbols)
+    max_length = instance.max_structure_length
+    bound = 0
+    for word in instance.initial_structures:
+        length = len(word)
+        bound += (
+            mutate * length * (n_symbols - 1)
+            + insert * (length + 1) * n_symbols
+            + delete * length
+            + duplicate * length * (length + 1) // 2
+        )
+    if bound > instance.attempt_budget:
+        return None
+
+    space = set(instance.initial_structures)
+    for word in instance.initial_structures:
+        length = len(word)
+        if mutate:
+            for i in range(length):
+                space.update(word[:i] + s + word[i + 1 :] for s in symbols if s != word[i])
+        if insert and length + 1 <= max_length:
+            for i in range(length + 1):
+                space.update(word[:i] + s + word[i:] for s in symbols)
+        if delete and length >= 2:
+            space.update(word[:i] + word[i + 1 :] for i in range(length))
+        if duplicate:
+            for start in range(length):
+                for end in range(start + 1, min(length, start + max_length - length) + 1):
+                    space.add(word[:end] + word[start:end] + word[end:])
+    return len(space)
+
+
 def grow_batch(
     instance: Instance,
     rng: random.Random | None = None,
@@ -292,8 +401,10 @@ def grow_batch(
 
     Candidate structures are generated by single random edits of uniformly
     chosen *initial* structures until target_nodes distinct structures exist
-    or the attempt budget runs out. Edges are then computed in one pairwise
-    pass and every node left isolated (initial nodes included) is removed.
+    or the attempt budget runs out, stopping early once every single edit of
+    the initial structures has been drawn. Edges are then computed in one
+    pairwise pass and every node left isolated (initial nodes included) is
+    removed.
     """
     rng = random.Random(instance.seed) if rng is None else rng
     trace = GrowthTrace()
@@ -303,7 +414,12 @@ def grow_batch(
     n_initial = len(structures)
 
     budget = instance.attempt_budget
-    while len(structures) < instance.target_nodes and trace.attempts < budget:
+    space_size = _edit_space_size(instance)  # None never equals len(seen)
+    while (
+        len(structures) < instance.target_nodes
+        and trace.attempts < budget
+        and len(seen) != space_size
+    ):
         trace.attempts += 1
         template = rng.randrange(n_initial)
         word, kind = apply_random_edit(
@@ -330,11 +446,9 @@ def grow_batch(
 
     index = GroupIndex(instance.distance)
     neighbor_arrays: list[np.ndarray] = []
-    max_d = instance.distance.max_distance
     for word in structures:
         encoded = index.encode(word)
-        distances = index.distances(encoded)
-        neighbor_arrays.append(np.flatnonzero(distances <= max_d).astype(np.int64))
+        neighbor_arrays.append(index.neighbours(encoded))
         index.append(encoded)
 
     net = _network_from_adjacency(structures, neighbor_arrays, provenance, set())

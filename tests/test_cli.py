@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from snmodel import fileio
+from snmodel import fileio, instances_dir
 from snmodel.cli import main
 
 INSTANCE = """\
@@ -124,6 +124,21 @@ class TestCompareBA:
         assert code == 0
         assert (out / "comparison_average_degree.tsv").is_file()
         assert (out / "comparison_average_clustering.tsv").is_file()
+
+    def test_saturating_growth_is_an_error(self, tmp_path, capsys):
+        # Batch growth of batch.instance saturates at 205 nodes, short of a
+        # 300-node checkpoint.
+        code = main([
+            "compare-ba",
+            "--instance", str(instances_dir() / "batch.instance"),
+            "--checkpoints", "300",
+            "--n-seeds", "1",
+            "--out", str(tmp_path / "cmp"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: growth saturated at 205 nodes")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestPrune:

@@ -44,6 +44,12 @@ class TestParseKeyValues:
     def test_comments_and_blanks(self):
         assert parse_key_values("# hi\n\nseed = 4\n") == {"seed": "4"}
 
+    def test_inline_comment(self):
+        assert parse_key_values("target_nodes = 10 # x\nseed = 4#y\n") == {
+            "target_nodes": "10",
+            "seed": "4",
+        }
+
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_key_values("speed = 4\n")

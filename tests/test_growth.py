@@ -7,10 +7,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from snmodel.distance import DistanceConfig, parse_match_file, within_max_distance
+from snmodel import growth, instances_dir
+from snmodel.distance import (
+    DistanceConfig,
+    parse_match_file,
+    structure_distance,
+    within_max_distance,
+)
+from snmodel.experiments import load_instance_file
 from snmodel.growth import (
     BATCH,
     GroupIndex,
@@ -21,7 +28,7 @@ from snmodel.growth import (
     prune_low_degree,
 )
 from snmodel.network import Network
-from snmodel.structures import Alphabet, EditProbabilities
+from snmodel.structures import Alphabet, EditProbabilities, apply_random_edit
 
 AB = Alphabet.from_string("AB")
 ABC = Alphabet.from_string("ABC")
@@ -240,6 +247,62 @@ class TestGrowBatch:
         net_b, _ = grow_batch(instance)
         assert net_a.structures == net_b.structures
 
+    def test_stops_once_every_single_edit_exists(self, monkeypatch):
+        # batch.instance has 1 + 12 * 17 = 205 distinct words within one
+        # mutation of its initial word, far fewer than its 150 000 attempts.
+        instance = load_instance_file(instances_dir() / "batch.instance").instance
+        net, trace = grow_batch(instance)
+        assert trace.saturated
+        assert trace.accepted == 204
+        assert trace.attempts < instance.attempt_budget // 20
+
+        # Without the stop the loop draws only duplicates up to the budget.
+        monkeypatch.setattr(growth, "_edit_space_size", lambda instance: None)
+        full_net, full_trace = grow_batch(instance)
+        assert full_trace.attempts == instance.attempt_budget
+        assert net.structures == full_net.structures
+        assert np.array_equal(net.edge_u, full_net.edge_u)
+        assert np.array_equal(net.edge_v, full_net.edge_v)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            ALL_EDITS,
+            MUTATE_ONLY,
+            EditProbabilities(insert=0.5, delete=0.5),
+            EditProbabilities(delete=0.3, duplicate=0.7),
+        ],
+    )
+    def test_edit_space_is_what_random_edits_reach(self, probs):
+        # Length-1 words cannot lose a symbol and max length 4 cuts off
+        # inserts into "ABBA" and the longer duplicates of "BAA".
+        instance = small_instance(
+            alphabet=AB,
+            probs=probs,
+            initial_structures=("A", "BAA", "ABBA"),
+            target_nodes=3,
+            max_attempts=400,
+            max_structure_length=4,
+        )
+        rng = random.Random(1)
+        reached = set(instance.initial_structures)
+        for _ in range(20000):
+            template = instance.initial_structures[rng.randrange(3)]
+            word, _ = apply_random_edit(
+                template, probs, AB, rng, instance.max_structure_length
+            )
+            if word is not None:
+                reached.add(word)
+        assert growth._edit_space_size(instance) == len(reached)
+
+    def test_edit_space_listed_only_within_the_budget(self):
+        # "ABCABC": 6 * 2 mutants + 7 * 3 inserts + 6 deletes + 21 duplicates
+        # = 60 edits, 45 distinct words besides the initial one.
+        at_bound = small_instance(max_attempts=60, target_nodes=50)
+        assert growth._edit_space_size(at_bound) == 46
+        past_bound = small_instance(max_attempts=59, target_nodes=50)
+        assert growth._edit_space_size(past_bound) is None
+
 
 class TestPrune:
     def test_single_pass_keeps_survivors_below_threshold(self):
@@ -270,6 +333,45 @@ class TestPrune:
 
 class TestGroupIndex:
     """The vectorized scan must agree with the scalar distance everywhere."""
+
+    NON_TRANSITIVE = "AA = BB\nAB = CC\n"  # AB = CC, yet BA (= AB) is not CC
+
+    @given(
+        st.lists(st.text(alphabet="ABC", min_size=1, max_size=14), min_size=1, max_size=25),
+        st.text(alphabet="ABC", min_size=1, max_size=14),
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.booleans(),
+    )
+    @example(  # hashed, short-listed and fully scanned words at once
+        ["ABCABCABCABC", "AB", "ABCABCABCABCABCABC", "ABCABCABCABA"],
+        "ABCABCABCCBA",
+        1,
+        1,
+        False,
+    )
+    @example(["ABCCABAB", "BAABCC", "AACCBBAA"], "CCABABBB", 2, 1, True)
+    @settings(max_examples=300, deadline=None)
+    def test_neighbours_three_way(self, words, candidate, unit, max_d, use_table):
+        table = None
+        if use_table and unit == 2:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                table = parse_match_file(self.NON_TRANSITIVE, 2, ABC)
+        cfg = DistanceConfig(unit, max_d, match_table=table)
+        index = GroupIndex(cfg)
+        for i, word in enumerate(words + [candidate]):
+            encoded = index.encode(word)
+            got = index.neighbours(encoded)
+            assert got.dtype == np.int64
+            scanned = np.flatnonzero(index.distances(encoded) <= max_d)
+            expected = [
+                j for j, other in enumerate(words[:i])
+                if structure_distance(word, other, cfg) <= max_d
+            ]
+            assert got.tolist() == scanned.tolist() == expected
+            if i < len(words):
+                index.append(encoded)
 
     @given(
         st.lists(st.text(alphabet="ABC", min_size=1, max_size=9), min_size=1, max_size=25),
