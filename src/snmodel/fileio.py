@@ -111,6 +111,8 @@ def parse_structures(text: str) -> dict[int, str]:
             node = int(fields[0])
         except ValueError:
             raise ValueError(f"line {lineno}: id must be an integer") from None
+        if node < 0:
+            raise ValueError(f"line {lineno}: id must be >= 0")
         if node in out:
             raise ValueError(f"line {lineno}: duplicate id {node}")
         out[node] = fields[1]

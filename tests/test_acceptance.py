@@ -53,8 +53,9 @@ from snmodel.metrics import (
     heterogeneity_index,
     motif_census_3,
     path_length_histogram,
-    shortest_path_lengths_bfs,
 )
+
+from oracles import shortest_path_lengths_bfs
 
 
 def _load(name: str):

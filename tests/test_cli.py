@@ -93,6 +93,19 @@ class TestMetrics:
         payload = json.loads(out.read_text())
         assert payload["fitted_slope"] is not None
 
+    def test_negative_structure_id_is_an_error(self, tmp_path, capsys):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("0\t1\n1\t2\n")
+        structures = tmp_path / "structures.tsv"
+        structures.write_text("-1\tAB\n")
+        code = main([
+            "metrics", "--edges", str(edges), "--structures", str(structures),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: id must be >= 0\n"
+
 
 class TestExperiment:
     def test_summary_written(self, tmp_path, instance_file, capsys):

@@ -82,6 +82,10 @@ class TestStructures:
         with pytest.raises(ValueError, match="line 1"):
             fileio.parse_structures("nonsense\n")
 
+    def test_negative_id_rejected(self):
+        with pytest.raises(ValueError, match="line 2: id must be >= 0"):
+            fileio.parse_structures("0\tA\n-1\tAB\n")
+
 
 class TestDistributionAndReports:
     def test_distribution_sorted_by_key(self):

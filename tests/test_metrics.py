@@ -9,6 +9,8 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snmodel.metrics import (
     average_clustering,
@@ -27,10 +29,11 @@ from snmodel.metrics import (
     motif_census_3,
     path_length_distribution,
     path_length_histogram,
-    shortest_path_lengths_bfs,
     triangle_count,
 )
 from snmodel.network import Network
+
+from oracles import shortest_path_lengths_bfs
 
 
 def random_network(rng: random.Random, n: int, p: float) -> Network:
@@ -45,6 +48,41 @@ def to_nx(net: Network) -> nx.Graph:
     g.add_nodes_from(range(net.n_nodes))
     g.add_edges_from(net.edge_pairs())
     return g
+
+
+def sparse_multi_component(rng: random.Random, n: int) -> Network:
+    """Random forest-plus-chords on shuffled ids: isolated nodes, 4 components."""
+    nodes = list(range(n))
+    rng.shuffle(nodes)
+    rest = nodes[max(1, n // 20) :]
+    cuts = sorted(rng.sample(range(1, len(rest)), 3))
+    edges: set[tuple[int, int]] = set()
+    for a, b in zip([0, *cuts], [*cuts, len(rest)]):
+        block = rest[a:b]
+        for i in range(1, len(block)):
+            u, v = block[i], block[rng.randrange(i)]
+            edges.add((min(u, v), max(u, v)))
+        for _ in range(len(block) // 2):
+            u, v = rng.sample(block, 2)
+            edges.add((min(u, v), max(u, v)))
+    return Network.from_edges(n, sorted(edges))
+
+
+def networkx_histogram(net: Network) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for _, lengths in nx.all_pairs_shortest_path_length(to_nx(net)):
+        for length in lengths.values():
+            if length > 0:
+                counts[length] = counts.get(length, 0) + 1
+    return {length: c // 2 for length, c in counts.items()}
+
+
+@st.composite
+def small_graphs(draw) -> Network:
+    n = draw(st.integers(1, 140))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    return Network.from_edges(n, sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]}))
 
 
 def floyd_warshall(net: Network) -> dict[tuple[int, int], int]:
@@ -115,6 +153,13 @@ class TestDegreeAndPaths:
                 if length > 0:
                     expected[length] = expected.get(length, 0) + 1
             assert path_length_histogram(net) == expected
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 511, 512, 513, 1100])
+    def test_histogram_matches_networkx_at_word_and_chunk_boundaries(self, n):
+        # 64 sources share one frontier word and 512 one chunk.
+        net = sparse_multi_component(random.Random(n), n)
+        assert len(connected_component_sizes(net)) > 4
+        assert path_length_histogram(net) == networkx_histogram(net)
 
     def test_average_matches_networkx_on_connected_graph(self):
         rng = random.Random(3)
@@ -263,6 +308,34 @@ class TestComponentsAndReport:
         assert largest_component_fraction(net) == 0.6
         giant = largest_component(net)
         assert giant.n_nodes == 3
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)],
+            [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)],
+        ],
+        ids=["triangle-first", "path-first"],
+    )
+    def test_report_breaks_component_ties_like_largest_component(self, edges):
+        net = Network.from_edges(6, edges)
+        report = compute_metrics(net)
+        assert report.average_path_length_largest_component == average_path_length(
+            largest_component(net)
+        )
+        assert report.largest_component_fraction == 0.5
+
+    @given(small_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_report_agrees_with_component_functions(self, net):
+        report = compute_metrics(net)
+        giant = largest_component(net)
+        expected = average_path_length(giant) if giant.n_nodes >= 2 else None
+        assert report.average_path_length_largest_component == expected
+        assert report.largest_component_fraction == largest_component_fraction(net)
+        hist = path_length_histogram(net)
+        expected = average_path_length(net) if hist else None
+        assert report.average_path_length == expected
 
     def test_report_on_small_graph(self):
         net = Network.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
