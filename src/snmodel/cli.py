@@ -3,8 +3,8 @@
 Subcommands: generate (one network), metrics (report on an edge list),
 experiment (multi-seed run with summary), compare-ba (growth curves against
 the preferential-attachment baseline), prune (degree filter on an edge list).
-Every instance-file key has a flag of the same name; flags override file
-values.
+Every instance-file key of ``experiments.INSTANCE_KEYS`` has a flag of the
+same name; flags override file values and are converted by the same table.
 """
 
 from __future__ import annotations
@@ -18,31 +18,10 @@ from . import experiments, fileio
 from .ba import BAParams
 from .metrics import compute_metrics
 
-_CONFIG_FLAGS = (
-    ("alphabet", str),
-    ("initial", str),
-    ("p_mutate", float),
-    ("p_insert", float),
-    ("p_delete", float),
-    ("p_duplicate", float),
-    ("unit_distance", int),
-    ("max_distance", int),
-    ("match_file", str),
-    ("target_nodes", int),
-    ("max_attempts", int),
-    ("mode", str),
-    ("prune_min_degree", int),
-    ("seed", int),
-    ("n_seeds", int),
-    ("checkpoint_interval", int),
-)
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--instance", type=Path, help="instance file (key = value text)")
-    for key, conv in _CONFIG_FLAGS:
-        flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, type=conv, default=None, help=f"override {key}")
+    for key in experiments.INSTANCE_KEYS:
+        parser.add_argument("--" + key.replace("_", "-"), help=f"override {key}")
 
 
 def _config_from_args(args: argparse.Namespace) -> experiments.ExperimentConfig:
@@ -51,36 +30,30 @@ def _config_from_args(args: argparse.Namespace) -> experiments.ExperimentConfig:
     if args.instance is not None:
         mapping = experiments.parse_key_values(args.instance.read_text(encoding="utf-8"))
         base_dir = args.instance.parent
-    for key, _ in _CONFIG_FLAGS:
+    for key in experiments.INSTANCE_KEYS:
         value = getattr(args, key)
         if value is not None:
-            if key == "match_file":
-                # CLI paths are relative to the working directory, not the file.
+            if key == "match_file" and value:
+                # CLI paths are relative to the working directory, not the
+                # file; an empty one means no table.
                 value = str(Path(value).resolve())
-            mapping[key] = str(value)
+            mapping[key] = value
     return experiments.config_from_mapping(mapping, base_dir)
+
+
+def _metric_names(text: str | None) -> tuple[str, ...]:
+    """Comma-separated metric names, or the default metrics when *text* is unset."""
+    if not text:
+        return experiments.DEFAULT_REFERENCED_METRICS
+    return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     net = experiments.run_single(config.instance, config.checkpoint_interval)
     report = compute_metrics(net, fit_k_min=args.fit_k_min)
-    fileio.write_edge_list(out / "edges.tsv", net)
-    if any(s is not None for s in net.structures):
-        fileio.write_structures(out / "structures.tsv", net)
-    fileio.write_metrics(out / "metrics.json", report)
-    fileio.write_distribution(
-        out / "degree_distribution.tsv", report.degree_distribution, "degree", "fraction"
-    )
-    fileio.write_distribution(
-        out / "path_length_distribution.tsv",
-        report.path_length_distribution,
-        "path_length",
-        "fraction",
-    )
-    print(f"wrote network with {net.n_nodes} nodes, {net.n_edges} edges to {out}")
+    fileio.write_network(args.out, net, report)
+    print(f"wrote network with {net.n_nodes} nodes, {net.n_edges} edges to {args.out}")
     return 0
 
 
@@ -92,11 +65,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                 raise ValueError(f"structure id {node} outside the network")
             net.structures[node] = word
     report = compute_metrics(net, fit_k_min=args.fit_k_min)
-    text = fileio.render_json(fileio.metrics_to_dict(report))
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(fileio.render_json(fileio.report_to_dict(report, fileio.METRICS_FORMAT)))
     else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        fileio.write_metrics(args.out, report)
         print(f"wrote metrics to {args.out}")
     return 0
 
@@ -106,14 +78,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     reference = None
     if args.reference is not None:
         payload = json.loads(Path(args.reference).read_text(encoding="utf-8"))
-        reference = payload.get("means", payload)
-    referenced = experiments.DEFAULT_REFERENCED_METRICS
-    if args.referenced_metrics:
-        referenced = tuple(m.strip() for m in args.referenced_metrics.split(",") if m.strip())
+        # A summary.json serves as a reference through its means.
+        reference = payload.get("means", payload) if isinstance(payload, dict) else payload
     summary = experiments.run_experiment(
         config,
         args.out,
-        referenced_metrics=referenced,
+        referenced_metrics=_metric_names(args.referenced_metrics),
         reference=reference,
         fit_k_min=args.fit_k_min,
     )
@@ -143,16 +113,13 @@ def _cmd_compare_ba(args: argparse.Namespace) -> int:
         edges_per_node=args.ba_edges,
         seed=config.instance.seed,
     )
-    metric_names = ("average_degree", "average_path_length", "average_clustering")
-    if args.metrics:
-        metric_names = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     experiments.run_growth_comparison(
         config.instance,
         ba,
         checkpoints,
         n_seeds=config.n_seeds,
         output_directory=args.out,
-        metric_names=metric_names,
+        metric_names=_metric_names(args.metrics),
     )
     print(f"wrote comparison curves for {len(checkpoints)} checkpoints to {args.out}")
     return 0

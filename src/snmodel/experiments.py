@@ -29,28 +29,49 @@ from .metrics import (
 from .network import Network
 from .structures import Alphabet, EditProbabilities
 
-_REQUIRED_KEYS = ("alphabet", "initial", "unit_distance", "max_distance", "target_nodes")
-_OPTIONAL_KEYS = (
-    "p_mutate",
-    "p_insert",
-    "p_delete",
-    "p_duplicate",
-    "match_file",
-    "max_attempts",
-    "mode",
-    "prune_min_degree",
-    "seed",
-    "n_seeds",
-    "checkpoint_interval",
-)
-KNOWN_KEYS = frozenset(_REQUIRED_KEYS + _OPTIONAL_KEYS)
 
-#: Metrics used for the discrepancy fractions unless the caller overrides.
-DEFAULT_REFERENCED_METRICS = (
-    "average_degree",
-    "average_path_length",
-    "average_clustering",
-)
+def _initial(text: str) -> tuple[str, ...]:
+    words = tuple(w.strip() for w in text.split(";") if w.strip())
+    if not words:
+        raise ValueError("needs at least one structure")
+    return words
+
+
+def _optional_int(text: str) -> int | None:
+    return int(text) if text else None
+
+
+#: Every instance key: the converter of its text and its default text; a
+#: default of None marks a required key. Instance files, CLI flags and the
+#: README table all derive from this one table.
+INSTANCE_KEYS: dict[str, tuple[Callable[[str], object], str | None]] = {
+    "alphabet": (Alphabet.from_string, None),
+    "initial": (_initial, None),
+    "p_mutate": (float, "0"),
+    "p_insert": (float, "0"),
+    "p_delete": (float, "0"),
+    "p_duplicate": (float, "0"),
+    "unit_distance": (int, None),
+    "max_distance": (int, None),
+    "match_file": (str, ""),
+    "target_nodes": (int, None),
+    "max_attempts": (_optional_int, ""),
+    "mode": (str, INCREMENTAL),
+    "prune_min_degree": (int, "0"),
+    "seed": (int, "0"),
+    "n_seeds": (int, "1"),
+    "checkpoint_interval": (int, "0"),
+}
+
+
+def _evaluators() -> dict[str, Callable[[Network], float]]:
+    """The comparison-curve metrics by name, resolved when called."""
+    return {f.__name__: f for f in (average_degree, average_path_length, average_clustering)}
+
+
+#: Metrics of the discrepancy fractions and of the comparison curves unless
+#: the caller overrides.
+DEFAULT_REFERENCED_METRICS = tuple(_evaluators())
 
 
 @dataclass(frozen=True)
@@ -80,19 +101,12 @@ def parse_key_values(text: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KNOWN_KEYS:
+        if key not in INSTANCE_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
-
-
-def _convert(key: str, value: str, conv: Callable):
-    try:
-        return conv(value)
-    except ValueError:
-        raise ValueError(f"key {key!r}: cannot parse value {value!r}") from None
 
 
 def config_from_mapping(
@@ -101,60 +115,52 @@ def config_from_mapping(
 ) -> ExperimentConfig:
     """Build a validated configuration from raw key/value strings.
 
-    ``match_file`` paths are resolved against *base_dir* (the directory of
-    the instance file they came from).
+    Every key of ``INSTANCE_KEYS`` is converted once from its text, or from
+    its default text when *mapping* lacks it. ``match_file`` paths are
+    resolved against *base_dir* (the directory of the instance file they
+    came from); an empty one means no match table.
     """
     for key in mapping:
-        if key not in KNOWN_KEYS:
+        if key not in INSTANCE_KEYS:
             raise ValueError(f"unknown key {key!r}")
-    for key in _REQUIRED_KEYS:
-        if key not in mapping:
+    v: dict = {}
+    for key, (convert, default) in INSTANCE_KEYS.items():
+        text = mapping.get(key, default)
+        if text is None:
             raise ValueError(f"missing required key {key!r}")
-
-    alphabet = Alphabet.from_string(mapping["alphabet"])
-    initial = tuple(w.strip() for w in mapping["initial"].split(";") if w.strip())
-    if not initial:
-        raise ValueError("key 'initial': needs at least one structure")
-    probs = EditProbabilities(
-        mutate=_convert("p_mutate", mapping.get("p_mutate", "0"), float),
-        insert=_convert("p_insert", mapping.get("p_insert", "0"), float),
-        delete=_convert("p_delete", mapping.get("p_delete", "0"), float),
-        duplicate=_convert("p_duplicate", mapping.get("p_duplicate", "0"), float),
-    )
-    unit = _convert("unit_distance", mapping["unit_distance"], int)
-    max_distance = _convert("max_distance", mapping["max_distance"], int)
+        try:
+            v[key] = convert(text)
+        except ValueError as exc:
+            raise ValueError(f"key {key!r}: cannot parse value {text!r} ({exc})") from None
 
     table = None
-    if mapping.get("match_file"):
-        path = Path(mapping["match_file"])
+    if v["match_file"]:
+        path = Path(v["match_file"])
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
-        table = parse_match_file(path.read_text(encoding="utf-8"), unit, alphabet)
-    distance = DistanceConfig(unit, max_distance, match_table=table)
-
-    max_attempts = None
-    if mapping.get("max_attempts"):
-        max_attempts = _convert("max_attempts", mapping["max_attempts"], int)
-
+        table = parse_match_file(
+            path.read_text(encoding="utf-8"), v["unit_distance"], v["alphabet"]
+        )
     instance = Instance(
-        alphabet=alphabet,
-        initial_structures=initial,
-        probs=probs,
-        distance=distance,
-        target_nodes=_convert("target_nodes", mapping["target_nodes"], int),
-        max_attempts=max_attempts,
-        mode=mapping.get("mode", INCREMENTAL),
-        prune_min_degree=_convert(
-            "prune_min_degree", mapping.get("prune_min_degree", "0"), int
+        alphabet=v["alphabet"],
+        initial_structures=v["initial"],
+        probs=EditProbabilities(
+            mutate=v["p_mutate"],
+            insert=v["p_insert"],
+            delete=v["p_delete"],
+            duplicate=v["p_duplicate"],
         ),
-        seed=_convert("seed", mapping.get("seed", "0"), int),
+        distance=DistanceConfig(v["unit_distance"], v["max_distance"], match_table=table),
+        target_nodes=v["target_nodes"],
+        max_attempts=v["max_attempts"],
+        mode=v["mode"],
+        prune_min_degree=v["prune_min_degree"],
+        seed=v["seed"],
     )
     return ExperimentConfig(
         instance=instance,
-        n_seeds=_convert("n_seeds", mapping.get("n_seeds", "1"), int),
-        checkpoint_interval=_convert(
-            "checkpoint_interval", mapping.get("checkpoint_interval", "0"), int
-        ),
+        n_seeds=v["n_seeds"],
+        checkpoint_interval=v["checkpoint_interval"],
     )
 
 
@@ -195,6 +201,31 @@ def _scalars(report: MetricsReport) -> dict[str, float | None]:
     return {name: getattr(report, name) for name in _SCALAR_FIELDS}
 
 
+def _checked_reference(
+    referenced_metrics: Sequence[str], reference: Mapping[str, float] | None
+) -> dict[str, float] | None:
+    """The reference values of the referenced metrics, or None without a reference.
+
+    Raises ValueError for a metric that is not a scalar of the report, and
+    for a reference that is not a mapping of metric names to numbers.
+    """
+    for m in referenced_metrics:
+        if m not in _SCALAR_FIELDS:
+            raise ValueError(f"unknown metric {m!r}; known metrics: {', '.join(_SCALAR_FIELDS)}")
+    if reference is None:
+        return None
+    if not isinstance(reference, Mapping):
+        raise ValueError("reference must map metric names to numbers")
+    ref = {}
+    for m in referenced_metrics:
+        if m in reference:
+            value = reference[m]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"reference value of {m!r} must be a number, got {value!r}")
+            ref[m] = float(value)
+    return ref
+
+
 def summarize(
     reports: Sequence[MetricsReport],
     referenced_metrics: Sequence[str] = DEFAULT_REFERENCED_METRICS,
@@ -208,6 +239,7 @@ def summarize(
     """
     if not reports:
         raise ValueError("summarize requires at least one report")
+    ref = _checked_reference(referenced_metrics, reference)
     rows = [_scalars(r) for r in reports]
     means: dict[str, float | None] = {}
     stds: dict[str, float | None] = {}
@@ -220,10 +252,8 @@ def summarize(
             means[name] = None
             stds[name] = None
 
-    if reference is None:
+    if ref is None:
         ref = {m: means[m] for m in referenced_metrics if means[m] is not None}
-    else:
-        ref = {m: float(reference[m]) for m in referenced_metrics if m in reference}
 
     def qualifies(row: dict[str, float | None], tol: float) -> bool:
         for metric, target in ref.items():
@@ -251,19 +281,6 @@ def summarize(
     )
 
 
-def summary_to_dict(summary: SummaryReport) -> dict:
-    return {
-        "format": fileio.SUMMARY_FORMAT,
-        "n_seeds": summary.n_seeds,
-        "means": summary.means,
-        "stds": summary.stds,
-        "within_10": summary.within_10,
-        "within_20": summary.within_20,
-        "reference": summary.reference,
-        "referenced_metrics": list(summary.referenced_metrics),
-    }
-
-
 def run_single(instance: Instance, checkpoint_interval: int = 0) -> Network:
     """Grow (and prune, when configured) one network."""
     net, _ = grow(instance, checkpoint_interval=checkpoint_interval)
@@ -285,6 +302,7 @@ def run_experiment(
     the metrics report, and the degree/path-length distributions; the
     aggregate lands in summary.json.
     """
+    _checked_reference(referenced_metrics, reference)  # fail before any growth
     out = Path(output_directory)
     out.mkdir(parents=True, exist_ok=True)
     reports: list[MetricsReport] = []
@@ -293,28 +311,10 @@ def run_experiment(
         net = run_single(instance, config.checkpoint_interval)
         report = compute_metrics(net, fit_k_min=fit_k_min)
         reports.append(report)
-
-        seed_dir = out / f"seed_{instance.seed:05d}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
-        fileio.write_edge_list(seed_dir / "edges.tsv", net)
-        if any(s is not None for s in net.structures):
-            fileio.write_structures(seed_dir / "structures.tsv", net)
-        fileio.write_metrics(seed_dir / "metrics.json", report)
-        fileio.write_distribution(
-            seed_dir / "degree_distribution.tsv",
-            report.degree_distribution,
-            "degree",
-            "fraction",
-        )
-        fileio.write_distribution(
-            seed_dir / "path_length_distribution.tsv",
-            report.path_length_distribution,
-            "path_length",
-            "fraction",
-        )
+        fileio.write_network(out / f"seed_{instance.seed:05d}", net, report)
 
     summary = summarize(reports, referenced_metrics, reference)
-    fileio.write_json(out / "summary.json", summary_to_dict(summary))
+    fileio.write_json(out / "summary.json", fileio.report_to_dict(summary, fileio.SUMMARY_FORMAT))
     return summary
 
 
@@ -324,7 +324,7 @@ def run_growth_comparison(
     checkpoints: Sequence[int],
     n_seeds: int,
     output_directory: str | Path | None = None,
-    metric_names: Sequence[str] = ("average_degree", "average_path_length", "average_clustering"),
+    metric_names: Sequence[str] = DEFAULT_REFERENCED_METRICS,
 ) -> dict[str, dict[str, dict[int, float]]]:
     """Seed-averaged metric curves for both models at the given node counts.
 
@@ -341,11 +341,7 @@ def run_growth_comparison(
     if checkpoints[-1] > sn_instance.target_nodes or checkpoints[-1] > ba_params.target_nodes:
         raise ValueError("checkpoints exceed the configured target size")
 
-    evaluators: dict[str, Callable[[Network], float]] = {
-        "average_degree": average_degree,
-        "average_path_length": average_path_length,
-        "average_clustering": average_clustering,
-    }
+    evaluators = _evaluators()
     for name in metric_names:
         if name not in evaluators:
             raise ValueError(f"unknown comparison metric {name!r}")

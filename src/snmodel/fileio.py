@@ -153,8 +153,9 @@ def _stringify_keys(value: object) -> object:
     return value
 
 
-def metrics_to_dict(report: MetricsReport) -> dict:
-    out = {"format": METRICS_FORMAT}
+def report_to_dict(report: object, format_tag: str) -> dict:
+    """A dataclass report as a JSON object tagged with its format."""
+    out = {"format": format_tag}
     out.update(_stringify_keys(asdict(report)))
     return out
 
@@ -164,8 +165,31 @@ def render_json(payload: Mapping) -> str:
 
 
 def write_metrics(path: str | Path, report: MetricsReport) -> None:
-    Path(path).write_text(render_json(metrics_to_dict(report)), encoding="utf-8")
+    Path(path).write_text(render_json(report_to_dict(report, METRICS_FORMAT)), encoding="utf-8")
 
 
 def write_json(path: str | Path, payload: Mapping) -> None:
     Path(path).write_text(render_json(payload), encoding="utf-8")
+
+
+def write_network(directory: str | Path, net: Network, report: MetricsReport) -> None:
+    """Write one network's artifacts into *directory*, creating it.
+
+    The edge list, the structure list (when any node has a structure), the
+    metrics report, and the degree and path-length distributions.
+    """
+    out = Path(directory)
+    out.mkdir(parents=True, exist_ok=True)
+    write_edge_list(out / "edges.tsv", net)
+    if any(s is not None for s in net.structures):
+        write_structures(out / "structures.tsv", net)
+    write_metrics(out / "metrics.json", report)
+    write_distribution(
+        out / "degree_distribution.tsv", report.degree_distribution, "degree", "fraction"
+    )
+    write_distribution(
+        out / "path_length_distribution.tsv",
+        report.path_length_distribution,
+        "path_length",
+        "fraction",
+    )

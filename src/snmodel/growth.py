@@ -136,7 +136,9 @@ class GroupIndex:
         self._rows = np.full((max(capacity, 16), 1), self._PAD, dtype=np.int32)
         self._n = 0
         self._block = 0  # b; fixed by the first append
-        self._buckets: list[dict[bytes, list[int]]] = [{} for _ in range(self._max_d + 1)]
+        # One bucket dict per block, made by the first hashed append: only a
+        # structure with at least max_distance + 1 groups is ever hashed.
+        self._buckets: list[dict[bytes, list[int]]] = []
         self._short: list[int] = []
 
     def __len__(self) -> int:
@@ -220,6 +222,8 @@ class GroupIndex:
         if keys is None:
             self._short.append(self._n)
         else:
+            if not self._buckets:
+                self._buckets = [{} for _ in keys]
             for bucket, key in zip(self._buckets, keys):
                 bucket.setdefault(key, []).append(self._n)
         self._n += 1

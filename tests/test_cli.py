@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from snmodel import fileio, instances_dir
-from snmodel.cli import main
+from snmodel.cli import _config_from_args, build_parser, main
+from snmodel.experiments import INSTANCE_KEYS
 
 INSTANCE = """\
 alphabet = ABC
@@ -74,6 +77,100 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
 
 
+#: A valid base configuration; each schema test replaces one of its keys.
+BASE_KEYS = {
+    "alphabet": "ABC",
+    "initial": "ABCABC",
+    "p_mutate": "0.4",
+    "p_insert": "0.2",
+    "p_delete": "0.2",
+    "p_duplicate": "0.2",
+    "unit_distance": "2",
+    "max_distance": "1",
+    "target_nodes": "30",
+    "seed": "5",
+}
+
+#: For every instance key, a value that differs from its default and keeps
+#: the base configuration valid.
+KEY_VALUES = {
+    "alphabet": "ABCD",
+    "initial": "ABCABC; CBACBA",
+    "p_mutate": "0.4",
+    "p_insert": "0.2",
+    "p_delete": "0.2",
+    "p_duplicate": "0.2",
+    "unit_distance": "3",
+    "max_distance": "2",
+    "match_file": None,  # an absolute path, made per test
+    "target_nodes": "40",
+    "max_attempts": "100",
+    "mode": "batch",
+    "prune_min_degree": "2",
+    "seed": "9",
+    "n_seeds": "3",
+    "checkpoint_interval": "10",
+}
+
+
+def _cli_config(*argv: str):
+    return _config_from_args(build_parser().parse_args(["generate", *argv, "--out", "unused"]))
+
+
+def _write_instance(path, mapping):
+    path.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
+    return path
+
+
+class TestInstanceKeys:
+    def test_every_key_has_a_test_value(self):
+        assert list(KEY_VALUES) == list(INSTANCE_KEYS)
+
+    @pytest.mark.parametrize("key", list(INSTANCE_KEYS))
+    def test_flag_equals_file_value(self, tmp_path, key):
+        value = KEY_VALUES[key]
+        if key == "match_file":
+            value = str(_write_instance(tmp_path / "pairs.txt", {"AB": "BC", "BC": "AB"}))
+        base = {k: v for k, v in BASE_KEYS.items() if k != key}
+        from_file = _cli_config(
+            "--instance", str(_write_instance(tmp_path / "file.instance", {**base, key: value}))
+        )
+        without_key = str(_write_instance(tmp_path / "flag.instance", base))
+        from_flag = _cli_config("--instance", without_key, "--" + key.replace("_", "-"), value)
+        assert from_flag == from_file
+        try:
+            unset = _cli_config("--instance", without_key)
+        except ValueError:  # a required key, or probabilities short of 1
+            unset = None
+        assert from_flag != unset
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--seed", "x"), ("--target-nodes", "1.5"), ("--p-mutate", "most")]
+    )
+    def test_bad_number_flag_is_one_error_line(self, tmp_path, instance_file, capsys, flag, value):
+        code = main([
+            "generate", "--instance", str(instance_file), flag, value,
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: key '{flag[2:].replace('-', '_')}': cannot parse value")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_empty_match_file_flag_means_no_table(self, tmp_path, instance_file):
+        from_flag = _cli_config("--instance", str(instance_file), "--match-file", "")
+        with_empty_key = tmp_path / "empty.instance"
+        with_empty_key.write_text(INSTANCE + "match_file =\n")
+        assert from_flag == _cli_config("--instance", str(with_empty_key))
+        assert from_flag.instance.distance.match_table is None
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        keys = re.findall(r"^\| `(\w+)` \|", cli_section, flags=re.MULTILINE)
+        assert keys == list(INSTANCE_KEYS)
+
+
 class TestMetrics:
     def test_stdout_report(self, tmp_path, capsys):
         edges = tmp_path / "edges.tsv"
@@ -120,6 +217,40 @@ class TestExperiment:
         payload = json.loads((out / "summary.json").read_text())
         assert payload["n_seeds"] == 2
         assert "within 10%" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--reference", "[1, 2]"], "error: reference must map metric names to numbers"),
+            (
+                ["--reference", '{"average_degree": {"a": 1}}'],
+                "error: reference value of 'average_degree' must be a number",
+            ),
+            (
+                ["--reference", '{"means": {"average_degree": null}}'],
+                "error: reference value of 'average_degree' must be a number",
+            ),
+            (
+                ["--referenced-metrics", "bogus"],
+                "error: unknown metric 'bogus'; known metrics: n_nodes",
+            ),
+        ],
+        ids=["list", "object-value", "null-value", "unknown-metric"],
+    )
+    def test_bad_reference_is_one_error_line(self, tmp_path, instance_file, capsys, argv, message):
+        if argv[0] == "--reference":
+            reference = tmp_path / "reference.json"
+            reference.write_text(argv[1])
+            argv = ["--reference", str(reference)]
+        code = main([
+            "experiment", "--instance", str(instance_file), "--n-seeds", "1",
+            *argv, "--out", str(tmp_path / "exp"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestCompareBA:

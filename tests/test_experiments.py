@@ -190,6 +190,24 @@ class TestSummarize:
         assert summary.within_10 == 0.0
 
 
+    def test_unknown_metric_names_the_known_ones(self):
+        with pytest.raises(ValueError, match="unknown metric 'bogus'; known metrics: n_nodes, "):
+            summarize(self.make_reports(), ("bogus",))
+
+    @pytest.mark.parametrize(
+        "reference",
+        [[1, 2], {"average_degree": {"a": 1}}, {"average_degree": None}, {"average_degree": True}],
+    )
+    def test_reference_must_map_names_to_numbers(self, reference):
+        with pytest.raises(ValueError, match="reference"):
+            summarize(self.make_reports(), ("average_degree",), reference)
+
+    def test_reference_values_of_unreferenced_metrics_are_ignored(self):
+        reference = {"average_degree": 2, "average_path_length": None}
+        summary = summarize(self.make_reports(), ("average_degree",), reference)
+        assert summary.reference == {"average_degree": 2.0}
+
+
 class TestRunExperiment:
     def config(self, tmp_path=None, n_seeds=2) -> ExperimentConfig:
         return parse_instance_file(MINIMAL + f"n_seeds = {n_seeds}\nseed = 7\n")
@@ -229,6 +247,11 @@ class TestRunExperiment:
         a = (tmp_path / "seed_00007" / "edges.tsv").read_text()
         b = (tmp_path / "seed_00008" / "edges.tsv").read_text()
         assert a != b
+
+    def test_bad_reference_fails_before_growth(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown metric"):
+            run_experiment(self.config(), tmp_path / "out", referenced_metrics=("bogus",))
+        assert not (tmp_path / "out").exists()
 
     def test_pruning_applied_when_configured(self, tmp_path):
         config = parse_instance_file(MINIMAL + "prune_min_degree = 2\n")

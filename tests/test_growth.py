@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -389,6 +390,19 @@ class TestGroupIndex:
         got = index.distances(index.encode(candidate))
         expected = [structure_distance(candidate, w, cfg) for w in words]
         assert got.tolist() == expected
+
+    def test_construction_does_not_allocate_by_max_distance(self):
+        tracemalloc.start()
+        try:
+            index = GroupIndex(DistanceConfig(2, 10**6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        # Too short to hash: the structures go on the always-verified list.
+        for word in ("ABAB", "ABCC", "CCCC"):
+            index.append(index.encode(word))
+        assert index.neighbours(index.encode("ABAC")).tolist() == [0, 1, 2]
 
     def test_matches_scalar_distance_with_table(self):
         from snmodel.distance import structure_distance
