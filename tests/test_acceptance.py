@@ -17,11 +17,14 @@ asserts the complete-graph profile that batch generation provably gives.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
 from dataclasses import replace
+from pathlib import Path
 from statistics import fmean
 
 import pytest
@@ -42,11 +45,12 @@ from snmodel import (
     structure_distance,
     within_max_distance,
 )
-from snmodel.fileio import render_edge_list
+from snmodel.fileio import render_edge_list, write_network
 from snmodel.metrics import (
     average_clustering,
     average_degree,
     average_path_length,
+    compute_metrics,
     degree_distribution,
     degree_histogram,
     fit_power_law_slope,
@@ -448,3 +452,24 @@ def test_acceptance_09_determinism(pruned_config, pruned_network):
     repeat = render_edge_list(run_single(pruned_config.instance))
     assert repeat == render_edge_list(pruned_network), "pruned.instance: repeated runs differ"
     _report(9, "all five shipped configs reproduce byte-identical edge lists")
+
+
+#: SHA-256 of every `snm generate` artifact of the shipped instances at their
+#: own seeds. Re-pin only for an intended output change, and say why in
+#: CHANGES.md.
+GOLDEN = Path(__file__).with_name("golden.json")
+
+
+def test_golden_artifact_digests(tmp_path, pruned_network):
+    got = {}
+    for name in ("batch", "celegans", "comparison", "ecoli", "pruned"):
+        net = pruned_network if name == "pruned" else run_single(_load(f"{name}.instance").instance)
+        write_network(tmp_path / name, net, compute_metrics(net))
+        got[name] = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted((tmp_path / name).iterdir())
+        }
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    if got != expected:
+        print("new digests:\n" + json.dumps(got, indent=2, sort_keys=True))
+    assert got == expected
