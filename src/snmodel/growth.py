@@ -87,21 +87,27 @@ class GrowthTrace:
     checkpoints: list[tuple[int, int, int]] = field(default_factory=list)
 
 
-def _resized(a: np.ndarray, shape: tuple[int, ...], fill: int | bool) -> np.ndarray:
+def _resized(a: np.ndarray, shape: tuple[int, ...], fill: int) -> np.ndarray:
     """*a* copied into the leading corner of a *fill*-padded array of *shape*."""
     out = np.full(shape, fill, dtype=a.dtype)
     out[tuple(slice(0, n) for n in a.shape)] = a
     return out
 
 
+def _multiset(group: str) -> str:
+    return "".join(sorted(group))
+
+
 class GroupIndex:
     """Neighbour search over indexed structures by multi-index hashing.
 
-    Each structure is encoded as the sequence of ids of its full symbol
-    groups; group equality (multiset rule plus match table) is precomputed
-    into a boolean matrix over the ids observed so far. Structures are stored
-    as rows of one sentinel-padded id matrix. The sentinel compares equal to
-    everything, which implements "exceeding symbols are disregarded".
+    A structure is encoded as the ids of its full symbol groups. A group's id
+    is that of its multiset, so equal ids match. Only a group that the match
+    table links to a different multiset has an id of its own; its equalities
+    (table partners and multiset siblings) form one sorted array of pair
+    codes, consulted only when not empty. Structures are rows of one id
+    matrix padded with -1, an id no group has, kept with their group counts:
+    the distance over g groups is min(count, g) minus the matches.
 
     Candidates are found with the pigeonhole filter of multi-index hashing
     (Norouzi, Punjani & Fleet, CVPR 2012; Manku, Jain & Das Sarma, WWW 2007).
@@ -117,23 +123,29 @@ class GroupIndex:
     the exact relation removes the extras.
     """
 
-    _PAD = 0
+    _PAD = -1
 
     def __init__(self, cfg: DistanceConfig, capacity: int = 64) -> None:
         self._unit = cfg.unit_distance
         self._max_d = cfg.max_distance
-        self._group_ids: dict[str, int] = {}
-        self._n_groups = 1  # id 0 is the sentinel
-        self._multiset_ids: dict[str, int] = {}
-        table = cfg.match_table
-        self._table_entries = table.entries if table is not None else {}
-        self._class_of = self._table_classes()
-        # Per group id: its multiset id (exact relation) and canonical id (keys).
-        self._multiset = np.full(8, -1, dtype=np.int32)
-        self._canonical = np.full(8, -1, dtype=np.int32)
-        self._eq = np.zeros((8, 8), dtype=bool)
-        self._eq[self._PAD, self._PAD] = True
+        entries = cfg.match_table.entries if cfg.match_table is not None else {}
+        # Entries whose two sides share a multiset add nothing.
+        links = [(g, p) for g in entries for p in entries[g] if _multiset(p) != _multiset(g)]
+        self._class_of = self._table_classes(links)
+        self._ids: dict[tuple[str, str], int] = {}
+        self._canonical = np.full(8, -1, dtype=np.int32)  # per id, for the keys
+        # A linked group has an id of its own; pair codes say what it equals.
+        linked = sorted({group for link in links for group in link})
+        self._group_ids = {group: self._id(_multiset(group), group) for group in linked}
+        pairs = {(self._group_ids[group], self._group_ids[partner]) for group, partner in links}
+        for group in linked:
+            key, gid = _multiset(group), self._group_ids[group]
+            siblings = [self._group_ids[other] for other in linked if _multiset(other) == key]
+            pairs.update((gid, other) for other in siblings + [self._id(key)])
+        codes = sorted({a << 32 | b for pair in pairs for a, b in (pair, pair[::-1])})
+        self._pairs = np.array(codes, dtype=np.int64)
         self._rows = np.full((max(capacity, 16), 1), self._PAD, dtype=np.int32)
+        self._counts = np.zeros(self._rows.shape[0], dtype=np.int32)
         self._n = 0
         self._block = 0  # b; fixed by the first append
         # One bucket dict per block, made by the first hashed append: only a
@@ -141,10 +153,8 @@ class GroupIndex:
         self._buckets: list[dict[bytes, list[int]]] = []
         self._short: list[int] = []
 
-    def __len__(self) -> int:
-        return self._n
-
-    def _table_classes(self) -> dict[str, str]:
+    @staticmethod
+    def _table_classes(links: list[tuple[str, str]]) -> dict[str, str]:
         """Union-find over the multisets the match table links: multiset -> root."""
         parent: dict[str, str] = {}
 
@@ -156,35 +166,20 @@ class GroupIndex:
                 parent[key], key = root, parent[key]
             return root
 
-        for group, partners in self._table_entries.items():
-            for partner in partners:
-                parent[find("".join(sorted(partner)))] = find("".join(sorted(group)))
+        for group, partner in links:
+            parent[find(_multiset(partner))] = find(_multiset(group))
         return {key: find(key) for key in parent}
 
-    def _multiset_id(self, key: str) -> int:
-        return self._multiset_ids.setdefault(key, len(self._multiset_ids))
-
-    def _register_group(self, group: str) -> int:
-        gid = self._n_groups
-        if gid >= self._eq.shape[0]:
-            size = 2 * gid
-            self._eq = _resized(self._eq, (size, size), False)
-            self._multiset = _resized(self._multiset, (size,), -1)
-            self._canonical = _resized(self._canonical, (size,), -1)
-        key = "".join(sorted(group))
-        multiset = self._multiset_id(key)
-        self._multiset[gid] = multiset
-        self._canonical[gid] = self._multiset_id(self._class_of.get(key, key))
-        row = self._multiset[: gid + 1] == multiset
-        for partner in self._table_entries.get(group, ()):
-            pid = self._group_ids.get(partner)
-            if pid is not None:
-                row[pid] = True
-        row[self._PAD] = True
-        self._eq[gid, : gid + 1] = row
-        self._eq[: gid + 1, gid] = row
-        self._group_ids[group] = gid
-        self._n_groups += 1
+    def _id(self, key: str, group: str = "") -> int:
+        """The id of multiset *key*, or of its *group* that the table links."""
+        gid = self._ids.get((key, group))
+        if gid is None:
+            gid = self._ids[key, group] = len(self._ids)
+            if gid >= self._canonical.shape[0]:
+                self._canonical = _resized(self._canonical, (2 * gid,), -1)
+            # The canonical id is that of the multiset rooting the table class.
+            root = self._id(self._class_of.get(key, key))
+            self._canonical[gid] = root
         return gid
 
     def encode(self, word: str) -> np.ndarray:
@@ -195,7 +190,7 @@ class GroupIndex:
             group = word[i * unit : (i + 1) * unit]
             gid = self._group_ids.get(group)
             if gid is None:
-                gid = self._register_group(group)
+                gid = self._group_ids[group] = self._id(_multiset(group))
             ids[i] = gid
         return ids
 
@@ -217,7 +212,9 @@ class GroupIndex:
             if encoded.shape[0] > width:
                 width = max(encoded.shape[0], 2 * width)
             self._rows = _resized(self._rows, (capacity, width), self._PAD)
+            self._counts = _resized(self._counts, (capacity,), 0)
         self._rows[self._n, : encoded.shape[0]] = encoded
+        self._counts[self._n] = encoded.shape[0]
         keys = self._keys(encoded)
         if keys is None:
             self._short.append(self._n)
@@ -230,10 +227,13 @@ class GroupIndex:
 
     def _verify(self, encoded: np.ndarray, idx: np.ndarray | slice) -> np.ndarray:
         """Distance from the encoded candidate to the indexed structures *idx*."""
-        # Positions past the stored width meet only padding, which matches.
         g = min(encoded.shape[0], self._rows.shape[1])
-        matches = self._eq[self._rows[idx, :g], encoded[:g]]
-        return (g - np.count_nonzero(matches, axis=1)).astype(np.int32)
+        rows = self._rows[idx, :g]
+        matches = rows == encoded[:g]
+        if self._pairs.size:
+            matches |= np.isin(rows.astype(np.int64) << 32 | encoded[:g], self._pairs)
+        counts = np.minimum(self._counts[idx], g)
+        return (counts - np.count_nonzero(matches, axis=1)).astype(np.int32)
 
     def distances(self, encoded: np.ndarray) -> np.ndarray:
         """Distance from the encoded candidate to every indexed structure."""

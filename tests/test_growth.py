@@ -335,32 +335,45 @@ class TestPrune:
 class TestGroupIndex:
     """The vectorized scan must agree with the scalar distance everywhere."""
 
-    NON_TRANSITIVE = "AA = BB\nAB = CC\n"  # AB = CC, yet BA (= AB) is not CC
+    #: Match tables by (unit, kind). A linking table declares groups of
+    #: different multisets equal, and not transitively; an order-only one, like
+    #: the shipped ecoli_matches.txt, only restates the multiset rule.
+    TABLES = {
+        (2, "linking"): "AA = BB\nAB = CC\n",  # AB = CC, yet BA (= AB) is not CC
+        # AAB = CCC = BCB, yet AAB is not BCB; ABA = BBC, yet BAA is not BBC.
+        (3, "linking"): "AAB = CCC\nABA = BBC\nCCC = BCB\n",
+        (2, "order-only"): "AB = BA\nAC = CA\nBC = CB\n",
+        (3, "order-only"): "ABC = CBA BCA\nAAB = BAA\n",
+    }
 
     @given(
         st.lists(st.text(alphabet="ABC", min_size=1, max_size=14), min_size=1, max_size=25),
         st.text(alphabet="ABC", min_size=1, max_size=14),
         st.integers(1, 3),
         st.integers(0, 3),
-        st.booleans(),
+        st.sampled_from([None, "linking", "order-only"]),
     )
     @example(  # hashed, short-listed and fully scanned words at once
         ["ABCABCABCABC", "AB", "ABCABCABCABCABCABC", "ABCABCABCABA"],
         "ABCABCABCCBA",
         1,
         1,
-        False,
+        None,
     )
-    @example(["ABCCABAB", "BAABCC", "AACCBBAA"], "CCABABBB", 2, 1, True)
+    @example(["ABCCABAB", "BAABCC", "AACCBBAA"], "CCABABBB", 2, 1, "linking")
+    @example(["AABCCCBAA", "ABABBCCCC", "BCBAAB", "CBBABACCC"], "CCCAABBCB", 3, 1, "linking")
+    @example(["ABBACACB", "BABAACBC", "ABCA"], "BAABCACB", 2, 1, "order-only")
     @settings(max_examples=300, deadline=None)
-    def test_neighbours_three_way(self, words, candidate, unit, max_d, use_table):
+    def test_neighbours_three_way(self, words, candidate, unit, max_d, kind):
         table = None
-        if use_table and unit == 2:
+        if (unit, kind) in self.TABLES:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                table = parse_match_file(self.NON_TRANSITIVE, 2, ABC)
+                table = parse_match_file(self.TABLES[unit, kind], unit, ABC)
         cfg = DistanceConfig(unit, max_d, match_table=table)
         index = GroupIndex(cfg)
+        # Only a linking table costs a pair lookup when verifying.
+        assert (index._pairs.size > 0) == (table is not None and kind == "linking")
         for i, word in enumerate(words + [candidate]):
             encoded = index.encode(word)
             got = index.neighbours(encoded)
@@ -403,6 +416,23 @@ class TestGroupIndex:
         for word in ("ABAB", "ABCC", "CCCC"):
             index.append(index.encode(word))
         assert index.neighbours(index.encode("ABAC")).tolist() == [0, 1, 2]
+
+    def test_memory_grows_with_groups_not_their_square(self):
+        # Six 6-symbol groups per word over 8 symbols: over 5000 distinct groups.
+        rng = random.Random(0)
+        words = ["".join(rng.choice("ABCDEFGH") for _ in range(36)) for _ in range(900)]
+        assert len({word[i : i + 6] for word in words for i in range(0, 36, 6)}) > 5000
+        tracemalloc.start()
+        try:
+            index = GroupIndex(DistanceConfig(6, 1))
+            for word in words:
+                encoded = index.encode(word)
+                index.neighbours(encoded)
+                index.append(encoded)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
 
     def test_matches_scalar_distance_with_table(self):
         from snmodel.distance import structure_distance
