@@ -5,6 +5,7 @@ experiment (multi-seed run with summary), compare-ba (growth curves against
 the preferential-attachment baseline), prune (degree filter on an edge list).
 Every instance-file key of ``experiments.INSTANCE_KEYS`` has a flag of the
 same name; flags override file values and are converted by the same table.
+The other number flags go through the same converter.
 """
 
 from __future__ import annotations
@@ -138,6 +139,10 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The number flags that are not instance keys, by destination.
+_INT_FLAGS = ("fit_k_min", "ba_clique", "ba_edges", "min_degree")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snm",
@@ -148,20 +153,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="grow one network and write its artifacts")
     _add_config_flags(p)
     p.add_argument("--out", required=True, type=Path, help="output directory")
-    p.add_argument("--fit-k-min", type=int, default=None, help="fit a power law for k >= this")
+    p.add_argument("--fit-k-min", help="fit a power law for k >= this")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("metrics", help="compute the metrics report of an edge list")
     p.add_argument("--edges", required=True, type=Path)
     p.add_argument("--structures", type=Path, default=None)
     p.add_argument("--out", type=Path, default=None, help="JSON output path (default stdout)")
-    p.add_argument("--fit-k-min", type=int, default=None)
+    p.add_argument("--fit-k-min")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("experiment", help="run a multi-seed experiment with a summary")
     _add_config_flags(p)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--fit-k-min", type=int, default=None)
+    p.add_argument("--fit-k-min")
     p.add_argument("--reference", type=Path, default=None, help="reference metrics JSON")
     p.add_argument(
         "--referenced-metrics",
@@ -174,14 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--checkpoints", default=None, help="comma-separated node counts")
-    p.add_argument("--ba-clique", type=int, default=6)
-    p.add_argument("--ba-edges", type=int, default=6)
+    p.add_argument("--ba-clique", default="6")
+    p.add_argument("--ba-edges", default="6")
     p.add_argument("--metrics", default=None, help="comma-separated curve metrics")
     p.set_defaults(func=_cmd_compare_ba)
 
     p = sub.add_parser("prune", help="drop nodes below a degree threshold from an edge list")
     p.add_argument("--edges", required=True, type=Path)
-    p.add_argument("--min-degree", required=True, type=int)
+    p.add_argument("--min-degree", required=True)
     p.add_argument("--out", required=True, type=Path)
     p.set_defaults(func=_cmd_prune)
 
@@ -191,6 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for key in _INT_FLAGS:
+            if getattr(args, key, None) is not None:
+                setattr(args, key, experiments.convert_value(key, int, getattr(args, key)))
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .metrics import (
 )
 from .network import Network
 from .structures import Alphabet, EditProbabilities
+
+T = TypeVar("T")
 
 
 def _initial(text: str) -> tuple[str, ...]:
@@ -89,6 +91,14 @@ class ExperimentConfig:
             raise ValueError("checkpoint_interval must be >= 0")
 
 
+def convert_value(key: str, convert: Callable[[str], T], text: str) -> T:
+    """*text* converted by *convert*; a bad value is one ValueError naming *key*."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"key {key!r}: cannot parse value {text!r} ({exc})") from None
+
+
 def parse_key_values(text: str) -> dict[str, str]:
     """Raw "key = value" lines; '#' starts a comment and blank lines are skipped."""
     out: dict[str, str] = {}
@@ -128,10 +138,7 @@ def config_from_mapping(
         text = mapping.get(key, default)
         if text is None:
             raise ValueError(f"missing required key {key!r}")
-        try:
-            v[key] = convert(text)
-        except ValueError as exc:
-            raise ValueError(f"key {key!r}: cannot parse value {text!r} ({exc})") from None
+        v[key] = convert_value(key, convert, text)
 
     table = None
     if v["match_file"]:

@@ -145,16 +145,29 @@ class TestInstanceKeys:
         assert from_flag != unset
 
     @pytest.mark.parametrize(
-        "flag, value", [("--seed", "x"), ("--target-nodes", "1.5"), ("--p-mutate", "most")]
+        "argv",
+        [
+            "generate --instance {instance} --out {out} --seed x",
+            "generate --instance {instance} --out {out} --target-nodes 1.5",
+            "generate --instance {instance} --out {out} --p-mutate most",
+            "generate --instance {instance} --out {out} --fit-k-min x",
+            "metrics --edges {edges} --fit-k-min 2.5",
+            "experiment --instance {instance} --out {out} --fit-k-min x",
+            "compare-ba --instance {instance} --out {out} --ba-clique x",
+            "compare-ba --instance {instance} --out {out} --ba-edges 1e3",
+            "prune --edges {edges} --out {out} --min-degree two",
+        ],
     )
-    def test_bad_number_flag_is_one_error_line(self, tmp_path, instance_file, capsys, flag, value):
-        code = main([
-            "generate", "--instance", str(instance_file), flag, value,
-            "--out", str(tmp_path / "run"),
-        ])
-        assert code == 1
+    def test_bad_number_flag_is_one_error_line(self, tmp_path, instance_file, capsys, argv):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("0\t1\n1\t2\n")
+        paths = {"instance": instance_file, "edges": edges, "out": tmp_path / "out"}
+        args = [token.format(**paths) for token in argv.split()]
+        flag, value = args[-2:]
+        assert main(args) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: key '{flag[2:].replace('-', '_')}': cannot parse value")
+        key = flag[2:].replace("-", "_")
+        assert err.startswith(f"error: key '{key}': cannot parse value '{value}'")
         assert len(err.strip().splitlines()) == 1
 
     def test_empty_match_file_flag_means_no_table(self, tmp_path, instance_file):
