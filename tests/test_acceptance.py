@@ -35,6 +35,8 @@ from snmodel import (
     Alphabet,
     BAParams,
     DistanceConfig,
+    EditProbabilities,
+    Instance,
     Network,
     grow,
     instances_dir,
@@ -45,7 +47,7 @@ from snmodel import (
     structure_distance,
     within_max_distance,
 )
-from snmodel.fileio import render_edge_list, write_network
+from snmodel.fileio import render_edge_list, render_structures, write_network
 from snmodel.metrics import (
     average_clustering,
     average_degree,
@@ -458,18 +460,54 @@ def test_acceptance_09_determinism(pruned_config, pruned_network):
 #: own seeds. Re-pin only for an intended output change, and say why in
 #: CHANGES.md.
 GOLDEN = Path(__file__).with_name("golden.json")
+SHIPPED = ("batch", "celegans", "comparison", "ecoli", "pruned")
 
 
 def test_golden_artifact_digests(tmp_path, pruned_network):
     got = {}
-    for name in ("batch", "celegans", "comparison", "ecoli", "pruned"):
+    for name in SHIPPED:
         net = pruned_network if name == "pruned" else run_single(_load(f"{name}.instance").instance)
         write_network(tmp_path / name, net, compute_metrics(net))
         got[name] = {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted((tmp_path / name).iterdir())
         }
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    expected = {name: golden[name] for name in SHIPPED}
     if got != expected:
         print("new digests:\n" + json.dumps(got, indent=2, sort_keys=True))
+    assert got == expected
+
+
+def test_golden_all_edits_growth():
+    # Inserts, deletes and duplications shift groups, so many candidates
+    # lie beyond their template and some are rejected as isolated; the
+    # linking table adds pair-code matches. The shipped instances are
+    # mutation-only or nearly so and barely reach either path.
+    table = parse_match_file("AA = BB\nBB = AA\nAB = CC\nCC = AB\n", 2, Alphabet.from_string("ABC"))
+    instance = Instance(
+        alphabet=Alphabet.from_string("ABC"),
+        initial_structures=("ABCABCABCABC",),
+        probs=EditProbabilities(mutate=0.4, insert=0.2, delete=0.2, duplicate=0.2),
+        distance=DistanceConfig(2, 1, match_table=table),
+        target_nodes=400,
+        seed=3,
+    )
+    net, trace = grow(instance, checkpoint_interval=100)
+    got = {
+        "edges.tsv": hashlib.sha256(render_edge_list(net).encode()).hexdigest(),
+        "structures.tsv": hashlib.sha256(render_structures(net).encode()).hexdigest(),
+        "trace": {
+            "attempts": trace.attempts,
+            "accepted": trace.accepted,
+            "rejected_duplicate": trace.rejected_duplicate,
+            "rejected_isolated": trace.rejected_isolated,
+            "rejected_edit_failed": trace.rejected_edit_failed,
+            "checkpoints": [list(row) for row in trace.checkpoints],
+        },
+    }
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["all_edits"]
+    if got != expected:
+        print("new pin:\n" + json.dumps(got, indent=2, sort_keys=True))
+    assert trace.rejected_isolated > 0
     assert got == expected
