@@ -104,7 +104,7 @@ def _cmd_compare_ba(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     target = config.instance.target_nodes
     if args.checkpoints:
-        checkpoints = [int(c) for c in args.checkpoints.split(",")]
+        checkpoints = args.checkpoints
     else:
         interval = config.checkpoint_interval or target
         checkpoints = list(range(interval, target + 1, interval))
@@ -122,7 +122,7 @@ def _cmd_compare_ba(args: argparse.Namespace) -> int:
         output_directory=args.out,
         metric_names=_metric_names(args.metrics),
     )
-    print(f"wrote comparison curves for {len(checkpoints)} checkpoints to {args.out}")
+    print(f"wrote comparison curves for {len(set(checkpoints))} checkpoints to {args.out}")
     return 0
 
 
@@ -139,8 +139,23 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The number flags that are not instance keys, by destination.
-_INT_FLAGS = ("fit_k_min", "ba_clique", "ba_edges", "min_degree")
+def _node_counts(text: str) -> list[int]:
+    """Comma-separated node counts, each at least 1."""
+    counts = [int(c) for c in text.split(",")]
+    for count in counts:
+        if count < 1:
+            raise ValueError(f"node count {count} is below 1")
+    return counts
+
+
+#: The number flags that are not instance keys: destination -> converter.
+_NUMBER_FLAGS = {
+    "fit_k_min": int,
+    "ba_clique": int,
+    "ba_edges": int,
+    "min_degree": int,
+    "checkpoints": _node_counts,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for key in _INT_FLAGS:
+        for key, convert in _NUMBER_FLAGS.items():
             if getattr(args, key, None) is not None:
-                setattr(args, key, experiments.convert_value(key, int, getattr(args, key)))
+                setattr(args, key, experiments.convert_value(key, convert, getattr(args, key)))
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -337,12 +337,15 @@ def run_growth_comparison(
 
     Growth order makes the subgraph on the first n nodes equal to the
     intermediate network at size n, so each run is grown once and sliced.
-    Returns {metric: {"sn" | "ba": {checkpoint: mean}}} and, when an output
-    directory is given, writes one "n_nodes sn ba" file per metric.
+    A checkpoint given twice counts once. Returns {metric: {"sn" | "ba":
+    {checkpoint: mean}}} and, when an output directory is given, writes one
+    "n_nodes sn ba" file per metric.
     """
-    checkpoints = sorted(checkpoints)
+    checkpoints = sorted(set(checkpoints))
     if not checkpoints:
         raise ValueError("run_growth_comparison requires at least one checkpoint")
+    if checkpoints[0] < 1:
+        raise ValueError(f"checkpoint {checkpoints[0]} is below 1")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     if checkpoints[-1] > sn_instance.target_nodes or checkpoints[-1] > ba_params.target_nodes:

@@ -1,10 +1,12 @@
 """Growth of structured-node networks: incremental, batch variant, and pruning.
 
-The growth loop derives a candidate structure from a randomly chosen template,
-rejects duplicates and candidates that would be isolated, and otherwise adds
-the node together with every edge allowed by the distance rule. Distances are
-static, so the insertion-time neighbour search against all existing nodes
-determines the complete pairwise edge relation.
+The growth loop derives a candidate structure from a randomly chosen template
+and rejects duplicates and candidates that would be isolated. A candidate
+within max_distance of its template has a neighbour already; only one further
+away is searched for one. Distances are static, so the edge relation depends
+on the accepted structures alone: once the loop ends, one pairwise join over
+them yields every edge, each node's earlier neighbours in node order, the
+same edges an insertion-time search would have added.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _multiset(group: str) -> str:
 
 
 class GroupIndex:
-    """Neighbour search over indexed structures by multi-index hashing.
+    """Exact distance queries and the pairwise distance join over structures.
 
     A structure is encoded as the ids of its full symbol groups. A group's id
     is that of its multiset, so equal ids match. Only a group that the match
@@ -114,16 +116,30 @@ class GroupIndex:
     With d = max_distance and b = max(1, G0 // (d+1)) for the group count G0
     of the first appended structure, two structures that both have at least
     (d+1)*b groups and lie within distance d agree in every group of at
-    least one of their first d+1 blocks of b groups. Each such structure is
-    hashed under its d+1 block keys; shorter ones go on a list that every
-    search verifies, and a shorter candidate is verified against everything.
-    A key holds the groups' canonical ids: the group's multiset, merged into
-    one class with every multiset the match table links it to. The table
-    relation is not transitive, so keys may over-match; verification against
-    the exact relation removes the extras.
+    least one of their first d+1 blocks of b groups. A key holds the groups'
+    canonical ids: the group's multiset, merged into one class with every
+    multiset the match table links it to. The table relation is not
+    transitive, so keys may over-match; verification against the exact
+    relation removes the extras. A structure with fewer groups is short: it
+    is verified against every other one.
+
+    ``append`` only stores a row and its count. ``neighbours`` answers one
+    query from bucket dicts of block keys, which it first brings up to date
+    with the rows appended since the last query, so an index that is never
+    queried never builds them. ``join`` returns every pair within d at once,
+    as a partition-based exact join (Arasu, Ganti & Kaushik, VLDB 2006): per
+    block, the rows are grouped by a hash of their key, the pairs inside
+    each group are verified in bounded chunks, and a pair an earlier block
+    already grouped together is dropped, so each pair is verified once.
     """
 
     _PAD = -1
+    #: Candidate pairs the join verifies at once: bounds its memory.
+    _CHUNK = 8192
+    #: Groups compared per step when verifying the join's pairs.
+    _SLAB = 32
+    #: Odd multiplier of the block-key hash (the golden ratio in 64 bits).
+    _MIX = np.uint64(0x9E3779B97F4A7C15)
 
     def __init__(self, cfg: DistanceConfig, capacity: int = 64) -> None:
         self._unit = cfg.unit_distance
@@ -148,10 +164,12 @@ class GroupIndex:
         self._counts = np.zeros(self._rows.shape[0], dtype=np.int32)
         self._n = 0
         self._block = 0  # b; fixed by the first append
-        # One bucket dict per block, made by the first hashed append: only a
-        # structure with at least max_distance + 1 groups is ever hashed.
+        # The rows before _hashed are in one bucket dict per block or, when
+        # short, on the short list. The dicts are made for the first hashed
+        # row, so a large max_distance allocates nothing.
         self._buckets: list[dict[bytes, list[int]]] = []
         self._short: list[int] = []
+        self._hashed = 0
 
     @staticmethod
     def _table_classes(links: list[tuple[str, str]]) -> dict[str, str]:
@@ -215,29 +233,31 @@ class GroupIndex:
             self._counts = _resized(self._counts, (capacity,), 0)
         self._rows[self._n, : encoded.shape[0]] = encoded
         self._counts[self._n] = encoded.shape[0]
-        keys = self._keys(encoded)
-        if keys is None:
-            self._short.append(self._n)
-        else:
-            if not self._buckets:
-                self._buckets = [{} for _ in keys]
-            for bucket, key in zip(self._buckets, keys):
-                bucket.setdefault(key, []).append(self._n)
         self._n += 1
+
+    def _matches(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Where the group ids *a* and *b* name equal groups; a pad equals no group."""
+        matches = a == b
+        if self._pairs.size:
+            matches |= np.isin(a.astype(np.int64) << 32 | b, self._pairs)
+        return matches
 
     def _verify(self, encoded: np.ndarray, idx: np.ndarray | slice) -> np.ndarray:
         """Distance from the encoded candidate to the indexed structures *idx*."""
         g = min(encoded.shape[0], self._rows.shape[1])
-        rows = self._rows[idx, :g]
-        matches = rows == encoded[:g]
-        if self._pairs.size:
-            matches |= np.isin(rows.astype(np.int64) << 32 | encoded[:g], self._pairs)
+        matches = self._matches(self._rows[idx, :g], encoded[:g])
         counts = np.minimum(self._counts[idx], g)
         return (counts - np.count_nonzero(matches, axis=1)).astype(np.int32)
 
     def distances(self, encoded: np.ndarray) -> np.ndarray:
         """Distance from the encoded candidate to every indexed structure."""
         return self._verify(encoded, slice(0, self._n))
+
+    def within(self, encoded: np.ndarray, i: int) -> bool:
+        """Whether indexed structure *i* lies within max_distance of the candidate."""
+        g = min(encoded.shape[0], int(self._counts[i]))
+        matches = self._matches(self._rows[i, :g], encoded[:g])
+        return g - np.count_nonzero(matches) <= self._max_d
 
     def neighbours(self, encoded: np.ndarray) -> np.ndarray:
         """Sorted indices of the indexed structures within max_distance."""
@@ -246,27 +266,103 @@ class GroupIndex:
         keys = self._keys(encoded)
         if keys is None:
             return np.flatnonzero(self.distances(encoded) <= self._max_d)
+        for i in range(self._hashed, self._n):
+            row_keys = self._keys(self._rows[i, : self._counts[i]])
+            if row_keys is None:
+                self._short.append(i)
+                continue
+            if not self._buckets:
+                self._buckets = [{} for _ in row_keys]
+            for bucket, key in zip(self._buckets, row_keys):
+                bucket.setdefault(key, []).append(i)
+        self._hashed = self._n
         hits = set(self._short)
         for bucket, key in zip(self._buckets, keys):
             hits.update(bucket.get(key, ()))
         idx = np.array(sorted(hits), dtype=np.int64)
         return idx[self._verify(encoded, idx) <= self._max_d]
 
+    def join(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair (u, v), u < v, of indexed structures within max_distance.
 
-def _network_from_adjacency(
-    structures: list[str],
-    neighbor_arrays: list[np.ndarray],
-    provenance: list[NodeOrigin],
-    flags: set[str],
-) -> Network:
-    if neighbor_arrays:
-        counts = [a.shape[0] for a in neighbor_arrays]
-        edge_u = np.concatenate(neighbor_arrays) if sum(counts) else np.zeros(0, np.int64)
-        edge_v = np.repeat(np.arange(len(neighbor_arrays), dtype=np.int64), counts)
-    else:
-        edge_u = np.zeros(0, np.int64)
-        edge_v = np.zeros(0, np.int64)
-    return Network(structures, edge_u, edge_v, provenance=provenance, flags=flags)
+        Returns the int64 arrays u and v, sorted by (v, u): each structure's
+        earlier neighbours in order, as insertion-time searches would list them.
+        """
+        n, max_d = self._n, self._max_d
+        counts = self._counts[:n]
+        rows = self._rows[:n, : int(counts.max()) if n else 0]
+        short = counts < (max_d + 1) * self._block
+        nodes = np.arange(n)
+        found: list[tuple[np.ndarray, np.ndarray]] = []
+        # A short structure is verified against all others; two short ones once.
+        for s in np.flatnonzero(short):
+            dist = self._verify(rows[s, : counts[s]], slice(0, n))
+            others = np.flatnonzero((dist <= max_d) & ((nodes > s) | ~short & (nodes < s)))
+            found.append((np.minimum(others, s), np.maximum(others, s)))
+        hashed = np.flatnonzero(~short)
+        if hashed.shape[0] > 1:
+            b = self._block
+            keys: list[np.ndarray] = []
+            for k in range(max_d + 1):
+                key = np.zeros(hashed.shape[0], dtype=np.uint64)
+                for col in range(k * b, (k + 1) * b):
+                    key = key * self._MIX + self._canonical[rows[hashed, col]].astype(np.uint64)
+                for a, c in self._equal_key_pairs(key, self._CHUNK):
+                    # A pair that shares an earlier key was verified there.
+                    for earlier in keys:
+                        keep = earlier[a] != earlier[c]
+                        a, c = a[keep], c[keep]
+                    u, v = hashed[a], hashed[c]
+                    close = self._close(rows, counts, u, v)
+                    found.append((u[close], v[close]))
+                keys.append(key)
+        if not found:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        edge_u = np.concatenate([u for u, _ in found]).astype(np.int64)
+        edge_v = np.concatenate([v for _, v in found]).astype(np.int64)
+        order = np.lexsort((edge_u, edge_v))
+        return edge_u[order], edge_v[order]
+
+    def _close(self, rows: np.ndarray, counts: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Positions of the pairs (u, v) of *rows* that lie within max_distance.
+
+        The groups are compared a slab at a time, so a chunk's memory does
+        not grow with the structures' length, and a pair leaves as soon as
+        its misses exceed max_distance: most candidate pairs of long
+        structures differ early.
+        """
+        common = np.minimum(counts[u], counts[v])
+        matched = np.zeros(u.shape[0], dtype=np.int32)
+        live = np.arange(u.shape[0])
+        for lo in range(0, rows.shape[1], self._SLAB):
+            hi = lo + self._SLAB
+            ru = rows[u[live], lo:hi]
+            matches = self._matches(ru, rows[v[live], lo:hi]) & (ru != self._PAD)
+            matched[live] += np.count_nonzero(matches, axis=1)
+            # Every common group before hi that did not match is a miss.
+            live = live[np.minimum(common[live], hi) - matched[live] <= self._max_d]
+        return live
+
+    @staticmethod
+    def _equal_key_pairs(key: np.ndarray, chunk: int):
+        """Chunks of about *chunk* position pairs (a, c), a < c, with equal *key*."""
+        n = key.shape[0]
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        ends = np.r_[starts[1:], n]
+        # Each sorted position pairs with the later positions of its run.
+        later = np.repeat(ends, ends - starts) - np.arange(n) - 1
+        total = np.cumsum(later)
+        t0, done = 0, 0
+        while done < total[-1]:
+            t1 = max(t0 + 1, int(np.searchsorted(total, done + chunk, side="right")))
+            per = later[t0:t1]
+            first = np.repeat(np.arange(t0, t1), per)
+            second = first + 1 + np.arange(first.shape[0]) - np.repeat(total[t0:t1] - per - done, per)
+            # order is increasing within a run, so the first of a pair is the smaller.
+            yield order[first], order[second]
+            t0, done = t1, int(total[t1 - 1])
 
 
 def grow_incremental(
@@ -286,25 +382,17 @@ def grow_incremental(
     index = GroupIndex(instance.distance)
     trace = GrowthTrace()
 
-    structures: list[str] = []
-    seen: dict[str, int] = {}
-    neighbor_arrays: list[np.ndarray] = []
-    provenance: list[NodeOrigin] = []
-    n_edges = 0
+    structures = list(instance.initial_structures)
+    seen = set(structures)
+    provenance = [NodeOrigin(None, INITIAL, 0) for _ in structures]
+    for word in structures:
+        index.append(index.encode(word))
 
-    for word in instance.initial_structures:
-        encoded = index.encode(word)
-        neighbors = index.neighbours(encoded)
-        neighbor_arrays.append(neighbors)
-        n_edges += neighbors.shape[0]
-        index.append(encoded)
-        seen[word] = len(structures)
-        structures.append(word)
-        provenance.append(NodeOrigin(None, INITIAL, 0))
+    checkpoints: list[tuple[int, int]] = []  # (node count, attempt count)
 
     def record_checkpoint() -> None:
         if checkpoint_interval > 0 and len(structures) % checkpoint_interval == 0:
-            trace.checkpoints.append((len(structures), n_edges, trace.attempts))
+            checkpoints.append((len(structures), trace.attempts))
 
     record_checkpoint()
     budget = instance.attempt_budget
@@ -325,14 +413,13 @@ def grow_incremental(
             trace.rejected_duplicate += 1
             continue
         encoded = index.encode(word)
-        neighbors = index.neighbours(encoded)
-        if neighbors.shape[0] == 0:
+        # A candidate within reach of its template has a neighbour already;
+        # only one further away needs a search.
+        if not index.within(encoded, template) and index.neighbours(encoded).shape[0] == 0:
             trace.rejected_isolated += 1
             continue
-        neighbor_arrays.append(neighbors)
-        n_edges += neighbors.shape[0]
         index.append(encoded)
-        seen[word] = len(structures)
+        seen.add(word)
         structures.append(word)
         provenance.append(NodeOrigin(template, kind.value, trace.attempts))
         trace.accepted += 1
@@ -342,7 +429,15 @@ def grow_incremental(
     if len(structures) < instance.target_nodes:
         trace.saturated = True
         flags.add("saturated")
-    net = _network_from_adjacency(structures, neighbor_arrays, provenance, flags)
+    # Distances are static, so the edges follow from the accepted structures
+    # alone. Each edge links a node to an earlier one, so the first n nodes
+    # held exactly the edges with v < n.
+    edge_u, edge_v = index.join()
+    n_edges = np.searchsorted(edge_v, [nodes for nodes, _ in checkpoints])
+    trace.checkpoints = [
+        (nodes, int(edges), attempts) for (nodes, attempts), edges in zip(checkpoints, n_edges)
+    ]
+    net = Network(structures, edge_u, edge_v, provenance=provenance, flags=flags)
     return net, trace
 
 
@@ -449,13 +544,9 @@ def grow_batch(
     ]
 
     index = GroupIndex(instance.distance)
-    neighbor_arrays: list[np.ndarray] = []
     for word in structures:
-        encoded = index.encode(word)
-        neighbor_arrays.append(index.neighbours(encoded))
-        index.append(encoded)
-
-    net = _network_from_adjacency(structures, neighbor_arrays, provenance, set())
+        index.append(index.encode(word))
+    net = Network(structures, *index.join(), provenance=provenance)
     keep = net.degrees() > 0
     dropped = int(np.count_nonzero(~keep))
     if dropped:

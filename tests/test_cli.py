@@ -155,6 +155,9 @@ class TestInstanceKeys:
             "experiment --instance {instance} --out {out} --fit-k-min x",
             "compare-ba --instance {instance} --out {out} --ba-clique x",
             "compare-ba --instance {instance} --out {out} --ba-edges 1e3",
+            "compare-ba --instance {instance} --out {out} --checkpoints 10,x",
+            "compare-ba --instance {instance} --out {out} --checkpoints 0",
+            "compare-ba --instance {instance} --out {out} --checkpoints -5",
             "prune --edges {edges} --out {out} --min-degree two",
         ],
     )

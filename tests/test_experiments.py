@@ -284,6 +284,26 @@ class TestRunGrowthComparison:
             expected = 2 * (6 + 4 * (n - 4)) / n
             assert value == pytest.approx(expected)
 
+    def test_repeated_checkpoint_counts_once(self, tmp_path):
+        config = parse_instance_file(MINIMAL.replace("target_nodes = 40", "target_nodes = 60"))
+        ba = BAParams(target_nodes=60, initial_clique=4, edges_per_node=4, seed=1)
+        twice = run_growth_comparison(
+            config.instance, ba, [40, 40, 60], n_seeds=2, output_directory=tmp_path / "twice"
+        )
+        once = run_growth_comparison(
+            config.instance, ba, [40, 60], n_seeds=2, output_directory=tmp_path / "once"
+        )
+        assert twice == once
+        for metric in once:
+            name = f"comparison_{metric}.tsv"
+            assert (tmp_path / "twice" / name).read_text() == (tmp_path / "once" / name).read_text()
+
+    def test_checkpoint_below_one_rejected(self):
+        config = parse_instance_file(MINIMAL)
+        ba = BAParams(target_nodes=40, initial_clique=4, edges_per_node=4)
+        with pytest.raises(ValueError, match="checkpoint 0 is below 1"):
+            run_growth_comparison(config.instance, ba, [0, 20], n_seeds=1)
+
     def test_checkpoint_beyond_target_rejected(self):
         config = parse_instance_file(MINIMAL)
         ba = BAParams(target_nodes=40, initial_clique=4, edges_per_node=4)

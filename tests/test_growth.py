@@ -186,12 +186,12 @@ class TestGrowIncremental:
 
     def test_checkpoints_record_growth(self):
         instance = small_instance(target_nodes=30)
-        _, trace = grow_incremental(instance, checkpoint_interval=10)
+        net, trace = grow_incremental(instance, checkpoint_interval=10)
         sizes = [nodes for nodes, _, _ in trace.checkpoints]
         assert sizes == [10, 20, 30]
         for nodes, edges, attempts in trace.checkpoints:
             assert attempts >= nodes - 1
-            assert edges >= nodes - 1  # every accepted node brought >= 1 edge
+            assert edges == net.induced_prefix(nodes).n_edges
 
     def test_provenance_tracks_parents(self):
         instance = small_instance(target_nodes=40)
@@ -200,6 +200,21 @@ class TestGrowIncremental:
         for origin in net.provenance[1:]:
             assert 0 <= origin.parent < net.n_nodes
             assert origin.edit in {"mutate", "insert", "delete", "duplicate"}
+
+
+    def test_join_memory_is_chunked(self):
+        # comparison.instance verifies about 170k candidate pairs. Verifying
+        # them in bounded chunks peaks near 3 MB; holding them all at once
+        # takes over 8 MB.
+        instance = load_instance_file(instances_dir() / "comparison.instance").instance
+        tracemalloc.start()
+        try:
+            net, _ = grow(instance)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert net.n_edges == 24705
+        assert peak < 5_000_000
 
 
 class TestGrowBatch:
@@ -363,6 +378,9 @@ class TestGroupIndex:
     @example(["ABCCABAB", "BAABCC", "AACCBBAA"], "CCABABBB", 2, 1, "linking")
     @example(["AABCCCBAA", "ABABBCCCC", "BCBAAB", "CBBABACCC"], "CCCAABBCB", 3, 1, "linking")
     @example(["ABBACACB", "BABAACBC", "ABCA"], "BAABCACB", 2, 1, "order-only")
+    @example(  # max_distance above every word's group count: all short-listed
+        ["ABCABC", "ABAB", "CBACBA", "AC", "BACBAC"], "ABCCBA", 2, 3, "linking"
+    )
     @settings(max_examples=300, deadline=None)
     def test_neighbours_three_way(self, words, candidate, unit, max_d, kind):
         table = None
@@ -386,6 +404,14 @@ class TestGroupIndex:
             assert got.tolist() == scanned.tolist() == expected
             if i < len(words):
                 index.append(encoded)
+        # The join lists every pair once, each word's earlier neighbours in order.
+        edge_u, edge_v = index.join()
+        assert edge_u.dtype == edge_v.dtype == np.int64
+        pairs = [
+            (u, v) for v in range(len(words)) for u in range(v)
+            if structure_distance(words[u], words[v], cfg) <= max_d
+        ]
+        assert list(zip(edge_u.tolist(), edge_v.tolist())) == pairs
 
     @given(
         st.lists(st.text(alphabet="ABC", min_size=1, max_size=9), min_size=1, max_size=25),
