@@ -12,6 +12,7 @@ same edges an insertion-time search would have added.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,7 +309,7 @@ class GroupIndex:
                 for col in range(k * b, (k + 1) * b):
                     key = key * self._MIX + self._canonical[rows[hashed, col]].astype(np.uint64)
                 for a, c in self._equal_key_pairs(key, self._CHUNK):
-                    # A pair that shares an earlier key was verified there.
+                    # A pair whose key hash agrees in an earlier block was verified there.
                     for earlier in keys:
                         keep = earlier[a] != earlier[c]
                         a, c = a[keep], c[keep]
@@ -323,7 +324,9 @@ class GroupIndex:
         order = np.lexsort((edge_u, edge_v))
         return edge_u[order], edge_v[order]
 
-    def _close(self, rows: np.ndarray, counts: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def _close(
+        self, rows: np.ndarray, counts: np.ndarray, u: np.ndarray, v: np.ndarray
+    ) -> np.ndarray:
         """Positions of the pairs (u, v) of *rows* that lie within max_distance.
 
         The groups are compared a slab at a time, so a chunk's memory does
@@ -344,7 +347,7 @@ class GroupIndex:
         return live
 
     @staticmethod
-    def _equal_key_pairs(key: np.ndarray, chunk: int):
+    def _equal_key_pairs(key: np.ndarray, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Chunks of about *chunk* position pairs (a, c), a < c, with equal *key*."""
         n = key.shape[0]
         order = np.argsort(key, kind="stable")
@@ -359,7 +362,8 @@ class GroupIndex:
             t1 = max(t0 + 1, int(np.searchsorted(total, done + chunk, side="right")))
             per = later[t0:t1]
             first = np.repeat(np.arange(t0, t1), per)
-            second = first + 1 + np.arange(first.shape[0]) - np.repeat(total[t0:t1] - per - done, per)
+            offset = np.arange(first.shape[0]) - np.repeat(total[t0:t1] - per - done, per)
+            second = first + 1 + offset
             # order is increasing within a run, so the first of a pair is the smaller.
             yield order[first], order[second]
             t0, done = t1, int(total[t1 - 1])

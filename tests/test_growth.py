@@ -201,7 +201,6 @@ class TestGrowIncremental:
             assert 0 <= origin.parent < net.n_nodes
             assert origin.edit in {"mutate", "insert", "delete", "duplicate"}
 
-
     def test_join_memory_is_chunked(self):
         # comparison.instance verifies about 170k candidate pairs. Verifying
         # them in bounded chunks peaks near 3 MB; holding them all at once
