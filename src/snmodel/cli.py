@@ -114,7 +114,7 @@ def _cmd_compare_ba(args: argparse.Namespace) -> int:
         edges_per_node=args.ba_edges,
         seed=config.instance.seed,
     )
-    experiments.run_growth_comparison(
+    curves = experiments.run_growth_comparison(
         config.instance,
         ba,
         checkpoints,
@@ -122,7 +122,8 @@ def _cmd_compare_ba(args: argparse.Namespace) -> int:
         output_directory=args.out,
         metric_names=_metric_names(args.metrics),
     )
-    print(f"wrote comparison curves for {len(set(checkpoints))} checkpoints to {args.out}")
+    written = {c for curve in curves.values() for c in curve["sn"]}
+    print(f"wrote comparison curves for {len(written)} checkpoints to {args.out}")
     return 0
 
 

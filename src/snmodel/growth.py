@@ -112,26 +112,23 @@ class GroupIndex:
     matrix padded with -1, an id no group has, kept with their group counts:
     the distance over g groups is min(count, g) minus the matches.
 
-    Candidates are found with the pigeonhole filter of multi-index hashing
+    ``append`` only stores a row and its count. ``neighbours`` answers one
+    query by a scan over every row. ``join`` returns every pair within
+    d = max_distance at once, as a partition-based exact join (Arasu, Ganti &
+    Kaushik, VLDB 2006) on the pigeonhole filter of multi-index hashing
     (Norouzi, Punjani & Fleet, CVPR 2012; Manku, Jain & Das Sarma, WWW 2007).
-    With d = max_distance and b = max(1, G0 // (d+1)) for the group count G0
-    of the first appended structure, two structures that both have at least
-    (d+1)*b groups and lie within distance d agree in every group of at
-    least one of their first d+1 blocks of b groups. A key holds the groups'
+    With b = max(1, G0 // (d+1)) for the group count G0 of the first
+    appended structure, two structures that both have at least (d+1)*b
+    groups and lie within distance d agree in every group of at least one of
+    their first d+1 blocks of b groups. A block key holds the groups'
     canonical ids: the group's multiset, merged into one class with every
     multiset the match table links it to. The table relation is not
     transitive, so keys may over-match; verification against the exact
-    relation removes the extras. A structure with fewer groups is short: it
-    is verified against every other one.
-
-    ``append`` only stores a row and its count. ``neighbours`` answers one
-    query from bucket dicts of block keys, which it first brings up to date
-    with the rows appended since the last query, so an index that is never
-    queried never builds them. ``join`` returns every pair within d at once,
-    as a partition-based exact join (Arasu, Ganti & Kaushik, VLDB 2006): per
-    block, the rows are grouped by a hash of their key, the pairs inside
-    each group are verified in bounded chunks, and a pair an earlier block
-    already grouped together is dropped, so each pair is verified once.
+    relation removes the extras. Per block, the rows are grouped by a hash
+    of their key, the pairs inside each group are verified in bounded
+    chunks, and a pair an earlier block already grouped together is
+    dropped, so each pair is verified once. A structure with fewer groups
+    is short: it is verified against every other one.
     """
 
     _PAD = -1
@@ -165,12 +162,6 @@ class GroupIndex:
         self._counts = np.zeros(self._rows.shape[0], dtype=np.int32)
         self._n = 0
         self._block = 0  # b; fixed by the first append
-        # The rows before _hashed are in one bucket dict per block or, when
-        # short, on the short list. The dicts are made for the first hashed
-        # row, so a large max_distance allocates nothing.
-        self._buckets: list[dict[bytes, list[int]]] = []
-        self._short: list[int] = []
-        self._hashed = 0
 
     @staticmethod
     def _table_classes(links: list[tuple[str, str]]) -> dict[str, str]:
@@ -213,14 +204,6 @@ class GroupIndex:
             ids[i] = gid
         return ids
 
-    def _keys(self, encoded: np.ndarray) -> list[bytes] | None:
-        """The block keys of *encoded*, or None when it is too short to hash."""
-        n_blocks, block = self._max_d + 1, self._block
-        if encoded.shape[0] < n_blocks * block:
-            return None
-        canonical = self._canonical[encoded[: n_blocks * block]].reshape(n_blocks, block)
-        return [key.tobytes() for key in canonical]
-
     def append(self, encoded: np.ndarray) -> None:
         if self._n == 0:
             self._block = max(1, encoded.shape[0] // (self._max_d + 1))
@@ -255,33 +238,19 @@ class GroupIndex:
         return self._verify(encoded, slice(0, self._n))
 
     def within(self, encoded: np.ndarray, i: int) -> bool:
-        """Whether indexed structure *i* lies within max_distance of the candidate."""
+        """Whether indexed structure *i* lies within max_distance of the candidate.
+
+        ``_verify``'s rule for one row. The acceptance loop asks it once per
+        candidate; ``_verify``'s 2-D indexing and per-row count cost several
+        times as much for a single row.
+        """
         g = min(encoded.shape[0], int(self._counts[i]))
         matches = self._matches(self._rows[i, :g], encoded[:g])
         return g - np.count_nonzero(matches) <= self._max_d
 
     def neighbours(self, encoded: np.ndarray) -> np.ndarray:
         """Sorted indices of the indexed structures within max_distance."""
-        if self._n == 0:
-            return np.zeros(0, dtype=np.int64)
-        keys = self._keys(encoded)
-        if keys is None:
-            return np.flatnonzero(self.distances(encoded) <= self._max_d)
-        for i in range(self._hashed, self._n):
-            row_keys = self._keys(self._rows[i, : self._counts[i]])
-            if row_keys is None:
-                self._short.append(i)
-                continue
-            if not self._buckets:
-                self._buckets = [{} for _ in row_keys]
-            for bucket, key in zip(self._buckets, row_keys):
-                bucket.setdefault(key, []).append(i)
-        self._hashed = self._n
-        hits = set(self._short)
-        for bucket, key in zip(self._buckets, keys):
-            hits.update(bucket.get(key, ()))
-        idx = np.array(sorted(hits), dtype=np.int64)
-        return idx[self._verify(encoded, idx) <= self._max_d]
+        return np.flatnonzero(self.distances(encoded) <= self._max_d)
 
     def join(self) -> tuple[np.ndarray, np.ndarray]:
         """Every pair (u, v), u < v, of indexed structures within max_distance.

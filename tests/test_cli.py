@@ -270,12 +270,12 @@ class TestExperiment:
 
 
 class TestCompareBA:
-    def test_curve_files(self, tmp_path, instance_file):
+    def test_curve_files(self, tmp_path, instance_file, capsys):
         out = tmp_path / "cmp"
         code = main([
             "compare-ba",
             "--instance", str(instance_file),
-            "--checkpoints", "15,30",
+            "--checkpoints", "15,30,15",
             "--ba-clique", "4",
             "--ba-edges", "4",
             "--metrics", "average_degree,average_clustering",
@@ -284,6 +284,8 @@ class TestCompareBA:
         assert code == 0
         assert (out / "comparison_average_degree.tsv").is_file()
         assert (out / "comparison_average_clustering.tsv").is_file()
+        # A repeated checkpoint counts once.
+        assert "curves for 2 checkpoints" in capsys.readouterr().out
 
     def test_saturating_growth_is_an_error(self, tmp_path, capsys):
         # Batch growth of batch.instance saturates at 205 nodes, short of a

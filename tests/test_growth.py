@@ -191,7 +191,10 @@ class TestGrowIncremental:
         assert sizes == [10, 20, 30]
         for nodes, edges, attempts in trace.checkpoints:
             assert attempts >= nodes - 1
+            assert edges >= nodes - 1
             assert edges == net.induced_prefix(nodes).n_edges
+        # The isolation rule: every node after the initial one links to an earlier one.
+        assert set(net.edge_v.tolist()) == set(range(1, net.n_nodes))
 
     def test_provenance_tracks_parents(self):
         instance = small_instance(target_nodes=40)
@@ -437,10 +440,11 @@ class TestGroupIndex:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-        # Too short to hash: the structures go on the always-verified list.
+        # Too short to hash: the join verifies every structure against the others.
         for word in ("ABAB", "ABCC", "CCCC"):
             index.append(index.encode(word))
         assert index.neighbours(index.encode("ABAC")).tolist() == [0, 1, 2]
+        assert [arr.tolist() for arr in index.join()] == [[0, 0, 1], [1, 2, 2]]
 
     def test_memory_grows_with_groups_not_their_square(self):
         # Six 6-symbol groups per word over 8 symbols: over 5000 distinct groups.
