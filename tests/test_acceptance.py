@@ -47,6 +47,7 @@ from snmodel import (
     structure_distance,
     within_max_distance,
 )
+from snmodel.cli import main as cli_main
 from snmodel.fileio import render_edge_list, render_structures, write_network
 from snmodel.metrics import (
     average_clustering,
@@ -477,6 +478,32 @@ def test_golden_artifact_digests(tmp_path, pruned_network):
     if got != expected:
         print("new digests:\n" + json.dumps(got, indent=2, sort_keys=True))
     assert got == expected
+
+
+def _assert_golden_files(name: str, directory: Path, pattern: str) -> None:
+    got = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.glob(pattern))
+    }
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+    if got != expected:
+        print("new pin:\n" + json.dumps(got, indent=2, sort_keys=True))
+    assert got == expected
+
+
+def test_golden_experiment_summary(tmp_path):
+    instance = instances_dir() / "celegans.instance"
+    argv = ["experiment", "--instance", str(instance), "--n-seeds", "3"]
+    assert cli_main(argv + ["--out", str(tmp_path)]) == 0
+    _assert_golden_files("experiment", tmp_path, "summary.json")
+
+
+def test_golden_compare_ba_curves(tmp_path):
+    instance = instances_dir() / "comparison.instance"
+    argv = ["compare-ba", "--instance", str(instance), "--target-nodes", "300",
+            "--checkpoints", "100,200,300", "--n-seeds", "1"]
+    assert cli_main(argv + ["--out", str(tmp_path)]) == 0
+    _assert_golden_files("compare_ba", tmp_path, "*.tsv")
 
 
 def test_golden_all_edits_growth():
