@@ -1,12 +1,18 @@
 """Growth of structured-node networks: incremental, batch variant, and pruning.
 
 The growth loop derives a candidate structure from a randomly chosen template
-and rejects duplicates and candidates that would be isolated. A candidate
-within max_distance of its template has a neighbour already; only one further
-away is searched for one. Distances are static, so the edge relation depends
-on the accepted structures alone: once the loop ends, one pairwise join over
-them yields every edge, each node's earlier neighbours in node order, the
-same edges an insertion-time search would have added.
+and rejects duplicates and candidates that would be isolated. The edit
+reports where the word starts to change, so the candidate's group ids come
+from its template's row: a mutation replaces at most one id, any other edit
+re-encodes only the suffix from the group it starts in. A candidate within
+max_distance of its template has a neighbour already. The groups the edit may
+have changed bound that distance from above, which settles every mutant when
+max_distance >= 1; other candidates are compared with their template, and
+only one further away is searched for a neighbour. Distances are static, so
+the edge relation depends on the accepted structures alone: once the loop
+ends, one pairwise join over them yields every edge, each node's earlier
+neighbours in node order, the same edges an insertion-time search would have
+added.
 """
 
 from __future__ import annotations
@@ -112,6 +118,8 @@ class GroupIndex:
     matrix padded with -1, an id no group has, kept with their group counts:
     the distance over g groups is min(count, g) minus the matches.
 
+    ``derive`` builds the row of one edit of an indexed structure from that
+    structure's row, re-encoding only the groups the edit may have changed.
     ``append`` only stores a row and its count. ``neighbours`` answers one
     query by a scan over every row. ``join`` returns every pair within
     d = max_distance at once, as a partition-based exact join (Arasu, Ganti &
@@ -192,17 +200,47 @@ class GroupIndex:
             self._canonical[gid] = root
         return gid
 
+    def _group_id(self, group: str) -> int:
+        """The id of one symbol group: its multiset's, unless the table links it."""
+        gid = self._group_ids.get(group)
+        if gid is None:
+            gid = self._group_ids[group] = self._id(_multiset(group))
+        return gid
+
     def encode(self, word: str) -> np.ndarray:
+        """The ids of the full symbol groups of *word*."""
         unit = self._unit
-        n_groups = len(word) // unit
-        ids = np.empty(n_groups, dtype=np.int32)
-        for i in range(n_groups):
+        known = self._group_ids.get
+        ids = np.empty(len(word) // unit, dtype=np.int32)
+        for i in range(ids.shape[0]):
             group = word[i * unit : (i + 1) * unit]
-            gid = self._group_ids.get(group)
-            if gid is None:
-                gid = self._group_ids[group] = self._id(_multiset(group))
-            ids[i] = gid
+            gid = known(group)
+            ids[i] = self._group_id(group) if gid is None else gid
         return ids
+
+    def derive(
+        self, template: int, word: str, at: int, same_length: bool
+    ) -> tuple[np.ndarray, int]:
+        """The ids of *word*, one edit of indexed structure *template*, from its row.
+
+        *word* agrees with the template's word before position *at* and, when
+        *same_length* (a mutation), after it too. The groups before the one
+        holding *at* keep the template's ids. A mutation replaces that one
+        group's id, or none in the trailing partial group; any other edit
+        re-encodes the suffix from that group on. Also returns how many
+        groups both rows have from that group on: equal ids match, so this
+        bounds the distance to the template from above.
+        """
+        unit = self._unit
+        k = at // unit
+        if same_length:
+            row = self._rows[template, : self._counts[template]].copy()
+            if k == row.shape[0]:  # the trailing partial group, in no id
+                return row, 0
+            row[k] = self._group_id(word[k * unit : (k + 1) * unit])
+            return row, 1
+        row = np.concatenate((self._rows[template, :k], self.encode(word[k * unit :])))
+        return row, min(row.shape[0], int(self._counts[template])) - k
 
     def append(self, encoded: np.ndarray) -> None:
         if self._n == 0:
@@ -240,9 +278,11 @@ class GroupIndex:
     def within(self, encoded: np.ndarray, i: int) -> bool:
         """Whether indexed structure *i* lies within max_distance of the candidate.
 
-        ``_verify``'s rule for one row. The acceptance loop asks it once per
-        candidate; ``_verify``'s 2-D indexing and per-row count cost several
-        times as much for a single row.
+        ``_verify``'s rule for one row. The acceptance loop asks it about a
+        candidate's template only when the groups ``derive`` reports changed
+        exceed max_distance, as after an insert, delete or duplication that
+        shifts groups; ``_verify``'s 2-D indexing and per-row count cost
+        several times as much for a single row.
         """
         g = min(encoded.shape[0], int(self._counts[i]))
         matches = self._matches(self._rows[i, :g], encoded[:g])
@@ -361,6 +401,7 @@ def grow_incremental(
     for word in structures:
         index.append(index.encode(word))
 
+    max_distance = instance.distance.max_distance
     checkpoints: list[tuple[int, int]] = []  # (node count, attempt count)
 
     def record_checkpoint() -> None:
@@ -372,8 +413,9 @@ def grow_incremental(
     while len(structures) < instance.target_nodes and trace.attempts < budget:
         trace.attempts += 1
         template = rng.randrange(len(structures))
-        word, kind = apply_random_edit(
-            structures[template],
+        parent = structures[template]
+        word, kind, at = apply_random_edit(
+            parent,
             instance.probs,
             instance.alphabet,
             rng,
@@ -385,10 +427,15 @@ def grow_incremental(
         if word in seen:
             trace.rejected_duplicate += 1
             continue
-        encoded = index.encode(word)
+        encoded, changed = index.derive(template, word, at, len(word) == len(parent))
         # A candidate within reach of its template has a neighbour already;
-        # only one further away needs a search.
-        if not index.within(encoded, template) and index.neighbours(encoded).shape[0] == 0:
+        # only one further away needs a search. Equal ids match, so the
+        # changed groups settle most candidates without a comparison.
+        if (
+            changed > max_distance
+            and not index.within(encoded, template)
+            and index.neighbours(encoded).shape[0] == 0
+        ):
             trace.rejected_isolated += 1
             continue
         index.append(encoded)
@@ -494,7 +541,7 @@ def grow_batch(
     ):
         trace.attempts += 1
         template = rng.randrange(n_initial)
-        word, kind = apply_random_edit(
+        word, _, _ = apply_random_edit(
             instance.initial_structures[template],
             instance.probs,
             instance.alphabet,

@@ -121,12 +121,15 @@ def apply_random_edit(
     alphabet: Alphabet,
     rng: random.Random,
     max_length: int = DEFAULT_MAX_LENGTH,
-) -> tuple[str | None, Edit]:
+) -> tuple[str | None, Edit, int]:
     """Draw one edit kind from *probs* and apply it with uniform random parameters.
 
-    Returns ``(new_word, kind)``. ``new_word`` is None when the attempt fails:
-    a delete drawn on a length-1 structure, or a result that would exceed
-    *max_length*. Parameter draws:
+    Returns ``(new_word, kind, at)``. ``new_word`` is None when the attempt
+    fails: a delete drawn on a length-1 structure, or a result that would
+    exceed *max_length*; ``at`` is then 0. Otherwise ``new_word[:at] ==
+    word[:at]``: ``at`` is the mutated, inserted or deleted position, or the
+    end of a duplicated segment, where its copy begins. A mutation changes
+    position ``at`` alone. Parameter draws:
 
     - mutate: position uniform over the word, new symbol uniform over the
       alphabet minus the current symbol (the edit always changes the word);
@@ -147,27 +150,28 @@ def apply_random_edit(
 
     if kind is Edit.MUTATE:
         if len(alphabet) < 2:
-            return None, kind
+            return None, kind, 0
         index = rng.randrange(len(word))
         pick = rng.randrange(len(alphabet) - 1)
         if pick >= alphabet.position(word[index]):
             pick += 1
-        return mutate(word, index, alphabet.symbols[pick], alphabet), kind
+        return mutate(word, index, alphabet.symbols[pick], alphabet), kind, index
 
     if kind is Edit.INSERT:
         if len(word) + 1 > max_length:
-            return None, kind
+            return None, kind, 0
         index = rng.randrange(len(word) + 1)
         symbol = alphabet.symbols[rng.randrange(len(alphabet))]
-        return insert_symbol(word, index, symbol, alphabet), kind
+        return insert_symbol(word, index, symbol, alphabet), kind, index
 
     if kind is Edit.DELETE:
         if len(word) < 2:
-            return None, kind
-        return delete_symbol(word, rng.randrange(len(word))), kind
+            return None, kind, 0
+        index = rng.randrange(len(word))
+        return delete_symbol(word, index), kind, index
 
     start = rng.randrange(len(word))
     length = rng.randint(1, len(word) - start)
     if len(word) + length > max_length:
-        return None, kind
-    return duplicate_segment(word, start, length), kind
+        return None, kind, 0
+    return duplicate_segment(word, start, length), kind, start + length

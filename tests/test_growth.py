@@ -29,7 +29,7 @@ from snmodel.growth import (
     prune_low_degree,
 )
 from snmodel.network import Network
-from snmodel.structures import Alphabet, EditProbabilities, apply_random_edit
+from snmodel.structures import Alphabet, Edit, EditProbabilities, apply_random_edit
 
 AB = Alphabet.from_string("AB")
 ABC = Alphabet.from_string("ABC")
@@ -219,6 +219,46 @@ class TestGrowIncremental:
         assert peak < 5_000_000
 
 
+    @staticmethod
+    def count_index_calls(monkeypatch) -> dict[str, int]:
+        """Count the calls of GroupIndex.encode and GroupIndex.within from now on."""
+        calls = {"encode": 0, "within": 0}
+        for name in calls:
+
+            def counted(index, *args, _name=name, _original=getattr(GroupIndex, name)):
+                calls[_name] += 1
+                return _original(index, *args)
+
+            monkeypatch.setattr(GroupIndex, name, counted)
+        return calls
+
+    def test_mutants_are_not_reencoded(self, monkeypatch):
+        # A mutant's ids come from its template's row, and one changed group
+        # never exceeds max_distance 1: no encoding and no template check.
+        calls = self.count_index_calls(monkeypatch)
+        instance = small_instance(
+            probs=MUTATE_ONLY, initial_structures=("ABCABC", "CCABBA"), target_nodes=150
+        )
+        _, trace = grow_incremental(instance)
+        assert trace.accepted == 148
+        assert calls == {"encode": 2, "within": 0}
+
+    def test_all_edits_reach_suffix_encoding_and_template_check(self, monkeypatch):
+        # The all-edits golden run: shifted groups re-encode the suffix, and
+        # candidates that may lie beyond their template are compared with it.
+        calls = self.count_index_calls(monkeypatch)
+        table = parse_match_file("AA = BB\nBB = AA\nAB = CC\nCC = AB\n", 2, ABC)
+        instance = small_instance(
+            initial_structures=("ABCABCABCABC",),
+            distance=DistanceConfig(2, 1, match_table=table),
+            target_nodes=400,
+        )
+        _, trace = grow_incremental(instance, checkpoint_interval=100)
+        assert trace.rejected_isolated > 0
+        assert calls["encode"] > 1
+        assert calls["within"] > 0
+
+
 class TestGrowBatch:
     def test_candidates_derive_from_initials_only(self):
         instance = small_instance(
@@ -306,7 +346,7 @@ class TestGrowBatch:
         reached = set(instance.initial_structures)
         for _ in range(20000):
             template = instance.initial_structures[rng.randrange(3)]
-            word, _ = apply_random_edit(
+            word, _, _ = apply_random_edit(
                 template, probs, AB, rng, instance.max_structure_length
             )
             if word is not None:
@@ -363,6 +403,15 @@ class TestGroupIndex:
         (3, "order-only"): "ABC = CBA BCA\nAAB = BAA\n",
     }
 
+    def config(self, unit: int, max_d: int, kind: str | None) -> DistanceConfig:
+        """A distance config with the match table TABLES holds for (unit, kind), if any."""
+        table = None
+        if (unit, kind) in self.TABLES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                table = parse_match_file(self.TABLES[unit, kind], unit, ABC)
+        return DistanceConfig(unit, max_d, match_table=table)
+
     @given(
         st.lists(st.text(alphabet="ABC", min_size=1, max_size=14), min_size=1, max_size=25),
         st.text(alphabet="ABC", min_size=1, max_size=14),
@@ -385,15 +434,10 @@ class TestGroupIndex:
     )
     @settings(max_examples=300, deadline=None)
     def test_neighbours_three_way(self, words, candidate, unit, max_d, kind):
-        table = None
-        if (unit, kind) in self.TABLES:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                table = parse_match_file(self.TABLES[unit, kind], unit, ABC)
-        cfg = DistanceConfig(unit, max_d, match_table=table)
+        cfg = self.config(unit, max_d, kind)
         index = GroupIndex(cfg)
         # Only a linking table costs a pair lookup when verifying.
-        assert (index._pairs.size > 0) == (table is not None and kind == "linking")
+        assert (index._pairs.size > 0) == (cfg.match_table is not None and kind == "linking")
         for i, word in enumerate(words + [candidate]):
             encoded = index.encode(word)
             got = index.neighbours(encoded)
@@ -414,6 +458,34 @@ class TestGroupIndex:
             if structure_distance(words[u], words[v], cfg) <= max_d
         ]
         assert list(zip(edge_u.tolist(), edge_v.tolist())) == pairs
+
+    @given(
+        st.lists(st.text(alphabet="ABC", min_size=1, max_size=14), min_size=1, max_size=6),
+        st.integers(0, 5),
+        st.sampled_from(list(Edit)),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.sampled_from([None, "linking", "order-only"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_derived_ids_equal_encoding(self, words, template, kind, seed, unit, table):
+        cfg = self.config(unit, 1, table)
+        index = GroupIndex(cfg)
+        for word in words:
+            index.append(index.encode(word))
+        template %= len(words)
+        parent = words[template]
+        probs = EditProbabilities(**{kind.value: 1.0})
+        word, _, at = apply_random_edit(parent, probs, ABC, random.Random(seed))
+        if word is None:  # nothing to delete
+            return
+        derived, changed = index.derive(template, word, at, len(word) == len(parent))
+        assert derived.dtype == np.int32
+        assert derived.tolist() == index.encode(word).tolist()
+        # Equal ids match, so the groups that may differ bound the distance.
+        assert changed >= structure_distance(word, parent, cfg)
+        if kind is Edit.MUTATE:
+            assert changed <= 1
 
     @given(
         st.lists(st.text(alphabet="ABC", min_size=1, max_size=9), min_size=1, max_size=25),

@@ -131,7 +131,7 @@ class TestApplyRandomEdit:
         rng = random.Random(7)
         probs = EditProbabilities(mutate=1.0)
         for _ in range(200):
-            word, kind = apply_random_edit("ABCABC", probs, ABC, rng)
+            word, kind, _ = apply_random_edit("ABCABC", probs, ABC, rng)
             assert kind is Edit.MUTATE
             assert word is not None and len(word) == 6
             assert sum(a != b for a, b in zip(word, "ABCABC")) == 1
@@ -146,20 +146,46 @@ class TestApplyRandomEdit:
     def test_delete_on_single_symbol_fails(self):
         rng = random.Random(0)
         probs = EditProbabilities(delete=1.0)
-        word, kind = apply_random_edit("A", probs, ABC, rng)
+        word, kind, _ = apply_random_edit("A", probs, ABC, rng)
         assert word is None
         assert kind is Edit.DELETE
 
     def test_duplicate_on_single_symbol(self):
         rng = random.Random(0)
         probs = EditProbabilities(duplicate=1.0)
-        assert apply_random_edit("A", probs, ABC, rng) == ("AA", Edit.DUPLICATE)
+        assert apply_random_edit("A", probs, ABC, rng) == ("AA", Edit.DUPLICATE, 1)
 
     def test_length_cap_fails_attempt(self):
         rng = random.Random(0)
         probs = EditProbabilities(duplicate=1.0)
-        word, kind = apply_random_edit("ABCABC", probs, ABC, rng, max_length=6)
+        word, kind, _ = apply_random_edit("ABCABC", probs, ABC, rng, max_length=6)
         assert word is None and kind is Edit.DUPLICATE
+
+    @given(
+        st.text(alphabet="ABC", min_size=1, max_size=12),
+        st.sampled_from(list(Edit)),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 24),
+    )
+    def test_edit_reports_where_the_word_starts_to_change(self, word, kind, seed, max_length):
+        probs = EditProbabilities(**{kind.value: 1.0})
+        new, got_kind, at = apply_random_edit(word, probs, ABC, random.Random(seed), max_length)
+        assert got_kind is kind
+        # An edit fails only with nothing to delete or too long a result.
+        too_long = len(word) + 1 > max_length
+        if kind is Edit.MUTATE:
+            assert new is not None
+        elif kind is Edit.DELETE:
+            assert (new is None) == (len(word) < 2)
+        elif kind is Edit.INSERT or too_long:
+            assert (new is None) == too_long
+        if new is None:
+            assert at == 0
+            return
+        assert new[:at] == word[:at]
+        if kind is Edit.MUTATE:
+            assert len(new) == len(word)
+            assert new[at + 1 :] == word[at + 1 :] and new[at] != word[at]
 
     def test_kind_frequencies_follow_probabilities(self):
         rng = random.Random(11)
