@@ -210,12 +210,9 @@ class GroupIndex:
     def encode(self, word: str) -> np.ndarray:
         """The ids of the full symbol groups of *word*."""
         unit = self._unit
-        known = self._group_ids.get
         ids = np.empty(len(word) // unit, dtype=np.int32)
         for i in range(ids.shape[0]):
-            group = word[i * unit : (i + 1) * unit]
-            gid = known(group)
-            ids[i] = self._group_id(group) if gid is None else gid
+            ids[i] = self._group_id(word[i * unit : (i + 1) * unit])
         return ids
 
     def derive(
@@ -413,9 +410,9 @@ def grow_incremental(
     while len(structures) < instance.target_nodes and trace.attempts < budget:
         trace.attempts += 1
         template = rng.randrange(len(structures))
-        parent = structures[template]
+        template_word = structures[template]
         word, kind, at = apply_random_edit(
-            parent,
+            template_word,
             instance.probs,
             instance.alphabet,
             rng,
@@ -427,7 +424,7 @@ def grow_incremental(
         if word in seen:
             trace.rejected_duplicate += 1
             continue
-        encoded, changed = index.derive(template, word, at, len(word) == len(parent))
+        encoded, changed = index.derive(template, word, at, len(word) == len(template_word))
         # A candidate within reach of its template has a neighbour already;
         # only one further away needs a search. Equal ids match, so the
         # changed groups settle most candidates without a comparison.
