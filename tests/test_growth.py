@@ -218,7 +218,6 @@ class TestGrowIncremental:
         assert net.n_edges == 24705
         assert peak < 5_000_000
 
-
     @staticmethod
     def count_index_calls(monkeypatch) -> dict[str, int]:
         """Count the calls of GroupIndex.encode and GroupIndex.within from now on."""
@@ -474,16 +473,16 @@ class TestGroupIndex:
         for word in words:
             index.append(index.encode(word))
         template %= len(words)
-        parent = words[template]
+        template_word = words[template]
         probs = EditProbabilities(**{kind.value: 1.0})
-        word, _, at = apply_random_edit(parent, probs, ABC, random.Random(seed))
+        word, _, at = apply_random_edit(template_word, probs, ABC, random.Random(seed))
         if word is None:  # nothing to delete
             return
-        derived, changed = index.derive(template, word, at, len(word) == len(parent))
+        derived, changed = index.derive(template, word, at, len(word) == len(template_word))
         assert derived.dtype == np.int32
         assert derived.tolist() == index.encode(word).tolist()
         # Equal ids match, so the groups that may differ bound the distance.
-        assert changed >= structure_distance(word, parent, cfg)
+        assert changed >= structure_distance(word, template_word, cfg)
         if kind is Edit.MUTATE:
             assert changed <= 1
 
