@@ -33,7 +33,7 @@ class BAParams:
             raise ValueError("target_nodes must be >= initial_clique")
 
 
-def grow_ba(params: BAParams, rng: random.Random | None = None) -> Network:
+def grow_ba(params: BAParams) -> Network:
     """Grow a preferential-attachment network.
 
     The first ``initial_clique`` nodes form a complete graph. Each later node
@@ -42,7 +42,7 @@ def grow_ba(params: BAParams, rng: random.Random | None = None) -> Network:
     node's edges are added. Edge count is exactly
     C(initial_clique, 2) + edges_per_node * (target_nodes - initial_clique).
     """
-    rng = random.Random(params.seed) if rng is None else rng
+    rng = random.Random(params.seed)
     c = params.initial_clique
     m = params.edges_per_node
 
@@ -72,5 +72,4 @@ def grow_ba(params: BAParams, rng: random.Random | None = None) -> Network:
         [None] * params.target_nodes,
         np.asarray(edges_u, dtype=np.int64),
         np.asarray(edges_v, dtype=np.int64),
-        flags={"growth-ordered"},
     )

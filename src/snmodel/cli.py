@@ -51,7 +51,7 @@ def _metric_names(text: str | None) -> tuple[str, ...]:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    net = experiments.run_single(config.instance, config.checkpoint_interval)
+    net = experiments.run_single(config.instance)
     report = compute_metrics(net, fit_k_min=args.fit_k_min)
     fileio.write_network(args.out, net, report)
     print(f"wrote network with {net.n_nodes} nodes, {net.n_edges} edges to {args.out}")
@@ -216,8 +216,9 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, key, None) is not None:
                 setattr(args, key, experiments.convert_value(key, convert, getattr(args, key)))
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # A MemoryError raised before allocating, as for a huge node count, has no message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

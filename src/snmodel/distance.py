@@ -93,7 +93,6 @@ class DistanceConfig:
     unit_distance: int
     max_distance: int
     match_table: MatchTable | None = None
-    alphabet: Alphabet | None = None
 
     def __post_init__(self) -> None:
         if self.unit_distance < 1:
@@ -121,9 +120,6 @@ def groups_equal(g1: str, g2: str, table: MatchTable | None = None) -> bool:
 
 def structure_distance(s1: str, s2: str, cfg: DistanceConfig) -> int:
     """Number of differing groups over the common full-group prefix."""
-    if cfg.alphabet is not None:
-        cfg.alphabet.validate_word(s1)
-        cfg.alphabet.validate_word(s2)
     unit = cfg.unit_distance
     n_groups = min(len(s1), len(s2)) // unit
     table = cfg.match_table

@@ -288,9 +288,9 @@ def summarize(
     )
 
 
-def run_single(instance: Instance, checkpoint_interval: int = 0) -> Network:
+def run_single(instance: Instance) -> Network:
     """Grow (and prune, when configured) one network."""
-    net, _ = grow(instance, checkpoint_interval=checkpoint_interval)
+    net, _ = grow(instance)
     if instance.prune_min_degree > 0:
         net = prune_low_degree(net, instance.prune_min_degree)
     return net
@@ -315,7 +315,7 @@ def run_experiment(
     reports: list[MetricsReport] = []
     for i in range(config.n_seeds):
         instance = replace(config.instance, seed=config.instance.seed + i)
-        net = run_single(instance, config.checkpoint_interval)
+        net = run_single(instance)
         report = compute_metrics(net, fit_k_min=fit_k_min)
         reports.append(report)
         fileio.write_network(out / f"seed_{instance.seed:05d}", net, report)

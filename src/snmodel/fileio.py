@@ -22,6 +22,8 @@ STRUCTURE_HEADER = "# snm structures v1"
 DISTRIBUTION_HEADER = "# snm distribution v1"
 METRICS_FORMAT = "snm metrics v1"
 SUMMARY_FORMAT = "snm summary v1"
+#: Node counts fit the int64 edge arrays; so does one past the highest id.
+MAX_NODES = np.iinfo(np.int64).max
 
 
 def render_edge_list(net: Network) -> str:
@@ -42,8 +44,8 @@ def parse_edge_list(text: str) -> Network:
 
     Comment and blank lines are skipped; a "# nodes N" comment pins the node
     count (otherwise it is one past the highest id). Duplicate edges produce
-    a warning and are kept once; self-loops and malformed lines are errors
-    that name the offending line number.
+    a warning and are kept once; self-loops, malformed lines and counts or
+    ids past MAX_NODES are errors that name the offending line number.
     """
     n_nodes = 0
     pairs: list[tuple[int, int]] = []
@@ -59,6 +61,8 @@ def parse_edge_list(text: str) -> Network:
                     n_nodes = max(n_nodes, int(fields[1]))
                 except ValueError:
                     raise ValueError(f"line {lineno}: malformed node count") from None
+                if n_nodes > MAX_NODES:
+                    raise ValueError(f"line {lineno}: node count exceeds {MAX_NODES}")
             continue
         fields = line.split()
         if len(fields) != 2:
@@ -69,6 +73,8 @@ def parse_edge_list(text: str) -> Network:
             raise ValueError(f"line {lineno}: ids must be integers") from None
         if u < 0 or v < 0:
             raise ValueError(f"line {lineno}: ids must be >= 0")
+        if max(u, v) >= MAX_NODES:
+            raise ValueError(f"line {lineno}: ids must be below {MAX_NODES}")
         if u == v:
             raise ValueError(f"line {lineno}: self-loop on node {u}")
         key = (min(u, v), max(u, v))

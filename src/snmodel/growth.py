@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +93,6 @@ class GrowthTrace:
     rejected_isolated: int = 0
     rejected_edit_failed: int = 0
     saturated: bool = False
-    checkpoints: list[tuple[int, int, int]] = field(default_factory=list)
 
 
 def _resized(a: np.ndarray, shape: tuple[int, ...], fill: int) -> np.ndarray:
@@ -146,8 +145,10 @@ class GroupIndex:
     _SLAB = 32
     #: Odd multiplier of the block-key hash (the golden ratio in 64 bits).
     _MIX = np.uint64(0x9E3779B97F4A7C15)
+    #: Rows allocated up front; the id matrix doubles whenever it is full.
+    _CAPACITY = 64
 
-    def __init__(self, cfg: DistanceConfig, capacity: int = 64) -> None:
+    def __init__(self, cfg: DistanceConfig) -> None:
         self._unit = cfg.unit_distance
         self._max_d = cfg.max_distance
         entries = cfg.match_table.entries if cfg.match_table is not None else {}
@@ -166,7 +167,7 @@ class GroupIndex:
             pairs.update((gid, other) for other in siblings + [self._id(key)])
         codes = sorted({a << 32 | b for pair in pairs for a, b in (pair, pair[::-1])})
         self._pairs = np.array(codes, dtype=np.int64)
-        self._rows = np.full((max(capacity, 16), 1), self._PAD, dtype=np.int32)
+        self._rows = np.full((self._CAPACITY, 1), self._PAD, dtype=np.int32)
         self._counts = np.zeros(self._rows.shape[0], dtype=np.int32)
         self._n = 0
         self._block = 0  # b; fixed by the first append
@@ -375,20 +376,15 @@ class GroupIndex:
             t0, done = t1, int(total[t1 - 1])
 
 
-def grow_incremental(
-    instance: Instance,
-    rng: random.Random | None = None,
-    checkpoint_interval: int = 0,
-) -> tuple[Network, GrowthTrace]:
+def grow_incremental(instance: Instance) -> tuple[Network, GrowthTrace]:
     """Grow a network node by node until target_nodes or the attempt budget.
 
     Every accepted node is connected to all existing nodes within the
     distance threshold; candidates duplicating an existing structure or
-    connecting to nothing are rejected. ``checkpoint_interval > 0`` records a
-    (node count, edge count, attempt count) row whenever the node count
-    crosses a multiple of the interval.
+    connecting to nothing are rejected. The network at n nodes is the
+    induced prefix of n nodes; provenance[n - 1] holds its attempt count.
     """
-    rng = random.Random(instance.seed) if rng is None else rng
+    rng = random.Random(instance.seed)
     index = GroupIndex(instance.distance)
     trace = GrowthTrace()
 
@@ -399,13 +395,6 @@ def grow_incremental(
         index.append(index.encode(word))
 
     max_distance = instance.distance.max_distance
-    checkpoints: list[tuple[int, int]] = []  # (node count, attempt count)
-
-    def record_checkpoint() -> None:
-        if checkpoint_interval > 0 and len(structures) % checkpoint_interval == 0:
-            checkpoints.append((len(structures), trace.attempts))
-
-    record_checkpoint()
     budget = instance.attempt_budget
     while len(structures) < instance.target_nodes and trace.attempts < budget:
         trace.attempts += 1
@@ -440,22 +429,10 @@ def grow_incremental(
         structures.append(word)
         provenance.append(NodeOrigin(template, kind.value, trace.attempts))
         trace.accepted += 1
-        record_checkpoint()
 
-    flags = {"growth-ordered"}
-    if len(structures) < instance.target_nodes:
-        trace.saturated = True
-        flags.add("saturated")
-    # Distances are static, so the edges follow from the accepted structures
-    # alone. Each edge links a node to an earlier one, so the first n nodes
-    # held exactly the edges with v < n.
-    edge_u, edge_v = index.join()
-    n_edges = np.searchsorted(edge_v, [nodes for nodes, _ in checkpoints])
-    trace.checkpoints = [
-        (nodes, int(edges), attempts) for (nodes, attempts), edges in zip(checkpoints, n_edges)
-    ]
-    net = Network(structures, edge_u, edge_v, provenance=provenance, flags=flags)
-    return net, trace
+    trace.saturated = len(structures) < instance.target_nodes
+    # Distances are static, so the edges follow from the accepted structures alone.
+    return Network(structures, *index.join(), provenance=provenance), trace
 
 
 def _edit_space_size(instance: Instance) -> int | None:
@@ -509,10 +486,7 @@ def _edit_space_size(instance: Instance) -> int | None:
     return len(space)
 
 
-def grow_batch(
-    instance: Instance,
-    rng: random.Random | None = None,
-) -> tuple[Network, GrowthTrace]:
+def grow_batch(instance: Instance) -> tuple[Network, GrowthTrace]:
     """Batch variant: derive all structures from the initial ones, then wire.
 
     Candidate structures are generated by single random edits of uniformly
@@ -522,7 +496,7 @@ def grow_batch(
     pairwise pass and every node left isolated (initial nodes included) is
     removed.
     """
-    rng = random.Random(instance.seed) if rng is None else rng
+    rng = random.Random(instance.seed)
     trace = GrowthTrace()
 
     structures: list[str] = list(instance.initial_structures)
@@ -570,21 +544,15 @@ def grow_batch(
         trace.rejected_isolated += dropped
         net = net.subgraph(keep)
 
-    if len(structures) < instance.target_nodes:
-        trace.saturated = True
-        net.flags.add("saturated")
+    trace.saturated = len(structures) < instance.target_nodes
     return net, trace
 
 
-def grow(
-    instance: Instance,
-    rng: random.Random | None = None,
-    checkpoint_interval: int = 0,
-) -> tuple[Network, GrowthTrace]:
+def grow(instance: Instance) -> tuple[Network, GrowthTrace]:
     """Dispatch on the instance mode."""
     if instance.mode == BATCH:
-        return grow_batch(instance, rng)
-    return grow_incremental(instance, rng, checkpoint_interval)
+        return grow_batch(instance)
+    return grow_incremental(instance)
 
 
 def prune_low_degree(net: Network, min_degree: int) -> Network:
@@ -592,13 +560,10 @@ def prune_low_degree(net: Network, min_degree: int) -> Network:
 
     Single pass: degrees are taken on the input network, so survivors may end
     up with degree below the threshold once their neighbors vanish. The
-    edge-iff-within-distance biconditional no longer holds afterwards, which
-    the returned network records in its flags.
+    edge-iff-within-distance biconditional no longer holds afterwards.
     """
     if min_degree < 0:
         raise ValueError("min_degree must be >= 0")
     if min_degree == 0:
         return net.subgraph(np.ones(net.n_nodes, dtype=bool))
-    pruned = net.subgraph(net.degrees() >= min_degree)
-    pruned.flags.add("pruned")
-    return pruned
+    return net.subgraph(net.degrees() >= min_degree)

@@ -100,37 +100,12 @@ def path_length_histogram(net: Network) -> dict[int, int]:
     return _unordered(_pair_counts(net.to_csr(), np.arange(net.n_nodes)))
 
 
-def path_length_distribution(net: Network) -> dict[int, float]:
-    """Fraction of connected pairs per distance value."""
-    hist = path_length_histogram(net)
-    total = sum(hist.values())
-    if total == 0:
-        return {}
-    return {length: count / total for length, count in hist.items()}
-
-
 def average_path_length(net: Network) -> float:
     """Mean distance over connected unordered pairs."""
     mean = _mean_length(path_length_histogram(net))
     if mean is None:
         raise ValueError("average path length is undefined without connected pairs")
     return mean
-
-
-def connected_component_sizes(net: Network) -> list[int]:
-    """Component sizes, largest first."""
-    if net.n_nodes == 0:
-        return []
-    n_comp, labels = csgraph.connected_components(net.to_csr(), directed=False)
-    sizes = np.bincount(labels, minlength=n_comp)
-    return sorted((int(s) for s in sizes), reverse=True)
-
-
-def largest_component_fraction(net: Network) -> float:
-    sizes = connected_component_sizes(net)
-    if not sizes:
-        raise ValueError("component fraction is undefined for an empty network")
-    return sizes[0] / net.n_nodes
 
 
 def largest_component(net: Network) -> Network:
@@ -167,11 +142,6 @@ def average_clustering(net: Network) -> float:
     if net.n_nodes == 0:
         raise ValueError("average clustering is undefined for an empty network")
     return float(local_clustering(net).mean())
-
-
-def clustering_by_degree(net: Network) -> dict[int, float]:
-    """Mean local clustering among nodes of each degree."""
-    return _mean_by_degree(net.degrees(), local_clustering(net))
 
 
 def _mean_by_degree(degrees: np.ndarray, coeff: np.ndarray) -> dict[int, float]:

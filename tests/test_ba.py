@@ -7,6 +7,8 @@ import pytest
 
 from snmodel.ba import BAParams, grow_ba
 
+from oracles import validate
+
 
 class TestParams:
     def test_edges_bounded_by_clique(self):
@@ -48,7 +50,7 @@ class TestGrowth:
 
     def test_simple_graph(self):
         net = grow_ba(BAParams(target_nodes=200, seed=5))
-        net.validate()
+        validate(net)
 
     def test_deterministic(self):
         params = BAParams(target_nodes=120, seed=9)

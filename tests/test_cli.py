@@ -322,3 +322,120 @@ class TestPrune:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+#: Bad contents of each input file, by kind and name; None means no file.
+#: Every value Python would try to allocate for is refused without allocating.
+BAD_FILES: dict[str, dict[str, str | bytes | None]] = {
+    "instance": {
+        "unknown-key": INSTANCE + "bogus = 1\n",
+        "missing-key": INSTANCE.replace("target_nodes = 30\n", ""),
+        "bad-value": INSTANCE.replace("target_nodes = 30", "target_nodes = x"),
+        "no-equals": INSTANCE + "seed\n",
+        "duplicate-key": INSTANCE + "seed = 6\n",
+        "invalid-config": INSTANCE.replace("p_mutate = 1.0", "p_mutate = 0.5"),
+        "unknown-symbol": INSTANCE.replace("initial = ABCABC", "initial = ABCABX"),
+        "missing-match-file": INSTANCE + "match_file = nope.txt\n",
+        "not-utf8": b"\xff\xfe",
+        "missing": None,
+    },
+    "match": {
+        "group-length": "AAA = BB\n",
+        "unknown-symbol": "AX = BB\n",
+        "no-equals": "AA BB\n",
+        "not-utf8": b"\xff",
+        "missing": None,
+    },
+    "edges": {
+        "self-loop": "0\t0\n",
+        "one-field": "0\n",
+        "non-integer": "0\tx\n",
+        "negative": "0\t-1\n",
+        "node-count-text": "# nodes x\n",
+        "huge-id": "0\t99999999999999999999\n",
+        "largest-id": "0\t9223372036854775807\n",
+        "huge-node-count": "# nodes 10000000000000000000\n",
+        "unallocatable-node-count": "# nodes 4611686018427387904\n",
+        "unallocatable-id": "0\t4611686018427387904\n",
+        "not-utf8": b"\xff",
+        "missing": None,
+    },
+    "structures": {
+        "no-tab": "0 AB\n",
+        "non-integer": "x\tAB\n",
+        "negative": "-1\tAB\n",
+        "duplicate-id": "0\tAB\n0\tBA\n",
+        "outside-network": "5\tAB\n",
+        "not-utf8": b"\xff",
+        "missing": None,
+    },
+}
+
+#: Batch growth over a 5-word edit space at distance 0 and unit 1: it
+#: saturates, and every node is isolated, so the network is empty.
+EMPTY_BATCH = [
+    "--alphabet", "AB", "--initial", "AAAA", "--p-mutate", "1", "--unit-distance", "1",
+    "--max-distance", "0", "--target-nodes", "50", "--mode", "batch",
+]
+
+
+def _bad_input_cases() -> list:
+    """(argv, kind, name) for every subcommand and each kind of bad input it reads.
+
+    In argv, {file} is the bad file, {good} a valid instance file and {out}
+    an output path.
+    """
+    cases = []
+    for command in ("generate", "experiment", "compare-ba"):
+        for name in BAD_FILES["instance"]:
+            cases.append(([command, "--instance", "{file}", "--out", "{out}"], "instance", name))
+        for name in BAD_FILES["match"]:
+            argv = [command, "--instance", "{good}", "--match-file", "{file}", "--out", "{out}"]
+            cases.append((argv, "match", name))
+    for name in BAD_FILES["edges"]:
+        cases.append((["metrics", "--edges", "{file}"], "edges", name))
+        cases.append((["prune", "--edges", "{file}", "--min-degree", "1", "--out", "{out}"], "edges", name))
+    for name in BAD_FILES["structures"]:
+        argv = ["metrics", "--edges", "{good_edges}", "--structures", "{file}"]
+        cases.append((argv, "structures", name))
+    flags = {
+        "generate": [["--seed", "x"], ["--max-attempts", "5"], ["--fit-k-min", "x"]],
+        "experiment": [["--n-seeds", "0"], ["--referenced-metrics", "bogus"]],
+        "compare-ba": [["--checkpoints", "0"], ["--metrics", "bogus"], ["--ba-edges", "9"]],
+    }
+    for command, variants in flags.items():
+        for flag in variants:
+            argv = [command, "--instance", "{good}", *flag, "--out", "{out}"]
+            cases.append((argv, "flag", " ".join(flag)))
+    cases.append((["metrics", "--edges", "{good_edges}", "--fit-k-min", "2.5"], "flag", "--fit-k-min 2.5"))
+    cases.append((["prune", "--edges", "{good_edges}", "--min-degree", "-1", "--out", "{out}"], "flag", "--min-degree -1"))
+    for command in ("generate", "experiment"):
+        cases.append(([command, *EMPTY_BATCH, "--out", "{out}"], "saturating", "empty-network"))
+    argv = ["compare-ba", "--instance", str(instances_dir() / "batch.instance"),
+            "--checkpoints", "300", "--n-seeds", "1", "--out", "{out}"]
+    cases.append((argv, "saturating", "checkpoint-past-saturation"))
+    return [
+        pytest.param(argv, kind, name, id=f"{argv[0]}-{kind}-{name}") for argv, kind, name in cases
+    ]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv, kind, name", _bad_input_cases())
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, kind, name):
+        bad = tmp_path / f"bad.{kind}"
+        content = BAD_FILES.get(kind, {}).get(name)
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        elif content is not None:
+            bad.write_text(content)
+        good = tmp_path / "good.instance"
+        good.write_text(INSTANCE)
+        good_edges = tmp_path / "good.tsv"
+        good_edges.write_text("0\t1\n1\t2\n")
+        paths = {"file": bad, "good": good, "good_edges": good_edges, "out": tmp_path / "out"}
+        assert main([token.format(**paths) for token in argv]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: ")
+        assert "Traceback" not in captured.out + captured.err

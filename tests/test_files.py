@@ -59,6 +59,16 @@ class TestEdgeList:
         with pytest.raises(ValueError, match="line 1"):
             fileio.parse_edge_list("-1\t2\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["0\t99999999999999999999", "0\t9223372036854775807", "# nodes 10000000000000000000"],
+        ids=["past-int64", "no-room-for-the-count", "count-past-int64"],
+    )
+    def test_id_or_count_past_the_edge_arrays_rejected(self, line):
+        # The node count is one past the highest id and must fit int64 too.
+        with pytest.raises(ValueError, match="^line 2: "):
+            fileio.parse_edge_list(f"0\t1\n{line}\n")
+
 
 class TestStructures:
     def test_round_trip(self, tmp_path):

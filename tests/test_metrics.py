@@ -16,18 +16,14 @@ from snmodel.metrics import (
     average_clustering,
     average_degree,
     average_path_length,
-    clustering_by_degree,
     compute_metrics,
-    connected_component_sizes,
     degree_distribution,
     degree_histogram,
     fit_power_law_slope,
     heterogeneity_index,
     largest_component,
-    largest_component_fraction,
     local_clustering,
     motif_census_3,
-    path_length_distribution,
     path_length_histogram,
     triangle_count,
 )
@@ -132,7 +128,7 @@ class TestDegreeAndPaths:
     def test_disconnected_pairs_excluded(self):
         net = Network.from_edges(4, [(0, 1), (2, 3)])
         assert path_length_histogram(net) == {1: 2}
-        assert path_length_distribution(net) == {1: 1.0}
+        assert compute_metrics(net).path_length_distribution == {1: 1.0}
 
     def test_no_connected_pairs_is_undefined(self):
         with pytest.raises(ValueError):
@@ -158,7 +154,7 @@ class TestDegreeAndPaths:
     def test_histogram_matches_networkx_at_word_and_chunk_boundaries(self, n):
         # 64 sources share one frontier word and 512 one chunk.
         net = sparse_multi_component(random.Random(n), n)
-        assert len(connected_component_sizes(net)) > 4
+        assert nx.number_connected_components(to_nx(net)) > 4
         assert path_length_histogram(net) == networkx_histogram(net)
 
     def test_average_matches_networkx_on_connected_graph(self):
@@ -199,7 +195,7 @@ class TestClustering:
 
     def test_clustering_by_degree(self):
         net = Network.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
-        by_degree = clustering_by_degree(net)
+        by_degree = compute_metrics(net).clustering_by_degree
         assert by_degree[3] == pytest.approx(1 / 3)
         assert by_degree[2] == 1.0
         assert by_degree[1] == 0.0
@@ -304,8 +300,9 @@ class TestPowerLawFit:
 class TestComponentsAndReport:
     def test_component_sizes(self):
         net = Network.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-        assert connected_component_sizes(net) == [3, 2]
-        assert largest_component_fraction(net) == 0.6
+        sizes = sorted((len(c) for c in nx.connected_components(to_nx(net))), reverse=True)
+        assert sizes == [3, 2]
+        assert compute_metrics(net).largest_component_fraction == 0.6
         giant = largest_component(net)
         assert giant.n_nodes == 3
 
@@ -332,7 +329,7 @@ class TestComponentsAndReport:
         giant = largest_component(net)
         expected = average_path_length(giant) if giant.n_nodes >= 2 else None
         assert report.average_path_length_largest_component == expected
-        assert report.largest_component_fraction == largest_component_fraction(net)
+        assert report.largest_component_fraction == giant.n_nodes / net.n_nodes
         hist = path_length_histogram(net)
         expected = average_path_length(net) if hist else None
         assert report.average_path_length == expected

@@ -7,6 +7,8 @@ import pytest
 
 from snmodel.network import INITIAL, Network, NodeOrigin
 
+from oracles import validate
+
 
 def star(n: int) -> Network:
     return Network.from_edges(n, [(0, i) for i in range(1, n)])
@@ -16,7 +18,7 @@ class TestConstruction:
     def test_edges_are_canonicalized(self):
         net = Network(["A", "B"], [1], [0])
         assert list(net.edge_pairs()) == [(0, 1)]
-        assert net.has_edge(1, 0)
+        assert net.edge_set() == {(0, 1)}
 
     def test_from_edges(self):
         net = Network.from_edges(3, [(2, 1), (0, 1)])
@@ -28,25 +30,20 @@ class TestConstruction:
         net = star(5)
         assert net.degrees().tolist() == [4, 1, 1, 1, 1]
 
-    def test_neighbors_sorted(self):
-        net = Network.from_edges(4, [(3, 1), (1, 0), (1, 2)])
-        assert net.neighbors(1).tolist() == [0, 2, 3]
-        assert net.neighbors(0).tolist() == [1]
-
     def test_validate_catches_self_loop(self):
         net = Network(["A", "B"], np.array([1]), np.array([1]))
         with pytest.raises(AssertionError):
-            net.validate()
+            validate(net)
 
     def test_validate_catches_parallel_edges(self):
         net = Network(["A", "B"], np.array([0, 1]), np.array([1, 0]))
         with pytest.raises(AssertionError):
-            net.validate()
+            validate(net)
 
     def test_validate_catches_duplicate_structures(self):
         net = Network(["A", "A"], np.array([0]), np.array([1]))
         with pytest.raises(AssertionError):
-            net.validate()
+            validate(net)
 
 
 class TestSlicing:
