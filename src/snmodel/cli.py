@@ -14,9 +14,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import experiments, fileio
 from .ba import BAParams
+from .growth import prune_low_degree
 from .metrics import compute_metrics
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -60,11 +62,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     net = fileio.read_edge_list(args.edges)
-    if args.structures is not None:
-        for node, word in fileio.read_structures(args.structures).items():
-            if node >= net.n_nodes:
-                raise ValueError(f"structure id {node} outside the network")
-            net.structures[node] = word
     report = compute_metrics(net, fit_k_min=args.fit_k_min)
     if args.out is None:
         sys.stdout.write(fileio.render_json(fileio.report_to_dict(report, fileio.METRICS_FORMAT)))
@@ -128,8 +125,6 @@ def _cmd_compare_ba(args: argparse.Namespace) -> int:
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
-    from .growth import prune_low_degree
-
     net = fileio.read_edge_list(args.edges)
     pruned = prune_low_degree(net, args.min_degree)
     fileio.write_edge_list(args.out, pruned)
@@ -159,8 +154,15 @@ _NUMBER_FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ValueErrors, so they end like any bad input."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="snm",
         description="Structured-node network model: generation, metrics, experiments.",
     )
@@ -174,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="compute the metrics report of an edge list")
     p.add_argument("--edges", required=True, type=Path)
-    p.add_argument("--structures", type=Path, default=None)
     p.add_argument("--out", type=Path, default=None, help="JSON output path (default stdout)")
     p.add_argument("--fit-k-min")
     p.set_defaults(func=_cmd_metrics)
@@ -210,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for key, convert in _NUMBER_FLAGS.items():
             if getattr(args, key, None) is not None:
                 setattr(args, key, experiments.convert_value(key, convert, getattr(args, key)))

@@ -385,12 +385,5 @@ def run_growth_comparison(
         out = Path(output_directory)
         out.mkdir(parents=True, exist_ok=True)
         for name in metric_names:
-            lines = ["# snm comparison v1", "# n_nodes\tsn\tba"]
-            for c in checkpoints:
-                sn_v = curves[name]["sn"][c]
-                ba_v = curves[name]["ba"][c]
-                lines.append(f"{c}\t{sn_v:.10g}\t{ba_v:.10g}")
-            (out / f"comparison_{name}.tsv").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8"
-            )
+            fileio.write_comparison(out / f"comparison_{name}.tsv", curves[name])
     return curves

@@ -1,4 +1,4 @@
-"""Text formats: edge lists, structure lists, plot data, JSON reports.
+"""Text formats: edge lists, structure lists, plot data, comparison curves, JSON reports.
 
 Every writer emits a version header comment and fully sorted content so that
 identical inputs produce byte-identical files.
@@ -20,6 +20,7 @@ from .network import Network
 EDGE_HEADER = "# snm edge-list v1"
 STRUCTURE_HEADER = "# snm structures v1"
 DISTRIBUTION_HEADER = "# snm distribution v1"
+COMPARISON_HEADER = "# snm comparison v1"
 METRICS_FORMAT = "snm metrics v1"
 SUMMARY_FORMAT = "snm summary v1"
 #: Node counts fit the int64 edge arrays; so does one past the highest id.
@@ -104,31 +105,6 @@ def write_structures(path: str | Path, net: Network) -> None:
     Path(path).write_text(render_structures(net), encoding="utf-8")
 
 
-def parse_structures(text: str) -> dict[int, str]:
-    out: dict[int, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 'id<TAB>structure'")
-        try:
-            node = int(fields[0])
-        except ValueError:
-            raise ValueError(f"line {lineno}: id must be an integer") from None
-        if node < 0:
-            raise ValueError(f"line {lineno}: id must be >= 0")
-        if node in out:
-            raise ValueError(f"line {lineno}: duplicate id {node}")
-        out[node] = fields[1]
-    return out
-
-
-def read_structures(path: str | Path) -> dict[int, str]:
-    return parse_structures(Path(path).read_text(encoding="utf-8"))
-
-
 def render_distribution(
     values: Mapping[int, float] | Mapping[int, int],
     x_label: str,
@@ -149,6 +125,14 @@ def write_distribution(
     y_label: str,
 ) -> None:
     Path(path).write_text(render_distribution(values, x_label, y_label), encoding="utf-8")
+
+
+def write_comparison(path: str | Path, curve: Mapping[str, Mapping[int, float]]) -> None:
+    """One metric's "sn" and "ba" curves as "n_nodes sn ba" rows, node counts ascending."""
+    lines = [COMPARISON_HEADER, "# n_nodes\tsn\tba"]
+    for c in sorted(curve["sn"]):
+        lines.append(f"{c}\t{curve['sn'][c]:.10g}\t{curve['ba'][c]:.10g}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _stringify_keys(value: object) -> object:

@@ -4,11 +4,11 @@ The growth loop derives a candidate structure from a randomly chosen template
 and rejects duplicates and candidates that would be isolated. The edit
 reports where the word starts to change, so the candidate's group ids come
 from its template's row: a mutation replaces at most one id, any other edit
-re-encodes only the suffix from the group it starts in. A candidate within
-max_distance of its template has a neighbour already. The groups the edit may
-have changed bound that distance from above, which settles every mutant when
-max_distance >= 1; other candidates are compared with their template, and
-only one further away is searched for a neighbour. Distances are static, so
+re-encodes only the suffix from the group it starts in and compares it with
+the template's. So the distance to the template is known: exact, or at most 1
+for a mutant. A candidate within max_distance of its template has a neighbour
+already; only one further away is searched for a neighbour, by a scan over
+every structure, the template included. Distances are static, so
 the edge relation depends on the accepted structures alone: once the loop
 ends, one pairwise join over them yields every edge, each node's earlier
 neighbours in node order, the same edges an insertion-time search would have
@@ -52,7 +52,6 @@ class Instance:
     mode: str = INCREMENTAL
     prune_min_degree: int = 0
     seed: int = 0
-    max_structure_length: int = DEFAULT_MAX_LENGTH
 
     def __post_init__(self) -> None:
         if not self.initial_structures:
@@ -118,7 +117,8 @@ class GroupIndex:
     the distance over g groups is min(count, g) minus the matches.
 
     ``derive`` builds the row of one edit of an indexed structure from that
-    structure's row, re-encoding only the groups the edit may have changed.
+    structure's row, re-encoding only the groups the edit may have changed,
+    and returns its distance to that structure.
     ``append`` only stores a row and its count. ``neighbours`` answers one
     query by a scan over every row. ``join`` returns every pair within
     d = max_distance at once, as a partition-based exact join (Arasu, Ganti &
@@ -219,26 +219,29 @@ class GroupIndex:
     def derive(
         self, template: int, word: str, at: int, same_length: bool
     ) -> tuple[np.ndarray, int]:
-        """The ids of *word*, one edit of indexed structure *template*, from its row.
+        """The ids of *word*, one edit of indexed structure *template*, and its distance.
 
         *word* agrees with the template's word before position *at* and, when
         *same_length* (a mutation), after it too. The groups before the one
-        holding *at* keep the template's ids. A mutation replaces that one
-        group's id, or none in the trailing partial group; any other edit
-        re-encodes the suffix from that group on. Also returns how many
-        groups both rows have from that group on: equal ids match, so this
-        bounds the distance to the template from above.
+        holding *at* keep the template's ids, which match. A mutation
+        replaces that one group's id, or none in the trailing partial group,
+        and its distance is bounded by the groups replaced, 1 or 0. Any
+        other edit re-encodes the suffix from that group on, and its distance
+        is exact: the suffix's misses against the template's row from there.
         """
         unit = self._unit
         k = at // unit
+        template_row = self._rows[template, : self._counts[template]]
         if same_length:
-            row = self._rows[template, : self._counts[template]].copy()
+            row = template_row.copy()
             if k == row.shape[0]:  # the trailing partial group, in no id
                 return row, 0
             row[k] = self._group_id(word[k * unit : (k + 1) * unit])
             return row, 1
-        row = np.concatenate((self._rows[template, :k], self.encode(word[k * unit :])))
-        return row, min(row.shape[0], int(self._counts[template])) - k
+        suffix = self.encode(word[k * unit :])
+        g = min(suffix.shape[0], template_row.shape[0] - k)
+        matches = self._matches(template_row[k : k + g], suffix[:g])
+        return np.concatenate((template_row[:k], suffix)), g - np.count_nonzero(matches)
 
     def append(self, encoded: np.ndarray) -> None:
         if self._n == 0:
@@ -262,29 +265,12 @@ class GroupIndex:
             matches |= np.isin(a.astype(np.int64) << 32 | b, self._pairs)
         return matches
 
-    def _verify(self, encoded: np.ndarray, idx: np.ndarray | slice) -> np.ndarray:
-        """Distance from the encoded candidate to the indexed structures *idx*."""
-        g = min(encoded.shape[0], self._rows.shape[1])
-        matches = self._matches(self._rows[idx, :g], encoded[:g])
-        counts = np.minimum(self._counts[idx], g)
-        return (counts - np.count_nonzero(matches, axis=1)).astype(np.int32)
-
     def distances(self, encoded: np.ndarray) -> np.ndarray:
         """Distance from the encoded candidate to every indexed structure."""
-        return self._verify(encoded, slice(0, self._n))
-
-    def within(self, encoded: np.ndarray, i: int) -> bool:
-        """Whether indexed structure *i* lies within max_distance of the candidate.
-
-        ``_verify``'s rule for one row. The acceptance loop asks it about a
-        candidate's template only when the groups ``derive`` reports changed
-        exceed max_distance, as after an insert, delete or duplication that
-        shifts groups; ``_verify``'s 2-D indexing and per-row count cost
-        several times as much for a single row.
-        """
-        g = min(encoded.shape[0], int(self._counts[i]))
-        matches = self._matches(self._rows[i, :g], encoded[:g])
-        return g - np.count_nonzero(matches) <= self._max_d
+        g = min(encoded.shape[0], self._rows.shape[1])
+        matches = self._matches(self._rows[: self._n, :g], encoded[:g])
+        counts = np.minimum(self._counts[: self._n], g)
+        return (counts - np.count_nonzero(matches, axis=1)).astype(np.int32)
 
     def neighbours(self, encoded: np.ndarray) -> np.ndarray:
         """Sorted indices of the indexed structures within max_distance."""
@@ -304,7 +290,7 @@ class GroupIndex:
         found: list[tuple[np.ndarray, np.ndarray]] = []
         # A short structure is verified against all others; two short ones once.
         for s in np.flatnonzero(short):
-            dist = self._verify(rows[s, : counts[s]], slice(0, n))
+            dist = self.distances(rows[s, : counts[s]])
             others = np.flatnonzero((dist <= max_d) & ((nodes > s) | ~short & (nodes < s)))
             found.append((np.minimum(others, s), np.maximum(others, s)))
         hashed = np.flatnonzero(~short)
@@ -405,7 +391,7 @@ def grow_incremental(instance: Instance) -> tuple[Network, GrowthTrace]:
             instance.probs,
             instance.alphabet,
             rng,
-            instance.max_structure_length,
+            DEFAULT_MAX_LENGTH,
         )
         if word is None:
             trace.rejected_edit_failed += 1
@@ -413,15 +399,10 @@ def grow_incremental(instance: Instance) -> tuple[Network, GrowthTrace]:
         if word in seen:
             trace.rejected_duplicate += 1
             continue
-        encoded, changed = index.derive(template, word, at, len(word) == len(template_word))
+        encoded, distance = index.derive(template, word, at, len(word) == len(template_word))
         # A candidate within reach of its template has a neighbour already;
-        # only one further away needs a search. Equal ids match, so the
-        # changed groups settle most candidates without a comparison.
-        if (
-            changed > max_distance
-            and not index.within(encoded, template)
-            and index.neighbours(encoded).shape[0] == 0
-        ):
+        # only one further away needs a search, which scans the template too.
+        if distance > max_distance and index.neighbours(encoded).shape[0] == 0:
             trace.rejected_isolated += 1
             continue
         index.append(encoded)
@@ -455,7 +436,6 @@ def _edit_space_size(instance: Instance) -> int | None:
 
     symbols = instance.alphabet.symbols
     n_symbols = len(symbols)
-    max_length = instance.max_structure_length
     bound = 0
     for word in instance.initial_structures:
         length = len(word)
@@ -474,14 +454,14 @@ def _edit_space_size(instance: Instance) -> int | None:
         if mutate:
             for i in range(length):
                 space.update(word[:i] + s + word[i + 1 :] for s in symbols if s != word[i])
-        if insert and length + 1 <= max_length:
+        if insert and length + 1 <= DEFAULT_MAX_LENGTH:
             for i in range(length + 1):
                 space.update(word[:i] + s + word[i:] for s in symbols)
         if delete and length >= 2:
             space.update(word[:i] + word[i + 1 :] for i in range(length))
         if duplicate:
             for start in range(length):
-                for end in range(start + 1, min(length, start + max_length - length) + 1):
+                for end in range(start + 1, min(length, start + DEFAULT_MAX_LENGTH - length) + 1):
                     space.add(word[:end] + word[start:end] + word[end:])
     return len(space)
 
@@ -517,7 +497,7 @@ def grow_batch(instance: Instance) -> tuple[Network, GrowthTrace]:
             instance.probs,
             instance.alphabet,
             rng,
-            instance.max_structure_length,
+            DEFAULT_MAX_LENGTH,
         )
         if word is None:
             trace.rejected_edit_failed += 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -181,10 +182,22 @@ class TestInstanceKeys:
         assert from_flag.instance.distance.match_table is None
 
     def test_readme_table_lists_every_key(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-        keys = re.findall(r"^\| `(\w+)` \|", cli_section, flags=re.MULTILINE)
+        keys = re.findall(r"^\| `(\w+)` \|", _readme_cli_section(), flags=re.MULTILINE)
         assert keys == list(INSTANCE_KEYS)
+
+    def test_readme_cli_examples_parse(self):
+        # Only parsed, not run: a documented flag the parser dropped fails here.
+        block = _readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line) for line in lines if line.startswith("snm ")]
+        assert commands
+        for command in commands:
+            build_parser().parse_args(command[1:])
+
+
+def _readme_cli_section() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
 
 
 class TestMetrics:
@@ -205,19 +218,6 @@ class TestMetrics:
         ]) == 0
         payload = json.loads(out.read_text())
         assert payload["fitted_slope"] is not None
-
-    def test_negative_structure_id_is_an_error(self, tmp_path, capsys):
-        edges = tmp_path / "edges.tsv"
-        edges.write_text("0\t1\n1\t2\n")
-        structures = tmp_path / "structures.tsv"
-        structures.write_text("-1\tAB\n")
-        code = main([
-            "metrics", "--edges", str(edges), "--structures", str(structures),
-        ])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: line 1: id must be >= 0\n"
 
 
 class TestExperiment:
@@ -360,15 +360,15 @@ BAD_FILES: dict[str, dict[str, str | bytes | None]] = {
         "not-utf8": b"\xff",
         "missing": None,
     },
-    "structures": {
-        "no-tab": "0 AB\n",
-        "non-integer": "x\tAB\n",
-        "negative": "-1\tAB\n",
-        "duplicate-id": "0\tAB\n0\tBA\n",
-        "outside-network": "5\tAB\n",
-        "not-utf8": b"\xff",
-        "missing": None,
-    },
+}
+
+#: Arguments each subcommand runs with, in the placeholders of _bad_input_cases.
+GOOD_ARGS = {
+    "generate": ["--instance", "{good}", "--out", "{out}"],
+    "metrics": ["--edges", "{good_edges}"],
+    "experiment": ["--instance", "{good}", "--out", "{out}"],
+    "compare-ba": ["--instance", "{good}", "--out", "{out}"],
+    "prune": ["--edges", "{good_edges}", "--min-degree", "1", "--out", "{out}"],
 }
 
 #: Batch growth over a 5-word edit space at distance 0 and unit 1: it
@@ -395,9 +395,13 @@ def _bad_input_cases() -> list:
     for name in BAD_FILES["edges"]:
         cases.append((["metrics", "--edges", "{file}"], "edges", name))
         cases.append((["prune", "--edges", "{file}", "--min-degree", "1", "--out", "{out}"], "edges", name))
-    for name in BAD_FILES["structures"]:
-        argv = ["metrics", "--edges", "{good_edges}", "--structures", "{file}"]
-        cases.append((argv, "structures", name))
+    for command, good in GOOD_ARGS.items():
+        cases.append(([command, *good, "--bogus", "1"], "usage", "unknown-flag"))
+    cases.append((["metrics", *GOOD_ARGS["metrics"], "--structures", "x"], "usage", "structures-flag"))
+    for command in ("generate", "experiment", "compare-ba"):
+        cases.append(([command, "--instance", "{good}"], "usage", "missing-out"))
+    cases.append(([], "usage", "no-subcommand"))
+    cases.append((["bogus"], "usage", "unknown-subcommand"))
     flags = {
         "generate": [["--seed", "x"], ["--max-attempts", "5"], ["--fit-k-min", "x"]],
         "experiment": [["--n-seeds", "0"], ["--referenced-metrics", "bogus"]],
@@ -415,7 +419,8 @@ def _bad_input_cases() -> list:
             "--checkpoints", "300", "--n-seeds", "1", "--out", "{out}"]
     cases.append((argv, "saturating", "checkpoint-past-saturation"))
     return [
-        pytest.param(argv, kind, name, id=f"{argv[0]}-{kind}-{name}") for argv, kind, name in cases
+        pytest.param(argv, kind, name, id=f"{argv[0] if argv else 'snm'}-{kind}-{name}")
+        for argv, kind, name in cases
     ]
 
 
@@ -439,3 +444,22 @@ class TestBadInput:
         assert len(lines) == 1, captured.err
         assert lines[0].startswith("error: ")
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--bogus", "1"], "snm generate: the following arguments are required: --out"),
+            (["metrics", "--edges", "e", "--structures", "s"], "snm: unrecognized arguments: --structures s"),
+            ([], "snm: the following arguments are required: command"),
+        ],
+        ids=["missing-out", "structures-flag", "no-subcommand"],
+    )
+    def test_usage_error_names_the_flag(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: snm")

@@ -71,33 +71,25 @@ class TestEdgeList:
 
 
 class TestStructures:
-    def test_round_trip(self, tmp_path):
-        net = sample_net()
+    def test_written_lines(self, tmp_path):
         path = tmp_path / "structures.tsv"
-        fileio.write_structures(path, net)
-        assert fileio.read_structures(path) == {
-            0: "A", 1: "B", 2: "C", 3: "D", 4: "E"
-        }
+        fileio.write_structures(path, sample_net())
+        assert path.read_text() == fileio.STRUCTURE_HEADER + "\n0\tA\n1\tB\n2\tC\n3\tD\n4\tE\n"
 
     def test_structureless_nodes_skipped(self):
         net = Network(["A", None, "C"], [0, 1], [1, 2])
         text = fileio.render_structures(net)
         assert "1\t" not in text
 
-    def test_duplicate_id_rejected(self):
-        with pytest.raises(ValueError, match="line 2"):
-            fileio.parse_structures("0\tA\n0\tB\n")
-
-    def test_malformed_line(self):
-        with pytest.raises(ValueError, match="line 1"):
-            fileio.parse_structures("nonsense\n")
-
-    def test_negative_id_rejected(self):
-        with pytest.raises(ValueError, match="line 2: id must be >= 0"):
-            fileio.parse_structures("0\tA\n-1\tAB\n")
-
 
 class TestDistributionAndReports:
+    def test_comparison_rows_sorted_by_node_count(self, tmp_path):
+        path = tmp_path / "comparison.tsv"
+        fileio.write_comparison(path, {"sn": {20: 1 / 3, 10: 2.0}, "ba": {20: 0.5, 10: 4.0}})
+        assert path.read_text() == (
+            fileio.COMPARISON_HEADER + "\n# n_nodes\tsn\tba\n10\t2\t4\n20\t0.3333333333\t0.5\n"
+        )
+
     def test_distribution_sorted_by_key(self):
         text = fileio.render_distribution({3: 0.25, 1: 0.5, 2: 0.25}, "degree", "fraction")
         lines = text.strip().splitlines()

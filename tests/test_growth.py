@@ -224,8 +224,8 @@ class TestGrowIncremental:
 
     @staticmethod
     def count_index_calls(monkeypatch) -> dict[str, int]:
-        """Count the calls of GroupIndex.encode and GroupIndex.within from now on."""
-        calls = {"encode": 0, "within": 0}
+        """Count the calls of GroupIndex.encode and GroupIndex.neighbours from now on."""
+        calls = {"encode": 0, "neighbours": 0}
         for name in calls:
 
             def counted(index, *args, _name=name, _original=getattr(GroupIndex, name)):
@@ -237,18 +237,18 @@ class TestGrowIncremental:
 
     def test_mutants_are_not_reencoded(self, monkeypatch):
         # A mutant's ids come from its template's row, and one changed group
-        # never exceeds max_distance 1: no encoding and no template check.
+        # never exceeds max_distance 1: no encoding and no neighbour search.
         calls = self.count_index_calls(monkeypatch)
         instance = small_instance(
             probs=MUTATE_ONLY, initial_structures=("ABCABC", "CCABBA"), target_nodes=150
         )
         _, trace = grow_incremental(instance)
         assert trace.accepted == 148
-        assert calls == {"encode": 2, "within": 0}
+        assert calls == {"encode": 2, "neighbours": 0}
 
-    def test_all_edits_reach_suffix_encoding_and_template_check(self, monkeypatch):
+    def test_all_edits_reach_suffix_encoding_and_neighbour_search(self, monkeypatch):
         # The all-edits golden run: shifted groups re-encode the suffix, and
-        # candidates that may lie beyond their template are compared with it.
+        # candidates beyond their template are searched for a neighbour.
         calls = self.count_index_calls(monkeypatch)
         table = parse_match_file("AA = BB\nBB = AA\nAB = CC\nCC = AB\n", 2, ABC)
         instance = small_instance(
@@ -259,7 +259,7 @@ class TestGrowIncremental:
         _, trace = grow_incremental(instance)
         assert trace.rejected_isolated > 0
         assert calls["encode"] > 1
-        assert calls["within"] > 0
+        assert calls["neighbours"] > 0
 
 
 class TestGrowBatch:
@@ -334,23 +334,23 @@ class TestGrowBatch:
             EditProbabilities(delete=0.3, duplicate=0.7),
         ],
     )
-    def test_edit_space_is_what_random_edits_reach(self, probs):
+    def test_edit_space_is_what_random_edits_reach(self, probs, monkeypatch):
         # Length-1 words cannot lose a symbol and max length 4 cuts off
         # inserts into "ABBA" and the longer duplicates of "BAA".
+        monkeypatch.setattr(growth, "DEFAULT_MAX_LENGTH", 4)
         instance = small_instance(
             alphabet=AB,
             probs=probs,
             initial_structures=("A", "BAA", "ABBA"),
             target_nodes=3,
             max_attempts=400,
-            max_structure_length=4,
         )
         rng = random.Random(1)
         reached = set(instance.initial_structures)
         for _ in range(20000):
             template = instance.initial_structures[rng.randrange(3)]
             word, _, _ = apply_random_edit(
-                template, probs, AB, rng, instance.max_structure_length
+                template, probs, AB, rng, growth.DEFAULT_MAX_LENGTH
             )
             if word is not None:
                 reached.add(word)
@@ -481,13 +481,14 @@ class TestGroupIndex:
         word, _, at = apply_random_edit(template_word, probs, ABC, random.Random(seed))
         if word is None:  # nothing to delete
             return
-        derived, changed = index.derive(template, word, at, len(word) == len(template_word))
+        derived, distance = index.derive(template, word, at, len(word) == len(template_word))
         assert derived.dtype == np.int32
         assert derived.tolist() == index.encode(word).tolist()
-        # Equal ids match, so the groups that may differ bound the distance.
-        assert changed >= structure_distance(word, template_word, cfg)
         if kind is Edit.MUTATE:
-            assert changed <= 1
+            # The one group a mutation may change bounds its distance.
+            assert 1 >= distance >= structure_distance(word, template_word, cfg)
+        else:
+            assert distance == structure_distance(word, template_word, cfg)
 
     @given(
         st.lists(st.text(alphabet="ABC", min_size=1, max_size=9), min_size=1, max_size=25),

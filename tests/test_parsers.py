@@ -66,11 +66,6 @@ class TestArbitraryText:
 
     @given(any_text)
     @settings(deadline=None)
-    def test_structures(self, text):
-        raises_only_value_error(fileio.parse_structures, text)
-
-    @given(any_text)
-    @settings(deadline=None)
     def test_key_values(self, text):
         raises_only_value_error(parse_key_values, text)
 
@@ -96,16 +91,12 @@ class TestArbitraryText:
             raises_only_value_error(parse_instance_file, text)
 
 
-words = st.text(st.sampled_from("ABC"), min_size=1, max_size=10)
-
-
 @st.composite
 def networks(draw) -> Network:
     n = draw(st.integers(0, 40))
     pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))))
     edges = sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]}) if n else []
-    structures = draw(st.lists(st.one_of(st.none(), words), min_size=n, max_size=n))
-    return Network.from_edges(n, edges, structures)
+    return Network.from_edges(n, edges)
 
 
 @st.composite
@@ -145,12 +136,6 @@ class TestRoundTrips:
         assert loaded.n_nodes == net.n_nodes
         assert loaded.edge_set() == net.edge_set()
         assert fileio.render_edge_list(loaded) == fileio.render_edge_list(net)
-
-    @given(networks())
-    @settings(deadline=None)
-    def test_structure_list(self, net):
-        parsed = fileio.parse_structures(fileio.render_structures(net))
-        assert parsed == {i: w for i, w in enumerate(net.structures) if w is not None}
 
     @given(valid_instance_mappings())
     @settings(deadline=None)
