@@ -4,10 +4,10 @@ Path lengths come from one bit-parallel multi-source BFS (Then et al., "The
 More the Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014):
 each node carries one bit per source of a 512-source chunk, and a BFS level
 is one OR-reduce of neighbour bits over the CSR adjacency plus a popcount.
-Triangles per node come from one sparse product. ``compute_metrics`` sweeps
-every source once and multiplies once per report. The test suite checks all
-of these against plain-Python, Floyd-Warshall, networkx and brute-force
-oracles.
+Triangles use the same bits with neighbours in place of sources. Components
+come from min-label hooking with pointer jumping (Shiloach & Vishkin, 1982).
+``compute_metrics`` sweeps and counts triangles once per report. Tests check
+these against plain-Python, Floyd-Warshall, networkx and brute-force oracles.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from itertools import zip_longest
 from typing import Mapping
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from .network import Network
 
-#: Sources per BFS chunk: 8 uint64 words of frontier bits per node.
-_SOURCES_PER_CHUNK = 512
+#: Sources per BFS chunk or neighbours per triangle chunk: 8 uint64 words per node.
+_CHUNK = 512
 
 
 def average_degree(net: Network) -> float:
@@ -47,23 +46,23 @@ def degree_distribution(net: Network) -> dict[int, float]:
     return {k: c / n for k, c in degree_histogram(net).items()}
 
 
-def _pair_counts(adj: csr_matrix, sources: np.ndarray) -> list[int]:
+def _pair_counts(adj: tuple[np.ndarray, np.ndarray], sources: np.ndarray) -> list[int]:
     """Ordered (source, target) pairs at each distance >= 1; entry 0 is 0.
 
     One BFS runs from a whole chunk of sources at once: bit i of a node's
     words says that the chunk's source i has reached the node, and a level
     ORs each node's neighbour frontiers and keeps the bits not seen before.
     """
-    indptr, indices = adj.indptr, adj.indices
+    indptr, indices = adj
     # reduceat returns the first element, not 0, for an empty segment, so
     # only nodes with neighbours are reduced.
     rows = np.flatnonzero(np.diff(indptr))
     starts = indptr[rows]
     totals = [0]
-    for first in range(0, len(sources), _SOURCES_PER_CHUNK):
-        chunk = sources[first : first + _SOURCES_PER_CHUNK]
+    for first in range(0, len(sources), _CHUNK):
+        chunk = sources[first : first + _CHUNK]
         bit = np.arange(chunk.size, dtype=np.uint64)
-        seen = np.zeros((adj.shape[0], (chunk.size + 63) // 64), dtype=np.uint64)
+        seen = np.zeros((indptr.size - 1, (chunk.size + 63) // 64), dtype=np.uint64)
         seen[chunk, bit // 64] = np.uint64(1) << (bit % 64)
         frontier = seen.copy()
         level = 0
@@ -108,19 +107,47 @@ def average_path_length(net: Network) -> float:
     return mean
 
 
+def _component_labels(net: Network) -> np.ndarray:
+    """Each node's smallest component member, by min-label hooking and pointer jumping."""
+    labels = np.arange(net.n_nodes)
+    while True:
+        lu, lv = labels[net.edge_u], labels[net.edge_v]
+        if np.array_equal(lu, lv):
+            return labels
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        while not np.array_equal(labels[labels], labels):
+            labels = labels[labels]
+
+
 def largest_component(net: Network) -> Network:
     if net.n_nodes == 0:
         raise ValueError("empty network has no components")
-    _, labels = csgraph.connected_components(net.to_csr(), directed=False)
-    keep_label = np.argmax(np.bincount(labels))
-    return net.subgraph(labels == keep_label)
+    labels = _component_labels(net)
+    return net.subgraph(labels == np.argmax(np.bincount(labels)))
 
 
 def _triangles_per_node(net: Network) -> np.ndarray:
-    adj = net.to_csr().astype(np.int64)
-    paths = adj @ adj
-    doubled = paths.multiply(adj).sum(axis=1)
-    return np.asarray(doubled).ravel() // 2
+    """Triangles at each node: bit i of a node's words marks the chunk's node i
+    as a neighbour, so an edge's two ANDed end words hold its common neighbours.
+    """
+    n, u, v = net.n_nodes, net.edge_u, net.edge_v
+    indptr, indices = net.to_csr()
+    owner = np.repeat(np.arange(n, dtype=np.uint64), np.diff(indptr))
+    words = np.zeros(((min(n, _CHUNK) + 63) // 64, n), dtype=np.uint64)
+    common = np.zeros(net.n_edges, dtype=np.int64)
+    for first in range(0, n, _CHUNK):
+        lo, hi = indptr[first], indptr[min(first + _CHUNK, n)]
+        bits = ((owner[lo:hi] - first) // 64, indices[lo:hi])
+        np.bitwise_or.at(words, bits, np.uint64(1) << owner[lo:hi] % 64)
+        # Only an edge whose ends both neighbour the chunk closes a triangle in it.
+        touched = np.zeros(n, dtype=bool)
+        touched[indices[lo:hi]] = True
+        pairs = np.flatnonzero(touched[u] & touched[v])
+        both = np.take(words, u[pairs], axis=1) & np.take(words, v[pairs], axis=1)
+        common[pairs] += np.bitwise_count(both).sum(axis=0, dtype=np.int64)
+        words[bits] = 0
+    # A node's triangles close over two of its edges each.
+    return np.bincount(np.concatenate([u, v]), np.tile(common, 2), n).astype(np.int64) // 2
 
 
 def local_clustering(net: Network) -> np.ndarray:
@@ -145,7 +172,7 @@ def average_clustering(net: Network) -> float:
 
 
 def _mean_by_degree(degrees: np.ndarray, coeff: np.ndarray) -> dict[int, float]:
-    return {int(k): float(coeff[degrees == k].mean()) for k in np.unique(degrees)}
+    return {int(k): float(coeff[degrees == k].mean()) for k in np.flatnonzero(np.bincount(degrees))}
 
 
 def triangle_count(net: Network) -> int:
@@ -252,9 +279,9 @@ def compute_metrics(net: Network, fit_k_min: int | None = None) -> MetricsReport
     if net.n_nodes == 0:
         raise ValueError("metrics are undefined for an empty network")
     adj = net.to_csr()
-    _, labels = csgraph.connected_components(adj, directed=False)
+    labels = _component_labels(net)
     sizes = np.bincount(labels)
-    # Same tie-break as largest_component. Components are closed under
+    # Same giant as largest_component. Components are closed under
     # shortest paths, so the giant's sources alone give its histogram, and
     # the other sources add the rest of the full network's.
     in_giant = labels == np.argmax(sizes)

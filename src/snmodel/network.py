@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 INITIAL = "initial"
 
@@ -27,7 +26,7 @@ class Network:
     ``structures[i]`` is the symbol word of node ``i`` (None for structureless
     graphs such as the preferential-attachment baseline or loaded edge lists).
     Instances are treated as immutable once built; metric helpers cache
-    derived views (degrees, CSR adjacency) on first use.
+    derived views on first use: degrees, and the CSR pair ``(indptr, indices)``.
     """
 
     def __init__(
@@ -44,11 +43,15 @@ class Network:
             raise ValueError("edge endpoint arrays must have the same length")
         self.edge_u = np.minimum(u, v)
         self.edge_v = np.maximum(u, v)
+        if u.size and (self.edge_u.min() < 0 or self.edge_v.max() >= len(self.structures)):
+            raise ValueError(f"edge endpoint outside the node ids [0, {len(self.structures)})")
+        if np.any(u == v):
+            raise ValueError(f"self-loop on node {int(u[u == v][0])}")
         self.provenance: list[NodeOrigin] | None = (
             list(provenance) if provenance is not None else None
         )
         self._degrees: np.ndarray | None = None
-        self._csr: sparse.csr_matrix | None = None
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_edges(
@@ -81,13 +84,12 @@ class Network:
             self._degrees = deg
         return self._degrees
 
-    def to_csr(self) -> sparse.csr_matrix:
+    def to_csr(self) -> tuple[np.ndarray, np.ndarray]:
         if self._csr is None:
-            n = self.n_nodes
-            row = np.concatenate([self.edge_u, self.edge_v])
-            col = np.concatenate([self.edge_v, self.edge_u])
-            data = np.ones(row.shape[0], dtype=np.int8)
-            self._csr = sparse.csr_matrix((data, (row, col)), shape=(n, n))
+            rows = np.concatenate([self.edge_u, self.edge_v])
+            cols = np.concatenate([self.edge_v, self.edge_u])
+            indptr = np.concatenate([[0], np.cumsum(self.degrees())])
+            self._csr = indptr, cols[np.argsort(rows)]
         return self._csr
 
     def edge_pairs(self) -> Iterator[tuple[int, int]]:

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import snmodel
 from snmodel import fileio, instances_dir
 from snmodel.cli import _config_from_args, build_parser, main
 from snmodel.experiments import INSTANCE_KEYS
@@ -218,6 +222,32 @@ class TestMetrics:
         ]) == 0
         payload = json.loads(out.read_text())
         assert payload["fitted_slope"] is not None
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # numpy is the only runtime dependency. A fresh interpreter that runs two
+    # subcommands also sees a lazy import.
+    out = tmp_path / "run"
+    script = f"""
+import sys
+from snmodel import instances_dir
+from snmodel.cli import main
+out = {str(out)!r}
+assert main(["generate", "--instance", str(instances_dir() / "celegans.instance"), "--out", out]) == 0
+assert main(["metrics", "--edges", out + "/edges.tsv", "--out", out + "/again.json"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = str(Path(snmodel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 class TestExperiment:

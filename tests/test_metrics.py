@@ -64,6 +64,15 @@ def sparse_multi_component(rng: random.Random, n: int) -> Network:
     return Network.from_edges(n, sorted(edges))
 
 
+def assert_clustering_matches_networkx(net: Network) -> None:
+    g = to_nx(net)
+    expected = nx.clustering(g)
+    assert local_clustering(net).tolist() == pytest.approx(
+        [expected[node] for node in range(net.n_nodes)]
+    )
+    assert triangle_count(net) == sum(nx.triangles(g).values()) // 3
+
+
 def networkx_histogram(net: Network) -> dict[int, int]:
     counts: dict[int, int] = {}
     for _, lengths in nx.all_pairs_shortest_path_length(to_nx(net)):
@@ -152,10 +161,11 @@ class TestDegreeAndPaths:
 
     @pytest.mark.parametrize("n", [63, 64, 65, 128, 511, 512, 513, 1100])
     def test_histogram_matches_networkx_at_word_and_chunk_boundaries(self, n):
-        # 64 sources share one frontier word and 512 one chunk.
+        # 64 sources or neighbours share one word and 512 one chunk.
         net = sparse_multi_component(random.Random(n), n)
         assert nx.number_connected_components(to_nx(net)) > 4
         assert path_length_histogram(net) == networkx_histogram(net)
+        assert_clustering_matches_networkx(net)
 
     def test_average_matches_networkx_on_connected_graph(self):
         rng = random.Random(3)
@@ -180,6 +190,12 @@ class TestClustering:
     def test_low_degree_counts_as_zero_in_mean(self):
         net = Network.from_edges(2, [(0, 1)])
         assert average_clustering(net) == 0.0
+
+    @pytest.mark.parametrize("n", [513, 1100])
+    def test_matches_networkx_across_chunks(self, n):
+        # Dense enough that most triangles span two 512-node chunks.
+        net = random_network(random.Random(n), n, 0.05)
+        assert_clustering_matches_networkx(net)
 
     def test_matches_networkx(self):
         rng = random.Random(11)
@@ -321,6 +337,34 @@ class TestComponentsAndReport:
             largest_component(net)
         )
         assert report.largest_component_fraction == 0.5
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_giant_tie_goes_to_the_component_with_the_smallest_id(self, seed):
+        # Four 8-node components of different shapes on shuffled ids tie for
+        # the giant; networkx finds the components, the smallest id decides.
+        rng = random.Random(seed)
+        ids = list(range(40))
+        rng.shuffle(ids)
+        edges: set[tuple[int, int]] = set()
+        for start in range(0, 32, 8):
+            block = ids[start : start + 8]
+            for i in range(1, 8):
+                u, v = block[i], block[rng.randrange(i)]
+                edges.add((min(u, v), max(u, v)))
+            for _ in range(rng.randrange(8)):
+                u, v = rng.sample(block, 2)
+                edges.add((min(u, v), max(u, v)))
+        net = Network.from_edges(40, sorted(edges), [str(i) for i in range(40)])
+        g = to_nx(net)
+        components = list(nx.connected_components(g))
+        size = max(len(c) for c in components)
+        expected = min((c for c in components if len(c) == size), key=min)
+        assert sorted(int(s) for s in largest_component(net).structures) == sorted(expected)
+        report = compute_metrics(net)
+        assert report.largest_component_fraction == size / 40
+        assert report.average_path_length_largest_component == pytest.approx(
+            nx.average_shortest_path_length(g.subgraph(expected))
+        )
 
     @given(small_graphs())
     @settings(max_examples=200, deadline=None)

@@ -30,10 +30,19 @@ class TestConstruction:
         net = star(5)
         assert net.degrees().tolist() == [4, 1, 1, 1, 1]
 
-    def test_validate_catches_self_loop(self):
-        net = Network(["A", "B"], np.array([1]), np.array([1]))
-        with pytest.raises(AssertionError):
-            validate(net)
+    @pytest.mark.parametrize(
+        ("u", "v", "message"),
+        [
+            ([1], [1], "self-loop on node 1"),
+            ([0, 1], [1, 1], "self-loop on node 1"),
+            ([0], [5], r"outside the node ids \[0, 3\)"),
+            ([0], [3], r"outside the node ids \[0, 3\)"),
+            ([-1], [2], r"outside the node ids \[0, 3\)"),
+        ],
+    )
+    def test_rejects_self_loops_and_unknown_endpoints(self, u, v, message):
+        with pytest.raises(ValueError, match=message):
+            Network([None] * 3, u, v)
 
     def test_validate_catches_parallel_edges(self):
         net = Network(["A", "B"], np.array([0, 1]), np.array([1, 0]))
