@@ -10,8 +10,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .network import Network
 
 
@@ -68,8 +66,4 @@ def grow_ba(params: BAParams) -> Network:
             repeated.append(t)
             repeated.append(new)
 
-    return Network(
-        [None] * params.target_nodes,
-        np.asarray(edges_u, dtype=np.int64),
-        np.asarray(edges_v, dtype=np.int64),
-    )
+    return Network([None] * params.target_nodes, edges_u, edges_v)

@@ -10,9 +10,8 @@ for a mutant. A candidate within max_distance of its template has a neighbour
 already; only one further away is searched for a neighbour, by a scan over
 every structure, the template included. Distances are static, so
 the edge relation depends on the accepted structures alone: once the loop
-ends, one pairwise join over them yields every edge, each node's earlier
-neighbours in node order, the same edges an insertion-time search would have
-added.
+ends, one pairwise join over them yields every edge, the same edges an
+insertion-time search would have added.
 """
 
 from __future__ import annotations
@@ -110,9 +109,11 @@ class GroupIndex:
 
     A structure is encoded as the ids of its full symbol groups. A group's id
     is that of its multiset, so equal ids match. Only a group that the match
-    table links to a different multiset has an id of its own; its equalities
-    (table partners and multiset siblings) form one sorted array of pair
-    codes, consulted only when not empty. Structures are rows of one id
+    table links to a different multiset has an id of its own: the L linked
+    groups take ids 0..L-1 and the multisets the ids from L on. A linked
+    group's equalities (table partners, multiset siblings and its multiset)
+    form one sorted array of pair codes, the only copy of the table
+    relation, consulted only when not empty. Structures are rows of one id
     matrix padded with -1, an id no group has, kept with their group counts:
     the distance over g groups is min(count, g) minus the matches.
 
@@ -124,18 +125,17 @@ class GroupIndex:
     d = max_distance at once, as a partition-based exact join (Arasu, Ganti &
     Kaushik, VLDB 2006) on the pigeonhole filter of multi-index hashing
     (Norouzi, Punjani & Fleet, CVPR 2012; Manku, Jain & Das Sarma, WWW 2007).
-    With b = max(1, G0 // (d+1)) for the group count G0 of the first
-    appended structure, two structures that both have at least (d+1)*b
-    groups and lie within distance d agree in every group of at least one of
-    their first d+1 blocks of b groups. A block key holds the groups'
-    canonical ids: the group's multiset, merged into one class with every
-    multiset the match table links it to. The table relation is not
-    transitive, so keys may over-match; verification against the exact
-    relation removes the extras. Per block, the rows are grouped by a hash
-    of their key, the pairs inside each group are verified in bounded
-    chunks, and a pair an earlier block already grouped together is
-    dropped, so each pair is verified once. A structure with fewer groups
-    is short: it is verified against every other one.
+    With b = max(1, G0 // (d+1)), set at join time from the group count G0
+    of row 0, two structures that both have at least (d+1)*b groups and lie
+    within distance d agree in every group of at least one of their first
+    d+1 blocks of b groups. A block key holds the groups' labels: the
+    connected components of the pair codes, so equal groups share a label.
+    The table relation is not transitive, so keys may over-match;
+    verification against the exact relation removes the extras. Per block,
+    the rows are grouped by a hash of their key, the pairs inside each group
+    are verified in bounded chunks, and a pair an earlier block already
+    grouped together is dropped, so each pair is verified once. A structure
+    with fewer groups is short: it is verified against every other one.
     """
 
     _PAD = -1
@@ -154,58 +154,31 @@ class GroupIndex:
         entries = cfg.match_table.entries if cfg.match_table is not None else {}
         # Entries whose two sides share a multiset add nothing.
         links = [(g, p) for g in entries for p in entries[g] if _multiset(p) != _multiset(g)]
-        self._class_of = self._table_classes(links)
-        self._ids: dict[tuple[str, str], int] = {}
-        self._canonical = np.full(8, -1, dtype=np.int32)  # per id, for the keys
-        # A linked group has an id of its own; pair codes say what it equals.
+        # A linked group has an id of its own, 0..L-1; pair codes say what it equals.
         linked = sorted({group for link in links for group in link})
-        self._group_ids = {group: self._id(_multiset(group), group) for group in linked}
+        self._group_ids = {group: gid for gid, group in enumerate(linked)}
+        self._n_linked = len(linked)
+        self._multiset_ids: dict[str, int] = {}
         pairs = {(self._group_ids[group], self._group_ids[partner]) for group, partner in links}
         for group in linked:
             key, gid = _multiset(group), self._group_ids[group]
             siblings = [self._group_ids[other] for other in linked if _multiset(other) == key]
-            pairs.update((gid, other) for other in siblings + [self._id(key)])
+            pairs.update((gid, other) for other in siblings + [self._multiset_id(key)])
         codes = sorted({a << 32 | b for pair in pairs for a, b in (pair, pair[::-1])})
         self._pairs = np.array(codes, dtype=np.int64)
         self._rows = np.full((self._CAPACITY, 1), self._PAD, dtype=np.int32)
         self._counts = np.zeros(self._rows.shape[0], dtype=np.int32)
         self._n = 0
-        self._block = 0  # b; fixed by the first append
 
-    @staticmethod
-    def _table_classes(links: list[tuple[str, str]]) -> dict[str, str]:
-        """Union-find over the multisets the match table links: multiset -> root."""
-        parent: dict[str, str] = {}
-
-        def find(key: str) -> str:
-            root = parent.setdefault(key, key)
-            while root != parent[root]:
-                root = parent[root]
-            while parent[key] != root:
-                parent[key], key = root, parent[key]
-            return root
-
-        for group, partner in links:
-            parent[find(_multiset(partner))] = find(_multiset(group))
-        return {key: find(key) for key in parent}
-
-    def _id(self, key: str, group: str = "") -> int:
-        """The id of multiset *key*, or of its *group* that the table links."""
-        gid = self._ids.get((key, group))
-        if gid is None:
-            gid = self._ids[key, group] = len(self._ids)
-            if gid >= self._canonical.shape[0]:
-                self._canonical = _resized(self._canonical, (2 * gid,), -1)
-            # The canonical id is that of the multiset rooting the table class.
-            root = self._id(self._class_of.get(key, key))
-            self._canonical[gid] = root
-        return gid
+    def _multiset_id(self, key: str) -> int:
+        """The id of multiset *key*; multisets take the ids from L on."""
+        return self._multiset_ids.setdefault(key, self._n_linked + len(self._multiset_ids))
 
     def _group_id(self, group: str) -> int:
         """The id of one symbol group: its multiset's, unless the table links it."""
         gid = self._group_ids.get(group)
         if gid is None:
-            gid = self._group_ids[group] = self._id(_multiset(group))
+            gid = self._group_ids[group] = self._multiset_id(_multiset(group))
         return gid
 
     def encode(self, word: str) -> np.ndarray:
@@ -244,8 +217,6 @@ class GroupIndex:
         return np.concatenate((template_row[:k], suffix)), g - np.count_nonzero(matches)
 
     def append(self, encoded: np.ndarray) -> None:
-        if self._n == 0:
-            self._block = max(1, encoded.shape[0] // (self._max_d + 1))
         capacity, width = self._rows.shape
         if self._n >= capacity or encoded.shape[0] > width:
             if self._n >= capacity:
@@ -279,15 +250,16 @@ class GroupIndex:
     def join(self) -> tuple[np.ndarray, np.ndarray]:
         """Every pair (u, v), u < v, of indexed structures within max_distance.
 
-        Returns the int64 arrays u and v, sorted by (v, u): each structure's
-        earlier neighbours in order, as insertion-time searches would list them.
+        Returns the int64 arrays u and v, each pair once, in no fixed order.
         """
         n, max_d = self._n, self._max_d
         counts = self._counts[:n]
         rows = self._rows[:n, : int(counts.max()) if n else 0]
-        short = counts < (max_d + 1) * self._block
+        b = max(1, int(counts[0]) // (max_d + 1)) if n else 1
+        short = counts < (max_d + 1) * b
         nodes = np.arange(n)
-        found: list[tuple[np.ndarray, np.ndarray]] = []
+        # Seeded empty, so a join that finds no pair returns empty int64 arrays.
+        found: list[tuple[np.ndarray, np.ndarray]] = [(nodes[:0], nodes[:0])]
         # A short structure is verified against all others; two short ones once.
         for s in np.flatnonzero(short):
             dist = self.distances(rows[s, : counts[s]])
@@ -295,12 +267,12 @@ class GroupIndex:
             found.append((np.minimum(others, s), np.maximum(others, s)))
         hashed = np.flatnonzero(~short)
         if hashed.shape[0] > 1:
-            b = self._block
+            labels = self._key_labels()
             keys: list[np.ndarray] = []
             for k in range(max_d + 1):
                 key = np.zeros(hashed.shape[0], dtype=np.uint64)
                 for col in range(k * b, (k + 1) * b):
-                    key = key * self._MIX + self._canonical[rows[hashed, col]].astype(np.uint64)
+                    key = key * self._MIX + labels[rows[hashed, col]].astype(np.uint64)
                 for a, c in self._equal_key_pairs(key, self._CHUNK):
                     # A pair whose key hash agrees in an earlier block was verified there.
                     for earlier in keys:
@@ -310,12 +282,18 @@ class GroupIndex:
                     close = self._close(rows, counts, u, v)
                     found.append((u[close], v[close]))
                 keys.append(key)
-        if not found:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        edge_u = np.concatenate([u for u, _ in found]).astype(np.int64)
-        edge_v = np.concatenate([v for _, v in found]).astype(np.int64)
-        order = np.lexsort((edge_u, edge_v))
-        return edge_u[order], edge_v[order]
+        return np.concatenate([u for u, _ in found]), np.concatenate([v for _, v in found])
+
+    def _key_labels(self) -> np.ndarray:
+        """Per id, the smallest id of its connected component in the pair codes."""
+        labels = np.arange(self._n_linked + len(self._multiset_ids))
+        a, b = self._pairs >> 32, self._pairs & 0xFFFFFFFF
+        while True:
+            hooked = labels.copy()
+            np.minimum.at(hooked, a, labels[b])
+            if np.array_equal(hooked, labels):
+                return labels
+            labels = hooked
 
     def _close(
         self, rows: np.ndarray, counts: np.ndarray, u: np.ndarray, v: np.ndarray
@@ -544,6 +522,4 @@ def prune_low_degree(net: Network, min_degree: int) -> Network:
     """
     if min_degree < 0:
         raise ValueError("min_degree must be >= 0")
-    if min_degree == 0:
-        return net.subgraph(np.ones(net.n_nodes, dtype=bool))
     return net.subgraph(net.degrees() >= min_degree)

@@ -22,7 +22,9 @@ class NodeOrigin:
 class Network:
     """Simple undirected graph; node ids are 0..n-1.
 
-    Edges are stored canonically as two parallel arrays with ``u < v``.
+    Edges are stored canonically as two parallel arrays with ``u < v``,
+    sorted by ``(v, u)``: each node's earlier neighbours in node order, so
+    the network's first n nodes hold ``np.searchsorted(edge_v, n)`` edges.
     ``structures[i]`` is the symbol word of node ``i`` (None for structureless
     graphs such as the preferential-attachment baseline or loaded edge lists).
     Instances are treated as immutable once built; metric helpers cache
@@ -41,12 +43,17 @@ class Network:
         v = np.asarray(edge_v, dtype=np.int64)
         if u.shape != v.shape:
             raise ValueError("edge endpoint arrays must have the same length")
-        self.edge_u = np.minimum(u, v)
-        self.edge_v = np.maximum(u, v)
-        if u.size and (self.edge_u.min() < 0 or self.edge_v.max() >= len(self.structures)):
+        u, v = np.minimum(u, v), np.maximum(u, v)
+        if u.size and (u.min() < 0 or v.max() >= len(self.structures)):
             raise ValueError(f"edge endpoint outside the node ids [0, {len(self.structures)})")
         if np.any(u == v):
             raise ValueError(f"self-loop on node {int(u[u == v][0])}")
+        step = np.diff(v)
+        # Prefixes and subgraphs come ordered: they pay for this check, not a sort.
+        if np.any((step < 0) | (step == 0) & (np.diff(u) < 0)):
+            order = np.lexsort((u, v))
+            u, v = u[order], v[order]
+        self.edge_u, self.edge_v = u, v
         self.provenance: list[NodeOrigin] | None = (
             list(provenance) if provenance is not None else None
         )
@@ -108,12 +115,12 @@ class Network:
         """
         if not 0 <= n <= self.n_nodes:
             raise ValueError(f"prefix size {n} out of range")
-        mask = self.edge_v < n
+        m = int(np.searchsorted(self.edge_v, n))
         prov = self.provenance[:n] if self.provenance is not None else None
         return Network(
             self.structures[:n],
-            self.edge_u[mask],
-            self.edge_v[mask],
+            self.edge_u[:m],
+            self.edge_v[:m],
             provenance=prov,
         )
 

@@ -479,6 +479,12 @@ def test_golden_artifact_digests(tmp_path, pruned_network):
     if got != expected:
         print("new digests:\n" + json.dumps(got, indent=2, sort_keys=True))
     assert got == expected
+    # One network, one report: `snm metrics` on a run's edges reproduces it.
+    for name in SHIPPED:
+        out = tmp_path / f"{name}.json"
+        edges = tmp_path / name / "edges.tsv"
+        assert cli_main(["metrics", "--edges", str(edges), "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / name / "metrics.json").read_bytes(), name
 
 
 def _assert_golden_files(name: str, directory: Path, pattern: str) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import tracemalloc
 import warnings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from snmodel import growth, instances_dir
 from snmodel.distance import (
     DistanceConfig,
+    groups_equal,
     parse_match_file,
     structure_distance,
     within_max_distance,
@@ -452,14 +454,28 @@ class TestGroupIndex:
             assert got.tolist() == scanned.tolist() == expected
             if i < len(words):
                 index.append(encoded)
-        # The join lists every pair once, each word's earlier neighbours in order.
+        # The join lists every pair once, in no fixed order; Network orders them.
         edge_u, edge_v = index.join()
         assert edge_u.dtype == edge_v.dtype == np.int64
         pairs = [
             (u, v) for v in range(len(words)) for u in range(v)
             if structure_distance(words[u], words[v], cfg) <= max_d
         ]
-        assert list(zip(edge_u.tolist(), edge_v.tolist())) == pairs
+        joined = zip(edge_u.tolist(), edge_v.tolist())
+        assert sorted(joined, key=lambda pair: pair[::-1]) == pairs
+
+    @pytest.mark.parametrize("unit, kind", sorted(TABLES))
+    def test_equal_groups_share_a_key_label(self, unit, kind):
+        # The join hashes block keys of labels, so two groups the table or the
+        # multiset rule declares equal must never get different labels.
+        cfg = self.config(unit, 0, kind)
+        index = GroupIndex(cfg)
+        groups = ["".join(g) for g in itertools.product("ABC", repeat=unit)]
+        ids = {group: int(index.encode(group)[0]) for group in groups}
+        labels = index._key_labels()
+        for g1, g2 in itertools.product(groups, repeat=2):
+            if groups_equal(g1, g2, cfg.match_table):
+                assert labels[ids[g1]] == labels[ids[g2]], (g1, g2)
 
     @given(
         st.lists(st.text(alphabet="ABC", min_size=1, max_size=14), min_size=1, max_size=6),
@@ -519,7 +535,7 @@ class TestGroupIndex:
         for word in ("ABAB", "ABCC", "CCCC"):
             index.append(index.encode(word))
         assert index.neighbours(index.encode("ABAC")).tolist() == [0, 1, 2]
-        assert [arr.tolist() for arr in index.join()] == [[0, 0, 1], [1, 2, 2]]
+        assert sorted(zip(*(arr.tolist() for arr in index.join()))) == [(0, 1), (0, 2), (1, 2)]
 
     def test_memory_grows_with_groups_not_their_square(self):
         # Six 6-symbol groups per word over 8 symbols: over 5000 distinct groups.

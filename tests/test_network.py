@@ -19,6 +19,8 @@ class TestConstruction:
         net = Network(["A", "B"], [1], [0])
         assert list(net.edge_pairs()) == [(0, 1)]
         assert net.edge_set() == {(0, 1)}
+        # Out of order only among one node's earlier neighbours.
+        assert list(Network.from_edges(3, [(1, 2), (0, 2)]).edge_pairs()) == [(0, 2), (1, 2)]
 
     def test_from_edges(self):
         net = Network.from_edges(3, [(2, 1), (0, 1)])
@@ -64,6 +66,18 @@ class TestSlicing:
         assert net.induced_prefix(0).n_nodes == 0
         with pytest.raises(ValueError):
             net.induced_prefix(6)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_edges_are_stored_in_v_u_order(self, seed):
+        # Whatever order the edges come in, each node's earlier neighbours
+        # follow in node order, so a prefix's edges lead the arrays.
+        rng = np.random.default_rng(seed)
+        pairs = [(u, v) for v in range(30) for u in range(v) if rng.random() < 0.2]
+        rng.shuffle(pairs)
+        net = Network.from_edges(30, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs])
+        assert list(net.edge_pairs()) == sorted(net.edge_set(), key=lambda pair: pair[::-1])
+        for n in range(net.n_nodes + 1):
+            assert np.searchsorted(net.edge_v, n) == net.induced_prefix(n).n_edges
 
     def test_subgraph_compacts_ids(self):
         net = Network.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)], "ABCDE")

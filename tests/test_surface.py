@@ -1,4 +1,5 @@
-"""Public surface guard for ``snmodel.metrics``, ``snmodel.growth`` and ``Network``.
+"""Public surface guard for ``snmodel.metrics``, ``snmodel.growth``, ``GroupIndex``
+and ``Network``.
 
 Their public functions and methods must equal the explicit list below, and
 each listed name must have a user: the package's ``__all__``, the compare-ba
@@ -20,7 +21,7 @@ from snmodel.network import Network
 
 ROOT = Path(__file__).resolve().parents[1]
 HINT = (
-    "the public surface of metrics, growth or Network changed: update SURFACE in "
+    "the public surface of metrics, growth, GroupIndex or Network changed: update SURFACE in "
     "tests/test_surface.py, the README's lower-level entry points and ROADMAP item 5"
 )
 
@@ -41,6 +42,7 @@ SURFACE = {
         "triangle_count",
     },
     "snmodel.growth": {"grow", "grow_batch", "grow_incremental", "prune_low_degree"},
+    "GroupIndex": {"append", "derive", "distances", "encode", "join", "neighbours"},
     "Network": {
         "degrees",
         "edge_pairs",
@@ -106,7 +108,7 @@ def _called_in_src() -> set[str]:
 
 
 def test_public_surface_is_the_listed_one():
-    for owner in (metrics, growth, Network):
+    for owner in (metrics, growth, growth.GroupIndex, Network):
         name = owner.__name__ if not inspect.isclass(owner) else owner.__qualname__
         assert _public(owner) == SURFACE[name], HINT
 
