@@ -18,7 +18,7 @@ import numpy as np
 from . import fileio
 from .ba import BAParams, grow_ba
 from .distance import DistanceConfig, parse_match_file
-from .growth import BATCH, INCREMENTAL, Instance, grow, prune_low_degree
+from .growth import BATCH, INCREMENTAL, GrowthTrace, Instance, grow, prune_low_degree
 from .metrics import (
     MetricsReport,
     average_clustering,
@@ -288,12 +288,12 @@ def summarize(
     )
 
 
-def run_single(instance: Instance) -> Network:
-    """Grow (and prune, when configured) one network."""
-    net, _ = grow(instance)
+def run_single(instance: Instance) -> tuple[Network, GrowthTrace]:
+    """Grow (and prune, when configured) one network; the trace is growth's."""
+    net, trace = grow(instance)
     if instance.prune_min_degree > 0:
         net = prune_low_degree(net, instance.prune_min_degree)
-    return net
+    return net, trace
 
 
 def run_experiment(
@@ -315,7 +315,7 @@ def run_experiment(
     reports: list[MetricsReport] = []
     for i in range(config.n_seeds):
         instance = replace(config.instance, seed=config.instance.seed + i)
-        net = run_single(instance)
+        net, _ = run_single(instance)
         report = compute_metrics(net, fit_k_min=fit_k_min)
         reports.append(report)
         fileio.write_network(out / f"seed_{instance.seed:05d}", net, report)

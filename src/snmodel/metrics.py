@@ -2,8 +2,8 @@
 
 Path lengths come from one bit-parallel multi-source BFS (Then et al., "The
 More the Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014):
-each node carries one bit per source of a 512-source chunk, and a BFS level
-is one OR-reduce of neighbour bits over the CSR adjacency plus a popcount.
+each 64-source word of a 512-source chunk is one row of node bits (words-major), a BFS level
+is one flat gather and OR-reduce over the CSR adjacency, and a word that reaches nothing retires.
 Triangles use the same bits with neighbours in place of sources. Components
 come from min-label hooking with pointer jumping (Shiloach & Vishkin, 1982).
 ``compute_metrics`` sweeps and counts triangles once per report. Tests check
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import count, zip_longest
 from typing import Mapping
 
 import numpy as np
@@ -49,9 +49,9 @@ def degree_distribution(net: Network) -> dict[int, float]:
 def _pair_counts(adj: tuple[np.ndarray, np.ndarray], sources: np.ndarray) -> list[int]:
     """Ordered (source, target) pairs at each distance >= 1; entry 0 is 0.
 
-    One BFS runs from a whole chunk of sources at once: bit i of a node's
-    words says that the chunk's source i has reached the node, and a level
-    ORs each node's neighbour frontiers and keeps the bits not seen before.
+    One BFS runs from a chunk of sources at once: bit i % 64 of word i // 64
+    at a node says that source i has reached it. A level ORs each node's
+    neighbour frontiers and keeps the new bits; a word with none is done.
     """
     indptr, indices = adj
     # reduceat returns the first element, not 0, for an empty segment, so
@@ -62,23 +62,28 @@ def _pair_counts(adj: tuple[np.ndarray, np.ndarray], sources: np.ndarray) -> lis
     for first in range(0, len(sources), _CHUNK):
         chunk = sources[first : first + _CHUNK]
         bit = np.arange(chunk.size, dtype=np.uint64)
-        seen = np.zeros((indptr.size - 1, (chunk.size + 63) // 64), dtype=np.uint64)
-        seen[chunk, bit // 64] = np.uint64(1) << (bit % 64)
+        seen = np.zeros(((chunk.size + 63) // 64, indptr.size - 1), dtype=np.uint64)
+        seen[bit // 64, chunk] = np.uint64(1) << (bit % 64)
         frontier = seen.copy()
-        level = 0
-        while True:
-            level += 1
+        # Word w's gathered neighbour frontiers start at w * indices.size.
+        offsets = (starts + indices.size * np.arange(len(seen))[:, None]).ravel()
+        for level in count(1):
             reached = np.zeros_like(seen)
-            reached[rows] = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+            reached[:, rows] = np.bitwise_or.reduceat(
+                np.take(frontier, indices, axis=1).ravel(), offsets
+            ).reshape(len(seen), rows.size)
             reached &= ~seen
-            count = int(np.bitwise_count(reached).sum())
-            if count == 0:
+            counts = np.bitwise_count(reached).sum(axis=1)
+            if not counts.any():
                 break
             if level == len(totals):
                 totals.append(0)
-            totals[level] += count
+            totals[level] += int(counts.sum())
             seen |= reached
             frontier = reached
+            if not counts.all():
+                seen, frontier = seen[counts > 0], frontier[counts > 0]
+                offsets = offsets[: len(seen) * rows.size]
     return totals
 
 

@@ -50,8 +50,9 @@ class Network:
             raise ValueError(f"self-loop on node {int(u[u == v][0])}")
         step = np.diff(v)
         # Prefixes and subgraphs come ordered: they pay for this check, not a sort.
+        # The int64 key v * n + u needs n < 3.04e9: a structures list that long takes 24 GB.
         if np.any((step < 0) | (step == 0) & (np.diff(u) < 0)):
-            order = np.lexsort((u, v))
+            order = np.argsort(v * len(self.structures) + u)
             u, v = u[order], v[order]
         self.edge_u, self.edge_v = u, v
         self.provenance: list[NodeOrigin] | None = (

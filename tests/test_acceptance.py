@@ -80,7 +80,7 @@ def pruned_config():
 
 @pytest.fixture(scope="module")
 def pruned_network(pruned_config):
-    return run_single(pruned_config.instance)
+    return run_single(pruned_config.instance)[0]
 
 
 def test_acceptance_01_distance_worked_examples():
@@ -109,7 +109,7 @@ def test_acceptance_02_celegans_reproduction():
     degrees, lengths, clusterings = [], [], []
     node_counts = set()
     for i in range(config.n_seeds):
-        net = run_single(replace(config.instance, seed=config.instance.seed + i))
+        net = run_single(replace(config.instance, seed=config.instance.seed + i))[0]
         node_counts.add(net.n_nodes)
         degrees.append(average_degree(net))
         lengths.append(average_path_length(net))
@@ -153,7 +153,7 @@ def test_acceptance_03_ecoli_reproduction():
     counts: dict[int, int] = {}
     total = 0
     for i in range(config.n_seeds):
-        net = run_single(replace(config.instance, seed=config.instance.seed + i))
+        net = run_single(replace(config.instance, seed=config.instance.seed + i))[0]
         assert net.n_nodes == 230
         degrees.append(average_degree(net))
         rhos.append(heterogeneity_index(net))
@@ -450,10 +450,10 @@ def test_acceptance_09_determinism(pruned_config, pruned_network):
     for name in ("celegans.instance", "ecoli.instance", "comparison.instance",
                  "batch.instance"):
         instance = _load(name).instance
-        first = render_edge_list(run_single(instance))
-        second = render_edge_list(run_single(instance))
+        first = render_edge_list(run_single(instance)[0])
+        second = render_edge_list(run_single(instance)[0])
         assert first == second, f"{name}: repeated runs differ"
-    repeat = render_edge_list(run_single(pruned_config.instance))
+    repeat = render_edge_list(run_single(pruned_config.instance)[0])
     assert repeat == render_edge_list(pruned_network), "pruned.instance: repeated runs differ"
     _report(9, "all five shipped configs reproduce byte-identical edge lists")
 
@@ -468,7 +468,10 @@ SHIPPED = ("batch", "celegans", "comparison", "ecoli", "pruned")
 def test_golden_artifact_digests(tmp_path, pruned_network):
     got = {}
     for name in SHIPPED:
-        net = pruned_network if name == "pruned" else run_single(_load(f"{name}.instance").instance)
+        if name == "pruned":
+            net = pruned_network
+        else:
+            net, _ = run_single(_load(f"{name}.instance").instance)
         write_network(tmp_path / name, net, compute_metrics(net))
         got[name] = {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()

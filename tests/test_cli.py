@@ -45,6 +45,21 @@ class TestGenerate:
         assert (out / "structures.tsv").is_file()
         assert "30 nodes" in capsys.readouterr().out
 
+    def test_shortfall_is_reported_on_stderr(self, tmp_path, capsys):
+        # At distance 0 every candidate is isolated, so growth stays at the
+        # initial structure; the run still succeeds and writes its artifacts.
+        out = tmp_path / "run"
+        code = main([
+            "generate", "--alphabet", "AB", "--initial", "ABAB", "--p-mutate", "1",
+            "--unit-distance", "2", "--max-distance", "0", "--target-nodes", "3",
+            "--max-attempts", "25", "--out", str(out),
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: growth stopped at 1 of 3 target nodes after 25 attempts\n"
+        assert "wrote network with 1 nodes" in captured.out
+        assert fileio.read_edge_list(out / "edges.tsv").n_nodes == 1
+
     def test_flag_overrides_file(self, tmp_path, instance_file):
         out = tmp_path / "run"
         code = main([

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from snmodel import fileio
@@ -28,6 +29,14 @@ class TestEdgeList:
         net = sample_net()
         assert fileio.render_edge_list(net) == fileio.render_edge_list(net)
         assert fileio.render_edge_list(net).startswith(fileio.EDGE_HEADER + "\n")
+
+    def test_rows_are_sorted_by_u_then_v(self):
+        rng = np.random.default_rng(4)
+        u = rng.integers(0, 999, 5000)
+        v = u + rng.integers(1, 1000 - u)
+        order = np.lexsort((v, u))
+        rows = fileio.render_edge_list(Network([None] * 1000, u, v)).splitlines()[2:]
+        assert rows == [f"{a}\t{b}" for a, b in zip(u[order], v[order])]
 
     def test_nodes_header_preserves_isolated_nodes(self):
         net = Network.from_edges(6, [(0, 1)])

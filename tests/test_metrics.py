@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snmodel import instances_dir
+from snmodel.experiments import load_instance_file, run_single
 from snmodel.metrics import (
     average_clustering,
     average_degree,
@@ -80,6 +83,23 @@ def networkx_histogram(net: Network) -> dict[int, int]:
             if length > 0:
                 counts[length] = counts.get(length, 0) + 1
     return {length: c // 2 for length, c in counts.items()}
+
+
+def words_of_different_depths(rng: random.Random) -> Network:
+    """700 nodes whose 64-source words run out of new nodes at different levels.
+
+    In node order: a word of isolated nodes (done at level 1), a word that
+    is a 64-clique (done at level 2), a 150-node path over the next three
+    words, and a random tree with chords hung off the path's end. The
+    second 512-source chunk ends in a word of 60 sources.
+    """
+    edges = {(u, v) for u in range(64, 128) for v in range(u + 1, 128)}
+    edges |= {(u, u + 1) for u in range(128, 277)}
+    edges |= {(rng.randrange(277, v), v) for v in range(278, 700)}
+    for _ in range(100):
+        u, v = sorted(rng.sample(range(278, 700), 2))
+        edges.add((u, v))
+    return Network.from_edges(700, sorted(edges))
 
 
 @st.composite
@@ -166,6 +186,47 @@ class TestDegreeAndPaths:
         assert nx.number_connected_components(to_nx(net)) > 4
         assert path_length_histogram(net) == networkx_histogram(net)
         assert_clustering_matches_networkx(net)
+
+    @pytest.mark.parametrize("relabel", [None, 1, 2])
+    def test_words_retire_at_their_own_last_level(self, relabel):
+        rng = random.Random(3)
+        net = words_of_different_depths(rng)
+        if relabel is not None:
+            perm = list(range(net.n_nodes))
+            random.Random(relabel).shuffle(perm)
+            net = Network.from_edges(net.n_nodes, [(perm[u], perm[v]) for u, v in net.edge_pairs()])
+        g = to_nx(net)
+        giant = max(nx.connected_components(g), key=len)
+        assert len(giant) == 572
+        expected: dict[int, int] = {}
+        giant_sum = 0
+        for source, lengths in nx.all_pairs_shortest_path_length(g):
+            for target, length in lengths.items():
+                if source < target:
+                    expected[length] = expected.get(length, 0) + 1
+                    giant_sum += length if source in giant else 0
+        assert path_length_histogram(net) == expected
+        report = compute_metrics(net)
+        assert report.largest_component_fraction == 572 / 700
+        total = sum(expected.values())
+        assert report.path_length_distribution == {k: c / total for k, c in expected.items()}
+        assert report.average_path_length_largest_component == pytest.approx(
+            giant_sum / (572 * 571 // 2)
+        )
+
+    def test_sweep_frees_each_level_before_the_next(self):
+        # About 4.2 MB on the 3000-node comparison network; a level's
+        # gathered words still held at the next gather take it to about 7 MB.
+        config = load_instance_file(instances_dir() / "comparison.instance")
+        net, _ = run_single(config.instance)
+        net.to_csr()
+        tracemalloc.start()
+        try:
+            path_length_histogram(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5e6
 
     def test_average_matches_networkx_on_connected_graph(self):
         rng = random.Random(3)

@@ -79,6 +79,21 @@ class TestSlicing:
         for n in range(net.n_nodes + 1):
             assert np.searchsorted(net.edge_v, n) == net.induced_prefix(n).n_edges
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_edges_sort_like_lexsort(self, seed):
+        # The one int64 sort key orders edges as np.lexsort((u, v)) does,
+        # repeated pairs included.
+        rng = np.random.default_rng(seed)
+        u = rng.integers(0, 2999, 20000)
+        v = u + rng.integers(1, 3000 - u)
+        order = np.lexsort((u, v))
+        flip = rng.random(u.size) < 0.5
+        shuffled = rng.permutation(u.size)
+        a, b = np.where(flip, v, u)[shuffled], np.where(flip, u, v)[shuffled]
+        net = Network([None] * 3000, a, b)
+        assert np.array_equal(net.edge_u, u[order])
+        assert np.array_equal(net.edge_v, v[order])
+
     def test_subgraph_compacts_ids(self):
         net = Network.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)], "ABCDE")
         sub = net.subgraph(np.array([False, True, True, True, False]))
