@@ -35,16 +35,7 @@ from .growth import (
 )
 from .metrics import MetricsReport, compute_metrics, fit_power_law_slope
 from .network import Network, NodeOrigin
-from .structures import (
-    Alphabet,
-    Edit,
-    EditProbabilities,
-    apply_random_edit,
-    delete_symbol,
-    duplicate_segment,
-    insert_symbol,
-    mutate,
-)
+from .structures import Alphabet, Edit, EditProbabilities, apply_random_edit
 
 __version__ = "0.1.0"
 
@@ -72,18 +63,14 @@ __all__ = [
     "SummaryReport",
     "apply_random_edit",
     "compute_metrics",
-    "delete_symbol",
-    "duplicate_segment",
     "fit_power_law_slope",
     "groups_equal",
     "grow",
     "grow_ba",
     "grow_batch",
     "grow_incremental",
-    "insert_symbol",
     "instances_dir",
     "load_instance_file",
-    "mutate",
     "parse_instance_file",
     "parse_match_file",
     "prune_low_degree",

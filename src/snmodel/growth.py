@@ -23,13 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import DistanceConfig
-from .network import INITIAL, Network, NodeOrigin
-from .structures import (
-    DEFAULT_MAX_LENGTH,
-    Alphabet,
-    EditProbabilities,
-    apply_random_edit,
-)
+from .network import INITIAL, Network, NodeOrigin, component_labels
+from .structures import Alphabet, EditProbabilities, apply_random_edit, edit_space_size
 
 INCREMENTAL = "incremental"
 BATCH = "batch"
@@ -286,14 +281,8 @@ class GroupIndex:
 
     def _key_labels(self) -> np.ndarray:
         """Per id, the smallest id of its connected component in the pair codes."""
-        labels = np.arange(self._n_linked + len(self._multiset_ids))
-        a, b = self._pairs >> 32, self._pairs & 0xFFFFFFFF
-        while True:
-            hooked = labels.copy()
-            np.minimum.at(hooked, a, labels[b])
-            if np.array_equal(hooked, labels):
-                return labels
-            labels = hooked
+        n = self._n_linked + len(self._multiset_ids)
+        return component_labels(n, self._pairs >> 32, self._pairs & 0xFFFFFFFF)
 
     def _close(
         self, rows: np.ndarray, counts: np.ndarray, u: np.ndarray, v: np.ndarray
@@ -364,13 +353,7 @@ def grow_incremental(instance: Instance) -> tuple[Network, GrowthTrace]:
         trace.attempts += 1
         template = rng.randrange(len(structures))
         template_word = structures[template]
-        word, kind, at = apply_random_edit(
-            template_word,
-            instance.probs,
-            instance.alphabet,
-            rng,
-            DEFAULT_MAX_LENGTH,
-        )
+        word, kind, at = apply_random_edit(template_word, instance.probs, instance.alphabet, rng)
         if word is None:
             trace.rejected_edit_failed += 1
             continue
@@ -394,56 +377,6 @@ def grow_incremental(instance: Instance) -> tuple[Network, GrowthTrace]:
     return Network(structures, *index.join(), provenance=provenance), trace
 
 
-def _edit_space_size(instance: Instance) -> int | None:
-    """Distinct words among the initial structures and all their single edits.
-
-    Lists exactly what ``apply_random_edit`` can return for each edit kind
-    it can draw, so once that many distinct structures exist every further
-    batch draw repeats one. Returns None, without listing, when the edit
-    counts (mutate L(A-1), insert (L+1)A, delete L, duplicate L(L+1)/2 per
-    initial word of length L over A symbols) exceed the attempt budget, since
-    the budget then cannot exhaust the space anyway.
-    """
-    probs = instance.probs
-    # The cumulative thresholds of apply_random_edit; a kind can be drawn
-    # when its interval of [0, 1) is not empty.
-    up_to_insert = probs.mutate + probs.insert
-    up_to_delete = up_to_insert + probs.delete
-    mutate, insert = probs.mutate > 0, up_to_insert > probs.mutate
-    delete, duplicate = up_to_delete > up_to_insert, up_to_delete < 1.0
-
-    symbols = instance.alphabet.symbols
-    n_symbols = len(symbols)
-    bound = 0
-    for word in instance.initial_structures:
-        length = len(word)
-        bound += (
-            mutate * length * (n_symbols - 1)
-            + insert * (length + 1) * n_symbols
-            + delete * length
-            + duplicate * length * (length + 1) // 2
-        )
-    if bound > instance.attempt_budget:
-        return None
-
-    space = set(instance.initial_structures)
-    for word in instance.initial_structures:
-        length = len(word)
-        if mutate:
-            for i in range(length):
-                space.update(word[:i] + s + word[i + 1 :] for s in symbols if s != word[i])
-        if insert and length + 1 <= DEFAULT_MAX_LENGTH:
-            for i in range(length + 1):
-                space.update(word[:i] + s + word[i:] for s in symbols)
-        if delete and length >= 2:
-            space.update(word[:i] + word[i + 1 :] for i in range(length))
-        if duplicate:
-            for start in range(length):
-                for end in range(start + 1, min(length, start + DEFAULT_MAX_LENGTH - length) + 1):
-                    space.add(word[:end] + word[start:end] + word[end:])
-    return len(space)
-
-
 def grow_batch(instance: Instance) -> tuple[Network, GrowthTrace]:
     """Batch variant: derive all structures from the initial ones, then wire.
 
@@ -462,7 +395,10 @@ def grow_batch(instance: Instance) -> tuple[Network, GrowthTrace]:
     n_initial = len(structures)
 
     budget = instance.attempt_budget
-    space_size = _edit_space_size(instance)  # None never equals len(seen)
+    # A space larger than the budget is not listed: None never equals len(seen).
+    space_size = edit_space_size(
+        instance.initial_structures, instance.probs, instance.alphabet, budget
+    )
     while (
         len(structures) < instance.target_nodes
         and trace.attempts < budget
@@ -471,11 +407,7 @@ def grow_batch(instance: Instance) -> tuple[Network, GrowthTrace]:
         trace.attempts += 1
         template = rng.randrange(n_initial)
         word, _, _ = apply_random_edit(
-            instance.initial_structures[template],
-            instance.probs,
-            instance.alphabet,
-            rng,
-            DEFAULT_MAX_LENGTH,
+            instance.initial_structures[template], instance.probs, instance.alphabet, rng
         )
         if word is None:
             trace.rejected_edit_failed += 1

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import Network
+from .network import Network, component_labels
 
 #: Sources per BFS chunk or neighbours per triangle chunk: 8 uint64 words per node.
 _CHUNK = 512
@@ -54,24 +54,27 @@ def _pair_counts(adj: tuple[np.ndarray, np.ndarray], sources: np.ndarray) -> lis
     neighbour frontiers and keeps the new bits; a word with none is done.
     """
     indptr, indices = adj
-    # reduceat returns the first element, not 0, for an empty segment, so
-    # only nodes with neighbours are reduced.
-    rows = np.flatnonzero(np.diff(indptr))
-    starts = indptr[rows]
+    # A node without neighbours reaches nothing and nothing reaches it, so
+    # only the others are swept, renumbered 0..n-1. reduceat then sees no
+    # empty segment, for which it would return the first element, not 0.
+    linked = np.diff(indptr) > 0
+    renumber = np.cumsum(linked) - 1
+    sources, indices = renumber[sources[linked[sources]]], renumber[indices]
+    starts = indptr[:-1][linked]
+    n = starts.size
     totals = [0]
     for first in range(0, len(sources), _CHUNK):
         chunk = sources[first : first + _CHUNK]
         bit = np.arange(chunk.size, dtype=np.uint64)
-        seen = np.zeros(((chunk.size + 63) // 64, indptr.size - 1), dtype=np.uint64)
+        seen = np.zeros(((chunk.size + 63) // 64, n), dtype=np.uint64)
         seen[bit // 64, chunk] = np.uint64(1) << (bit % 64)
         frontier = seen.copy()
         # Word w's gathered neighbour frontiers start at w * indices.size.
         offsets = (starts + indices.size * np.arange(len(seen))[:, None]).ravel()
         for level in count(1):
-            reached = np.zeros_like(seen)
-            reached[:, rows] = np.bitwise_or.reduceat(
+            reached = np.bitwise_or.reduceat(
                 np.take(frontier, indices, axis=1).ravel(), offsets
-            ).reshape(len(seen), rows.size)
+            ).reshape(len(seen), n)
             reached &= ~seen
             counts = np.bitwise_count(reached).sum(axis=1)
             if not counts.any():
@@ -83,7 +86,7 @@ def _pair_counts(adj: tuple[np.ndarray, np.ndarray], sources: np.ndarray) -> lis
             frontier = reached
             if not counts.all():
                 seen, frontier = seen[counts > 0], frontier[counts > 0]
-                offsets = offsets[: len(seen) * rows.size]
+                offsets = offsets[: len(seen) * n]
     return totals
 
 
@@ -112,22 +115,10 @@ def average_path_length(net: Network) -> float:
     return mean
 
 
-def _component_labels(net: Network) -> np.ndarray:
-    """Each node's smallest component member, by min-label hooking and pointer jumping."""
-    labels = np.arange(net.n_nodes)
-    while True:
-        lu, lv = labels[net.edge_u], labels[net.edge_v]
-        if np.array_equal(lu, lv):
-            return labels
-        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
-        while not np.array_equal(labels[labels], labels):
-            labels = labels[labels]
-
-
 def largest_component(net: Network) -> Network:
     if net.n_nodes == 0:
         raise ValueError("empty network has no components")
-    labels = _component_labels(net)
+    labels = component_labels(net.n_nodes, net.edge_u, net.edge_v)
     return net.subgraph(labels == np.argmax(np.bincount(labels)))
 
 
@@ -284,7 +275,7 @@ def compute_metrics(net: Network, fit_k_min: int | None = None) -> MetricsReport
     if net.n_nodes == 0:
         raise ValueError("metrics are undefined for an empty network")
     adj = net.to_csr()
-    labels = _component_labels(net)
+    labels = component_labels(net.n_nodes, net.edge_u, net.edge_v)
     sizes = np.bincount(labels)
     # Same giant as largest_component. Components are closed under
     # shortest paths, so the giant's sources alone give its histogram, and

@@ -10,6 +10,21 @@ import numpy as np
 INITIAL = "initial"
 
 
+def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each id of 0..n-1 labelled with the smallest id of its component under
+    the pairs (a, b), by min-label hooking and pointer jumping (Shiloach &
+    Vishkin, 1982).
+    """
+    labels = np.arange(n)
+    while True:
+        la, lb = labels[a], labels[b]
+        if np.array_equal(la, lb):
+            return labels
+        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
+        while not np.array_equal(labels[labels], labels):
+            labels = labels[labels]
+
+
 @dataclass(frozen=True)
 class NodeOrigin:
     """How a node entered the network: parent template, edit kind, attempt index."""

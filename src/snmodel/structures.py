@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 DEFAULT_MAX_LENGTH = 10000
 
@@ -16,6 +18,9 @@ class Edit(str, Enum):
     INSERT = "insert"
     DELETE = "delete"
     DUPLICATE = "duplicate"
+
+
+_KINDS = tuple(Edit)
 
 
 @dataclass(frozen=True)
@@ -76,43 +81,9 @@ class EditProbabilities:
         total = sum(values)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"EditProbabilities must sum to 1 (got {total})")
-
-
-def mutate(word: str, index: int, new_symbol: str, alphabet: Alphabet) -> str:
-    """Replace the symbol at *index* with *new_symbol*."""
-    if not 0 <= index < len(word):
-        raise IndexError(f"mutate index {index} out of range for length {len(word)}")
-    if new_symbol not in alphabet:
-        raise ValueError(f"Symbol {new_symbol!r} is not in the alphabet")
-    return word[:index] + new_symbol + word[index + 1 :]
-
-
-def insert_symbol(word: str, index: int, new_symbol: str, alphabet: Alphabet) -> str:
-    """Insert *new_symbol* so that it occupies position *index*."""
-    if not 0 <= index <= len(word):
-        raise IndexError(f"insert index {index} out of range for length {len(word)}")
-    if new_symbol not in alphabet:
-        raise ValueError(f"Symbol {new_symbol!r} is not in the alphabet")
-    return word[:index] + new_symbol + word[index:]
-
-
-def delete_symbol(word: str, index: int) -> str:
-    """Remove the symbol at *index*; the word must keep length >= 1."""
-    if len(word) < 2:
-        raise ValueError("Cannot delete from a length-1 structure")
-    if not 0 <= index < len(word):
-        raise IndexError(f"delete index {index} out of range for length {len(word)}")
-    return word[:index] + word[index + 1 :]
-
-
-def duplicate_segment(word: str, start: int, length: int) -> str:
-    """Copy word[start:start+length] and insert the copy right after the segment."""
-    if length < 1 or start < 0 or start + length > len(word):
-        raise IndexError(
-            f"segment ({start}, {length}) out of range for length {len(word)}"
-        )
-    end = start + length
-    return word[:end] + word[start:end] + word[end:]
+        # The draw's cumulative thresholds: kind i is drawn below _bounds[i]
+        # and at or above the bounds before it; duplicate takes the rest.
+        object.__setattr__(self, "_bounds", tuple(accumulate(values[:3])))
 
 
 def apply_random_edit(
@@ -120,13 +91,12 @@ def apply_random_edit(
     probs: EditProbabilities,
     alphabet: Alphabet,
     rng: random.Random,
-    max_length: int = DEFAULT_MAX_LENGTH,
 ) -> tuple[str | None, Edit, int]:
     """Draw one edit kind from *probs* and apply it with uniform random parameters.
 
     Returns ``(new_word, kind, at)``. ``new_word`` is None when the attempt
     fails: a delete drawn on a length-1 structure, or a result that would
-    exceed *max_length*; ``at`` is then 0. Otherwise ``new_word[:at] ==
+    exceed ``DEFAULT_MAX_LENGTH``; ``at`` is then 0. Otherwise ``new_word[:at] ==
     word[:at]``: ``at`` is the mutated, inserted or deleted position, or the
     end of a duplicated segment, where its copy begins. A mutation changes
     position ``at`` alone. Parameter draws:
@@ -138,40 +108,80 @@ def apply_random_edit(
     - duplicate: start uniform over the word, segment length uniform over
       1..len-start, copy inserted immediately after the segment.
     """
-    draw = rng.random()
-    if draw < probs.mutate:
-        kind = Edit.MUTATE
-    elif draw < probs.mutate + probs.insert:
-        kind = Edit.INSERT
-    elif draw < probs.mutate + probs.insert + probs.delete:
-        kind = Edit.DELETE
-    else:
-        kind = Edit.DUPLICATE
-
+    kind = _KINDS[bisect_right(probs._bounds, rng.random())]  # type: ignore[attr-defined]
+    n = len(word)
     if kind is Edit.MUTATE:
         if len(alphabet) < 2:
             return None, kind, 0
-        index = rng.randrange(len(word))
+        index = rng.randrange(n)
         pick = rng.randrange(len(alphabet) - 1)
         if pick >= alphabet.position(word[index]):
             pick += 1
-        return mutate(word, index, alphabet.symbols[pick], alphabet), kind, index
+        return word[:index] + alphabet.symbols[pick] + word[index + 1 :], kind, index
 
     if kind is Edit.INSERT:
-        if len(word) + 1 > max_length:
+        if n + 1 > DEFAULT_MAX_LENGTH:
             return None, kind, 0
-        index = rng.randrange(len(word) + 1)
+        index = rng.randrange(n + 1)
         symbol = alphabet.symbols[rng.randrange(len(alphabet))]
-        return insert_symbol(word, index, symbol, alphabet), kind, index
+        return word[:index] + symbol + word[index:], kind, index
 
     if kind is Edit.DELETE:
-        if len(word) < 2:
+        if n < 2:
             return None, kind, 0
-        index = rng.randrange(len(word))
-        return delete_symbol(word, index), kind, index
+        index = rng.randrange(n)
+        return word[:index] + word[index + 1 :], kind, index
 
-    start = rng.randrange(len(word))
-    length = rng.randint(1, len(word) - start)
-    if len(word) + length > max_length:
+    start = rng.randrange(n)
+    length = rng.randint(1, n - start)
+    if n + length > DEFAULT_MAX_LENGTH:
         return None, kind, 0
-    return duplicate_segment(word, start, length), kind, start + length
+    end = start + length
+    return word[:end] + word[start:end] + word[end:], kind, end
+
+
+def edit_space_size(
+    words: tuple[str, ...], probs: EditProbabilities, alphabet: Alphabet, limit: int
+) -> int | None:
+    """Distinct words among *words* and all their single edits.
+
+    Lists exactly what ``apply_random_edit`` can return for each edit kind
+    it can draw, so once that many distinct structures exist every further
+    draw from *words* repeats one. Returns None, without listing, when the
+    edit counts (mutate L(A-1), insert (L+1)A, delete L, duplicate L(L+1)/2
+    per word of length L over A symbols) exceed *limit*.
+    """
+    # A kind can be drawn when its interval of [0, 1) is not empty.
+    edges = (0.0, *probs._bounds, 1.0)  # type: ignore[attr-defined]
+    mutate, insert, delete, duplicate = (lo < hi for lo, hi in zip(edges, edges[1:]))
+
+    symbols = alphabet.symbols
+    n_symbols = len(symbols)
+    bound = 0
+    for word in words:
+        length = len(word)
+        bound += (
+            mutate * length * (n_symbols - 1)
+            + insert * (length + 1) * n_symbols
+            + delete * length
+            + duplicate * length * (length + 1) // 2
+        )
+    if bound > limit:
+        return None
+
+    space = set(words)
+    for word in words:
+        length = len(word)
+        if mutate:
+            for i in range(length):
+                space.update(word[:i] + s + word[i + 1 :] for s in symbols if s != word[i])
+        if insert and length + 1 <= DEFAULT_MAX_LENGTH:
+            for i in range(length + 1):
+                space.update(word[:i] + s + word[i:] for s in symbols)
+        if delete and length >= 2:
+            space.update(word[:i] + word[i + 1 :] for i in range(length))
+        if duplicate:
+            for start in range(length):
+                for end in range(start + 1, min(length, start + DEFAULT_MAX_LENGTH - length) + 1):
+                    space.add(word[:end] + word[start:end] + word[end:])
+    return len(space)

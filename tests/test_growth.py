@@ -320,51 +320,12 @@ class TestGrowBatch:
         assert trace.attempts < instance.attempt_budget // 20
 
         # Without the stop the loop draws only duplicates up to the budget.
-        monkeypatch.setattr(growth, "_edit_space_size", lambda instance: None)
+        monkeypatch.setattr(growth, "edit_space_size", lambda *args: None)
         full_net, full_trace = grow_batch(instance)
         assert full_trace.attempts == instance.attempt_budget
         assert net.structures == full_net.structures
         assert np.array_equal(net.edge_u, full_net.edge_u)
         assert np.array_equal(net.edge_v, full_net.edge_v)
-
-    @pytest.mark.parametrize(
-        "probs",
-        [
-            ALL_EDITS,
-            MUTATE_ONLY,
-            EditProbabilities(insert=0.5, delete=0.5),
-            EditProbabilities(delete=0.3, duplicate=0.7),
-        ],
-    )
-    def test_edit_space_is_what_random_edits_reach(self, probs, monkeypatch):
-        # Length-1 words cannot lose a symbol and max length 4 cuts off
-        # inserts into "ABBA" and the longer duplicates of "BAA".
-        monkeypatch.setattr(growth, "DEFAULT_MAX_LENGTH", 4)
-        instance = small_instance(
-            alphabet=AB,
-            probs=probs,
-            initial_structures=("A", "BAA", "ABBA"),
-            target_nodes=3,
-            max_attempts=400,
-        )
-        rng = random.Random(1)
-        reached = set(instance.initial_structures)
-        for _ in range(20000):
-            template = instance.initial_structures[rng.randrange(3)]
-            word, _, _ = apply_random_edit(
-                template, probs, AB, rng, growth.DEFAULT_MAX_LENGTH
-            )
-            if word is not None:
-                reached.add(word)
-        assert growth._edit_space_size(instance) == len(reached)
-
-    def test_edit_space_listed_only_within_the_budget(self):
-        # "ABCABC": 6 * 2 mutants + 7 * 3 inserts + 6 deletes + 21 duplicates
-        # = 60 edits, 45 distinct words besides the initial one.
-        at_bound = small_instance(max_attempts=60, target_nodes=50)
-        assert growth._edit_space_size(at_bound) == 46
-        past_bound = small_instance(max_attempts=59, target_nodes=50)
-        assert growth._edit_space_size(past_bound) is None
 
 
 class TestPrune:

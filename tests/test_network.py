@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from snmodel.network import INITIAL, Network, NodeOrigin
+from snmodel.network import INITIAL, Network, NodeOrigin, component_labels
 
 from oracles import validate
 
@@ -116,3 +119,26 @@ class TestSlicing:
         net = star(4)
         with pytest.raises(ValueError):
             net.subgraph(np.array([True, False]))
+
+
+class TestComponentLabels:
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+            )
+        )
+    )
+    def test_each_id_gets_its_components_smallest_id(self, case):
+        # Pairs in either direction, repeated or self-paired, as the index's
+        # pair codes and a network's edges both reach the routine.
+        n, pairs = case
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(pairs)
+        expected = np.empty(n, dtype=np.int64)
+        for members in nx.connected_components(graph):
+            expected[list(members)] = min(members)
+        a = np.array([p for p, _ in pairs], dtype=np.int64)
+        b = np.array([q for _, q in pairs], dtype=np.int64)
+        assert np.array_equal(component_labels(n, a, b), expected)

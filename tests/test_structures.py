@@ -4,24 +4,35 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from snmodel import structures
 from snmodel.structures import (
     Alphabet,
     Edit,
     EditProbabilities,
     apply_random_edit,
-    delete_symbol,
-    duplicate_segment,
-    insert_symbol,
-    mutate,
+    edit_space_size,
 )
 
 ABC = Alphabet.from_string("ABC")
 AB = Alphabet.from_string("AB")
+ALL_EDITS = EditProbabilities(mutate=0.4, insert=0.2, delete=0.2, duplicate=0.2)
+
+
+def only(kind: Edit) -> EditProbabilities:
+    return EditProbabilities(**{kind.value: 1.0})
+
+
+def draws(word: str, kind: Edit, alphabet: Alphabet, n: int = 2000) -> set[tuple[str, int]]:
+    """The distinct (new word, at) results of *n* fixed-seed draws of one kind."""
+    rng = random.Random(0)
+    results = (apply_random_edit(word, only(kind), alphabet, rng) for _ in range(n))
+    return {(new, at) for new, _, at in results}
 
 
 class TestAlphabet:
@@ -68,65 +79,41 @@ class TestEditProbabilities:
         EditProbabilities(mutate=0.1 + 0.2, insert=0.7)
 
 
-class TestEditOperations:
-    def test_mutate_example(self):
-        # "ABBABC can be obtained from ABCABC mutating the third symbol"
-        assert mutate("ABCABC", 2, "B", ABC) == "ABBABC"
-
-    def test_insert_example(self):
-        # "ABBABBC can be obtained from ABBABC adding B in the sixth position"
-        assert insert_symbol("ABBABC", 5, "B", ABC) == "ABBABBC"
-
-    def test_delete_example(self):
-        # "ABCBC can be obtained from ABCABC deleting the fourth symbol"
-        assert delete_symbol("ABCABC", 3) == "ABCBC"
-
-    def test_duplicate_example(self):
-        # "ABBBBABBC can be obtained from ABBABBC duplicating the second and third B"
-        assert duplicate_segment("ABBABBC", 1, 2) == "ABBBBABBC"
-
-    def test_duplicate_single_symbol(self):
-        assert duplicate_segment("A", 0, 1) == "AA"
-
-    def test_duplicate_whole_word(self):
-        assert duplicate_segment("ABC", 0, 3) == "ABCABC"
-
-    def test_mutate_bounds(self):
-        with pytest.raises(IndexError):
-            mutate("ABC", 3, "A", ABC)
-        with pytest.raises(ValueError):
-            mutate("ABC", 0, "X", ABC)
-
-    def test_insert_bounds(self):
-        assert insert_symbol("AB", 2, "C", ABC) == "ABC"
-        with pytest.raises(IndexError):
-            insert_symbol("AB", 3, "C", ABC)
-
-    def test_delete_refuses_to_empty(self):
-        with pytest.raises(ValueError):
-            delete_symbol("A", 0)
-        with pytest.raises(IndexError):
-            delete_symbol("AB", 2)
-
-    def test_duplicate_bounds(self):
-        with pytest.raises(IndexError):
-            duplicate_segment("ABC", 2, 2)
-        with pytest.raises(IndexError):
-            duplicate_segment("ABC", 0, 0)
-
-    @given(st.text(alphabet="ABC", min_size=1, max_size=12), st.data())
-    def test_length_laws(self, word, data):
-        index = data.draw(st.integers(0, len(word) - 1))
-        symbol = data.draw(st.sampled_from("ABC"))
-        assert len(mutate(word, index, symbol, ABC)) == len(word)
-        assert len(insert_symbol(word, index, symbol, ABC)) == len(word) + 1
-        if len(word) > 1:
-            assert len(delete_symbol(word, index)) == len(word) - 1
-        length = data.draw(st.integers(1, len(word) - index))
-        assert len(duplicate_segment(word, index, length)) == len(word) + length
-
-
 class TestApplyRandomEdit:
+    @pytest.mark.parametrize(
+        "word, kind, new, at",
+        [
+            # "ABBABC can be obtained from ABCABC mutating the third symbol"
+            ("ABCABC", Edit.MUTATE, "ABBABC", 2),
+            # "ABBABBC can be obtained from ABBABC adding B in the sixth position"
+            ("ABBABC", Edit.INSERT, "ABBABBC", 5),
+            # "ABCBC can be obtained from ABCABC deleting the fourth symbol"
+            ("ABCABC", Edit.DELETE, "ABCBC", 3),
+            # "ABBBBABBC can be obtained from ABBABBC duplicating the second and third B"
+            ("ABBABBC", Edit.DUPLICATE, "ABBBBABBC", 3),
+        ],
+    )
+    def test_paper_examples_are_drawn(self, word, kind, new, at):
+        assert (new, at) in draws(word, kind, ABC)
+
+    @pytest.mark.parametrize(
+        "word, kind, space",
+        [
+            ("AB", Edit.MUTATE, {("BB", 0), ("CB", 0), ("AA", 1), ("AC", 1)}),
+            ("ABC", Edit.DELETE, {("BC", 0), ("AC", 1), ("AB", 2)}),
+            (
+                "ABC",
+                Edit.DUPLICATE,
+                {
+                    ("AABC", 1), ("ABABC", 2), ("ABCABC", 3),
+                    ("ABBC", 2), ("ABCBC", 3), ("ABCC", 3),
+                },
+            ),
+        ],
+    )
+    def test_draws_cover_the_edit_space(self, word, kind, space):
+        assert draws(word, kind, ABC) == space
+
     def test_mutation_changes_exactly_one_position(self):
         rng = random.Random(7)
         probs = EditProbabilities(mutate=1.0)
@@ -155,11 +142,13 @@ class TestApplyRandomEdit:
         probs = EditProbabilities(duplicate=1.0)
         assert apply_random_edit("A", probs, ABC, rng) == ("AA", Edit.DUPLICATE, 1)
 
-    def test_length_cap_fails_attempt(self):
-        rng = random.Random(0)
-        probs = EditProbabilities(duplicate=1.0)
-        word, kind, _ = apply_random_edit("ABCABC", probs, ABC, rng, max_length=6)
-        assert word is None and kind is Edit.DUPLICATE
+    @pytest.mark.parametrize("kind", list(Edit))
+    def test_length_cap_fails_only_growing_edits(self, kind, monkeypatch):
+        # At the cap an insert or a duplication fails; the other edits do not.
+        monkeypatch.setattr(structures, "DEFAULT_MAX_LENGTH", 6)
+        word, got_kind, _ = apply_random_edit("ABCABC", only(kind), ABC, random.Random(0))
+        assert got_kind is kind
+        assert (word is None) == (kind in (Edit.INSERT, Edit.DUPLICATE))
 
     @given(
         st.text(alphabet="ABC", min_size=1, max_size=12),
@@ -168,8 +157,8 @@ class TestApplyRandomEdit:
         st.integers(1, 24),
     )
     def test_edit_reports_where_the_word_starts_to_change(self, word, kind, seed, max_length):
-        probs = EditProbabilities(**{kind.value: 1.0})
-        new, got_kind, at = apply_random_edit(word, probs, ABC, random.Random(seed), max_length)
+        with patch.object(structures, "DEFAULT_MAX_LENGTH", max_length):
+            new, got_kind, at = apply_random_edit(word, only(kind), ABC, random.Random(seed))
         assert got_kind is kind
         # An edit fails only with nothing to delete or too long a result.
         too_long = len(word) + 1 > max_length
@@ -186,6 +175,15 @@ class TestApplyRandomEdit:
         if kind is Edit.MUTATE:
             assert len(new) == len(word)
             assert new[at + 1 :] == word[at + 1 :] and new[at] != word[at]
+        elif kind is Edit.INSERT:
+            assert len(new) == len(word) + 1 and new[at + 1 :] == word[at:]
+        elif kind is Edit.DELETE:
+            assert len(new) == len(word) - 1 and new[at:] == word[at + 1 :]
+        else:
+            # The k symbols from at repeat the k before it: the copied segment.
+            k = len(new) - len(word)
+            assert 1 <= k <= at
+            assert new[at : at + k] == new[at - k : at] and new[at + k :] == word[at:]
 
     def test_kind_frequencies_follow_probabilities(self):
         rng = random.Random(11)
@@ -204,3 +202,33 @@ class TestApplyRandomEdit:
         a = [apply_random_edit("ABCABC", probs, ABC, rng_a) for _ in range(50)]
         b = [apply_random_edit("ABCABC", probs, ABC, rng_b) for _ in range(50)]
         assert a == b
+
+
+class TestEditSpace:
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            ALL_EDITS,
+            EditProbabilities(mutate=1.0),
+            EditProbabilities(insert=0.5, delete=0.5),
+            EditProbabilities(delete=0.3, duplicate=0.7),
+        ],
+    )
+    def test_edit_space_is_what_random_edits_reach(self, probs, monkeypatch):
+        # Length-1 words cannot lose a symbol and max length 4 cuts off
+        # inserts into "ABBA" and the longer duplicates of "BAA".
+        monkeypatch.setattr(structures, "DEFAULT_MAX_LENGTH", 4)
+        words = ("A", "BAA", "ABBA")
+        rng = random.Random(1)
+        reached = set(words)
+        for _ in range(20000):
+            word, _, _ = apply_random_edit(words[rng.randrange(3)], probs, AB, rng)
+            if word is not None:
+                reached.add(word)
+        assert edit_space_size(words, probs, AB, 400) == len(reached)
+
+    def test_edit_space_listed_only_within_the_limit(self):
+        # "ABCABC": 6 * 2 mutants + 7 * 3 inserts + 6 deletes + 21 duplicates
+        # = 60 edits, 45 distinct words besides the initial one.
+        assert edit_space_size(("ABCABC",), ALL_EDITS, ABC, 60) == 46
+        assert edit_space_size(("ABCABC",), ALL_EDITS, ABC, 59) is None

@@ -1,5 +1,5 @@
-"""Public surface guard for ``snmodel.metrics``, ``snmodel.growth``, ``GroupIndex``
-and ``Network``.
+"""Public surface guard for ``snmodel.metrics``, ``snmodel.growth``,
+``snmodel.structures``, ``GroupIndex`` and ``Network``.
 
 Their public functions and methods must equal the explicit list below, and
 each listed name must have a user: the package's ``__all__``, the compare-ba
@@ -16,13 +16,13 @@ import inspect
 from pathlib import Path
 
 import snmodel
-from snmodel import experiments, growth, metrics
+from snmodel import experiments, growth, metrics, structures
 from snmodel.network import Network
 
 ROOT = Path(__file__).resolve().parents[1]
 HINT = (
-    "the public surface of metrics, growth, GroupIndex or Network changed: update SURFACE in "
-    "tests/test_surface.py, the README's lower-level entry points and ROADMAP item 5"
+    "the public surface of metrics, growth, structures, GroupIndex or Network changed: update "
+    "SURFACE in tests/test_surface.py, the README's lower-level entry points and ROADMAP item 5"
 )
 
 SURFACE = {
@@ -42,6 +42,7 @@ SURFACE = {
         "triangle_count",
     },
     "snmodel.growth": {"grow", "grow_batch", "grow_incremental", "prune_low_degree"},
+    "snmodel.structures": {"apply_random_edit", "edit_space_size"},
     "GroupIndex": {"append", "derive", "distances", "encode", "join", "neighbours"},
     "Network": {
         "degrees",
@@ -108,7 +109,7 @@ def _called_in_src() -> set[str]:
 
 
 def test_public_surface_is_the_listed_one():
-    for owner in (metrics, growth, growth.GroupIndex, Network):
+    for owner in (metrics, growth, structures, growth.GroupIndex, Network):
         name = owner.__name__ if not inspect.isclass(owner) else owner.__qualname__
         assert _public(owner) == SURFACE[name], HINT
 
