@@ -34,7 +34,7 @@ from .growth import (
     prune_low_degree,
 )
 from .metrics import MetricsReport, compute_metrics, fit_power_law_slope
-from .network import Network, NodeOrigin
+from .network import Network
 from .structures import Alphabet, Edit, EditProbabilities, apply_random_edit
 
 __version__ = "0.1.0"
@@ -59,7 +59,6 @@ __all__ = [
     "MatchTable",
     "MetricsReport",
     "Network",
-    "NodeOrigin",
     "SummaryReport",
     "apply_random_edit",
     "compute_metrics",

@@ -82,6 +82,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         payload = json.loads(Path(args.reference).read_text(encoding="utf-8"))
         # A summary.json serves as a reference through its means.
         reference = payload.get("means", payload) if isinstance(payload, dict) else payload
+        if reference is None:  # null would otherwise read as no reference at all
+            raise ValueError("reference must map metric names to numbers")
     summary = experiments.run_experiment(
         config,
         args.out,

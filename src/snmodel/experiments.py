@@ -335,12 +335,15 @@ def run_growth_comparison(
 ) -> dict[str, dict[str, dict[int, float]]]:
     """Seed-averaged metric curves for both models at the given node counts.
 
-    Growth order makes the subgraph on the first n nodes equal to the
+    Incremental growth makes the subgraph on the first n nodes equal to the
     intermediate network at size n, so each run is grown once and sliced.
+    Batch growth drops isolated nodes, so a batch instance is rejected.
     A checkpoint given twice counts once. Returns {metric: {"sn" | "ba":
     {checkpoint: mean}}} and, when an output directory is given, writes one
     "n_nodes sn ba" file per metric.
     """
+    if sn_instance.mode == BATCH:
+        raise ValueError("compare-ba needs mode = incremental, not batch")
     checkpoints = sorted(set(checkpoints))
     if not checkpoints:
         raise ValueError("run_growth_comparison requires at least one checkpoint")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import DistanceConfig
-from .network import INITIAL, Network, NodeOrigin, component_labels
+from .network import Network, component_labels
 from .structures import Alphabet, EditProbabilities, apply_random_edit, edit_space_size
 
 INCREMENTAL = "incremental"
@@ -335,7 +335,7 @@ def grow_incremental(instance: Instance) -> tuple[Network, GrowthTrace]:
     Every accepted node is connected to all existing nodes within the
     distance threshold; candidates duplicating an existing structure or
     connecting to nothing are rejected. The network at n nodes is the
-    induced prefix of n nodes; provenance[n - 1] holds its attempt count.
+    induced prefix of n nodes.
     """
     rng = random.Random(instance.seed)
     index = GroupIndex(instance.distance)
@@ -343,7 +343,6 @@ def grow_incremental(instance: Instance) -> tuple[Network, GrowthTrace]:
 
     structures = list(instance.initial_structures)
     seen = set(structures)
-    provenance = [NodeOrigin(None, INITIAL, 0) for _ in structures]
     for word in structures:
         index.append(index.encode(word))
 
@@ -353,7 +352,7 @@ def grow_incremental(instance: Instance) -> tuple[Network, GrowthTrace]:
         trace.attempts += 1
         template = rng.randrange(len(structures))
         template_word = structures[template]
-        word, kind, at = apply_random_edit(template_word, instance.probs, instance.alphabet, rng)
+        word, _, at = apply_random_edit(template_word, instance.probs, instance.alphabet, rng)
         if word is None:
             trace.rejected_edit_failed += 1
             continue
@@ -369,12 +368,11 @@ def grow_incremental(instance: Instance) -> tuple[Network, GrowthTrace]:
         index.append(encoded)
         seen.add(word)
         structures.append(word)
-        provenance.append(NodeOrigin(template, kind.value, trace.attempts))
         trace.accepted += 1
 
     trace.saturated = len(structures) < instance.target_nodes
     # Distances are static, so the edges follow from the accepted structures alone.
-    return Network(structures, *index.join(), provenance=provenance), trace
+    return Network(structures, *index.join()), trace
 
 
 def grow_batch(instance: Instance) -> tuple[Network, GrowthTrace]:
@@ -419,15 +417,10 @@ def grow_batch(instance: Instance) -> tuple[Network, GrowthTrace]:
         structures.append(word)
         trace.accepted += 1
 
-    provenance = [NodeOrigin(None, INITIAL, 0) for _ in range(n_initial)]
-    provenance += [
-        NodeOrigin(None, "batch", 0) for _ in range(len(structures) - n_initial)
-    ]
-
     index = GroupIndex(instance.distance)
     for word in structures:
         index.append(index.encode(word))
-    net = Network(structures, *index.join(), provenance=provenance)
+    net = Network(structures, *index.join())
     keep = net.degrees() > 0
     dropped = int(np.count_nonzero(~keep))
     if dropped:

@@ -1,13 +1,10 @@
-"""Undirected simple graph with optional per-node structures and provenance."""
+"""Undirected simple graph with optional per-node structures."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-
-INITIAL = "initial"
 
 
 def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -23,15 +20,6 @@ def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
         while not np.array_equal(labels[labels], labels):
             labels = labels[labels]
-
-
-@dataclass(frozen=True)
-class NodeOrigin:
-    """How a node entered the network: parent template, edit kind, attempt index."""
-
-    parent: int | None
-    edit: str
-    iteration: int
 
 
 class Network:
@@ -51,7 +39,6 @@ class Network:
         structures: Sequence[str | None],
         edge_u: np.ndarray | Sequence[int] = (),
         edge_v: np.ndarray | Sequence[int] = (),
-        provenance: Sequence[NodeOrigin] | None = None,
     ) -> None:
         self.structures: list[str | None] = list(structures)
         u = np.asarray(edge_u, dtype=np.int64)
@@ -70,9 +57,6 @@ class Network:
             order = np.argsort(v * len(self.structures) + u)
             u, v = u[order], v[order]
         self.edge_u, self.edge_v = u, v
-        self.provenance: list[NodeOrigin] | None = (
-            list(provenance) if provenance is not None else None
-        )
         self._degrees: np.ndarray | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -132,13 +116,7 @@ class Network:
         if not 0 <= n <= self.n_nodes:
             raise ValueError(f"prefix size {n} out of range")
         m = int(np.searchsorted(self.edge_v, n))
-        prov = self.provenance[:n] if self.provenance is not None else None
-        return Network(
-            self.structures[:n],
-            self.edge_u[:m],
-            self.edge_v[:m],
-            provenance=prov,
-        )
+        return Network(self.structures[:n], self.edge_u[:m], self.edge_v[:m])
 
     def subgraph(self, keep: np.ndarray) -> Network:
         """Induced subgraph on the boolean node mask *keep*; ids are compacted."""
@@ -148,19 +126,4 @@ class Network:
         new_id = np.cumsum(keep) - 1
         edge_mask = keep[self.edge_u] & keep[self.edge_v]
         structures = [s for s, k in zip(self.structures, keep) if k]
-        prov = None
-        if self.provenance is not None:
-            prov = []
-            for origin, kept in zip(self.provenance, keep):
-                if not kept:
-                    continue
-                parent = origin.parent
-                if parent is not None:
-                    parent = int(new_id[parent]) if keep[parent] else None
-                prov.append(NodeOrigin(parent, origin.edit, origin.iteration))
-        return Network(
-            structures,
-            new_id[self.edge_u[edge_mask]],
-            new_id[self.edge_v[edge_mask]],
-            provenance=prov,
-        )
+        return Network(structures, new_id[self.edge_u[edge_mask]], new_id[self.edge_v[edge_mask]])

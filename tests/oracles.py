@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
-from snmodel.network import INITIAL, Network
+from snmodel.growth import INCREMENTAL, Instance, grow_incremental
+from snmodel.network import Network
 
 
 def shortest_path_lengths_bfs(net: Network, source: int) -> dict[int, int]:
@@ -39,21 +41,31 @@ def validate(net: Network) -> None:
     words = [s for s in net.structures if s is not None]
     if len(set(words)) != len(words):
         raise AssertionError("node structures are not pairwise distinct")
-    if net.provenance is not None and len(net.provenance) != net.n_nodes:
-        raise AssertionError("provenance length mismatch")
 
 
-def checkpoint_rows(net: Network, interval: int) -> list[tuple[int, int, int]]:
-    """(node count, edge count, attempt count) of a grown network at every multiple of *interval*.
+def checkpoint_rows(
+    net: Network, instance: Instance, interval: int
+) -> list[tuple[int, int, int]]:
+    """(node count, edge count, attempt count) at every multiple of *interval*
+    of the network that incremental growth of *instance* gave.
 
     Growth adds each node with its edges to earlier nodes, so the network at n
-    nodes held the edges with v < n, and node n - 1 was accepted at the
-    attempt its provenance records. Sizes below the initial structures' count
-    never occurred.
+    nodes held the edges with v < n. Growth to target n under the same budget
+    draws the same random stream and stops at the attempt that accepts node
+    n, so it gives the attempt count, and its network must be the prefix of
+    n nodes. Sizes below the initial structures' count never occurred.
     """
-    first = sum(origin.edit == INITIAL for origin in net.provenance)
-    return [
-        (n, int(np.searchsorted(net.edge_v, n)), net.provenance[n - 1].iteration)
-        for n in range(first, net.n_nodes + 1)
-        if n % interval == 0
-    ]
+    assert instance.mode == INCREMENTAL, "batch growth has no intermediate networks"
+    rows = []
+    for n in range(len(instance.initial_structures), net.n_nodes + 1):
+        if n % interval:
+            continue
+        at_n, trace = grow_incremental(
+            replace(instance, target_nodes=n, max_attempts=instance.attempt_budget)
+        )
+        prefix = net.induced_prefix(n)
+        assert at_n.structures == prefix.structures, f"structures differ at {n} nodes"
+        assert np.array_equal(at_n.edge_u, prefix.edge_u), f"edges differ at {n} nodes"
+        assert np.array_equal(at_n.edge_v, prefix.edge_v), f"edges differ at {n} nodes"
+        rows.append((n, prefix.n_edges, trace.attempts))
+    return rows

@@ -521,7 +521,8 @@ def test_golden_all_edits_growth():
     # lie beyond their template and some are rejected as isolated; the
     # linking table adds pair-code matches. The shipped instances are
     # mutation-only or nearly so and barely reach either path. The
-    # checkpoint rows are read off the grown network.
+    # checkpoint rows come from regrowing to each size, which must give the
+    # grown network's prefix.
     table = parse_match_file("AA = BB\nBB = AA\nAB = CC\nCC = AB\n", 2, Alphabet.from_string("ABC"))
     instance = Instance(
         alphabet=Alphabet.from_string("ABC"),
@@ -541,7 +542,7 @@ def test_golden_all_edits_growth():
             "rejected_duplicate": trace.rejected_duplicate,
             "rejected_isolated": trace.rejected_isolated,
             "rejected_edit_failed": trace.rejected_edit_failed,
-            "checkpoints": [list(row) for row in checkpoint_rows(net, 100)],
+            "checkpoints": [list(row) for row in checkpoint_rows(net, instance, 100)],
         },
     }
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["all_edits"]

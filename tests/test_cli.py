@@ -284,6 +284,11 @@ class TestExperiment:
         "argv, message",
         [
             (["--reference", "[1, 2]"], "error: reference must map metric names to numbers"),
+            (["--reference", "null"], "error: reference must map metric names to numbers"),
+            (
+                ["--reference", '{"means": null}'],
+                "error: reference must map metric names to numbers",
+            ),
             (
                 ["--reference", '{"average_degree": {"a": 1}}'],
                 "error: reference value of 'average_degree' must be a number",
@@ -297,7 +302,7 @@ class TestExperiment:
                 "error: unknown metric 'bogus'; known metrics: n_nodes",
             ),
         ],
-        ids=["list", "object-value", "null-value", "unknown-metric"],
+        ids=["list", "null", "null-means", "object-value", "null-value", "unknown-metric"],
     )
     def test_bad_reference_is_one_error_line(self, tmp_path, instance_file, capsys, argv, message):
         if argv[0] == "--reference":
@@ -333,19 +338,27 @@ class TestCompareBA:
         assert "curves for 2 checkpoints" in capsys.readouterr().out
 
     def test_saturating_growth_is_an_error(self, tmp_path, capsys):
-        # Batch growth of batch.instance saturates at 205 nodes, short of a
-        # 300-node checkpoint.
+        # Growth saturates at its 1 initial node, short of a 6-node checkpoint.
+        code = main(["compare-ba", *SATURATING, "--n-seeds", "1", "--out", str(tmp_path / "cmp")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: growth saturated at 1 nodes before checkpoint 6")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_batch_instance_is_an_error(self, tmp_path, capsys):
+        # Batch growth drops the nodes it leaves isolated, so a prefix of a
+        # batch network is not the batch network of that size.
         code = main([
             "compare-ba",
             "--instance", str(instances_dir() / "batch.instance"),
-            "--checkpoints", "300",
-            "--n-seeds", "1",
+            "--target-nodes", "100",
+            "--checkpoints", "50,100",
             "--out", str(tmp_path / "cmp"),
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: growth saturated at 205 nodes")
-        assert len(err.strip().splitlines()) == 1
+        assert err == "error: compare-ba needs mode = incremental, not batch\n"
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestPrune:
@@ -416,6 +429,14 @@ GOOD_ARGS = {
     "prune": ["--edges", "{good_edges}", "--min-degree", "1", "--out", "{out}"],
 }
 
+#: Incremental growth that saturates at its 1 initial node, short of its
+#: checkpoint 6: every mutant of ABAB differs from it in one group, beyond
+#: max_distance 0, so it is isolated.
+SATURATING = [
+    "--alphabet", "AB", "--initial", "ABAB", "--p-mutate", "1", "--unit-distance", "2",
+    "--max-distance", "0", "--target-nodes", "6", "--max-attempts", "25", "--checkpoints", "6",
+]
+
 #: Batch growth over a 5-word edit space at distance 0 and unit 1: it
 #: saturates, and every node is isolated, so the network is empty.
 EMPTY_BATCH = [
@@ -460,8 +481,7 @@ def _bad_input_cases() -> list:
     cases.append((["prune", "--edges", "{good_edges}", "--min-degree", "-1", "--out", "{out}"], "flag", "--min-degree -1"))
     for command in ("generate", "experiment"):
         cases.append(([command, *EMPTY_BATCH, "--out", "{out}"], "saturating", "empty-network"))
-    argv = ["compare-ba", "--instance", str(instances_dir() / "batch.instance"),
-            "--checkpoints", "300", "--n-seeds", "1", "--out", "{out}"]
+    argv = ["compare-ba", *SATURATING, "--n-seeds", "1", "--out", "{out}"]
     cases.append((argv, "saturating", "checkpoint-past-saturation"))
     return [
         pytest.param(argv, kind, name, id=f"{argv[0] if argv else 'snm'}-{kind}-{name}")

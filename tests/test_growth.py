@@ -190,7 +190,7 @@ class TestGrowIncremental:
     def test_checkpoints_record_growth(self):
         instance = small_instance(target_nodes=30)
         net, trace = grow_incremental(instance)
-        rows = checkpoint_rows(net, 10)
+        rows = checkpoint_rows(net, instance, 10)
         sizes = [nodes for nodes, _, _ in rows]
         assert sizes == [10, 20, 30]
         for nodes, edges, attempts in rows:
@@ -201,14 +201,6 @@ class TestGrowIncremental:
         assert rows[-1][2] == trace.attempts
         # The isolation rule: every node after the initial one links to an earlier one.
         assert set(net.edge_v.tolist()) == set(range(1, net.n_nodes))
-
-    def test_provenance_tracks_parents(self):
-        instance = small_instance(target_nodes=40)
-        net, _ = grow_incremental(instance)
-        assert net.provenance[0].parent is None
-        for origin in net.provenance[1:]:
-            assert 0 <= origin.parent < net.n_nodes
-            assert origin.edit in {"mutate", "insert", "delete", "duplicate"}
 
     def test_join_memory_is_chunked(self):
         # comparison.instance verifies about 170k candidate pairs. Verifying

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from snmodel.network import INITIAL, Network, NodeOrigin, component_labels
+from snmodel.network import Network, component_labels
 
 from oracles import validate
 
@@ -103,17 +103,6 @@ class TestSlicing:
         assert sub.n_nodes == 3
         assert sub.structures == ["B", "C", "D"]
         assert sub.edge_set() == {(0, 1), (1, 2)}
-
-    def test_subgraph_remaps_provenance(self):
-        prov = [
-            NodeOrigin(None, INITIAL, 0),
-            NodeOrigin(0, "mutate", 1),
-            NodeOrigin(1, "insert", 2),
-        ]
-        net = Network(["A", "B", "C"], [0, 1], [1, 2], provenance=prov)
-        sub = net.subgraph(np.array([False, True, True]))
-        assert sub.provenance[0].parent is None  # old parent was dropped
-        assert sub.provenance[1].parent == 0  # old node 1 is new node 0
 
     def test_subgraph_mask_length_checked(self):
         net = star(4)

@@ -1,7 +1,8 @@
 """Public surface guard for ``snmodel.metrics``, ``snmodel.growth``,
 ``snmodel.structures``, ``GroupIndex`` and ``Network``.
 
-Their public functions and methods must equal the explicit list below, and
+Their public functions and methods, and the public attributes a ``Network``
+instance holds, must equal the explicit list below, and
 each listed name must have a user: the package's ``__all__``, the compare-ba
 evaluators, the benchmark's tracer, or a call elsewhere in ``src/``. A helper
 that only tests use cannot return unnoticed, and a name whose last user is
@@ -21,8 +22,9 @@ from snmodel.network import Network
 
 ROOT = Path(__file__).resolve().parents[1]
 HINT = (
-    "the public surface of metrics, growth, structures, GroupIndex or Network changed: update "
-    "SURFACE in tests/test_surface.py, the README's lower-level entry points and ROADMAP item 5"
+    "the public surface of metrics, growth, structures, GroupIndex or Network (its methods or "
+    "the attributes an instance holds) changed: update SURFACE in tests/test_surface.py, the "
+    "README's lower-level entry points and ROADMAP item 5"
 )
 
 SURFACE = {
@@ -55,6 +57,7 @@ SURFACE = {
         "subgraph",
         "to_csr",
     },
+    "Network instance": {"edge_u", "edge_v", "structures"},
 }
 
 #: Kept without a user in src/: the tests' edge view, which would otherwise
@@ -112,6 +115,8 @@ def test_public_surface_is_the_listed_one():
     for owner in (metrics, growth, structures, growth.GroupIndex, Network):
         name = owner.__name__ if not inspect.isclass(owner) else owner.__qualname__
         assert _public(owner) == SURFACE[name], HINT
+    held = {name for name in vars(Network(["A", "B"], [0], [1])) if not name.startswith("_")}
+    assert held == SURFACE["Network instance"], HINT
 
 
 def test_every_listed_name_has_a_user():
