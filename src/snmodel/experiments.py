@@ -214,7 +214,8 @@ def _checked_reference(
     """The reference values of the referenced metrics, or None without a reference.
 
     Raises ValueError for a metric that is not a scalar of the report, and
-    for a reference that is not a mapping of metric names to numbers.
+    for a reference that is not a mapping of metric names to numbers or that
+    names none of the referenced metrics, which every seed would match.
     """
     for m in referenced_metrics:
         if m not in _SCALAR_FIELDS:
@@ -230,6 +231,8 @@ def _checked_reference(
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"reference value of {m!r} must be a number, got {value!r}")
             ref[m] = float(value)
+    if not ref:
+        raise ValueError(f"reference names none of the metrics {', '.join(referenced_metrics)}")
     return ref
 
 

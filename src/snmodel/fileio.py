@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping
 
@@ -105,24 +104,16 @@ def write_structures(path: str | Path, net: Network) -> None:
     Path(path).write_text(render_structures(net), encoding="utf-8")
 
 
-def render_distribution(
-    values: Mapping[int, float] | Mapping[int, int],
-    x_label: str,
-    y_label: str,
-) -> str:
+def render_distribution(values: Mapping[int, float], x_label: str, y_label: str) -> str:
     """Two-column plot data, keys sorted ascending."""
     lines = [DISTRIBUTION_HEADER, f"# {x_label}\t{y_label}"]
     for x in sorted(values):
-        y = values[x]
-        lines.append(f"{x}\t{y:.10g}" if isinstance(y, float) else f"{x}\t{y}")
+        lines.append(f"{x}\t{values[x]:.10g}")
     return "\n".join(lines) + "\n"
 
 
 def write_distribution(
-    path: str | Path,
-    values: Mapping[int, float] | Mapping[int, int],
-    x_label: str,
-    y_label: str,
+    path: str | Path, values: Mapping[int, float], x_label: str, y_label: str
 ) -> None:
     Path(path).write_text(render_distribution(values, x_label, y_label), encoding="utf-8")
 
@@ -146,7 +137,7 @@ def _stringify_keys(value: object) -> object:
 def report_to_dict(report: object, format_tag: str) -> dict:
     """A dataclass report as a JSON object tagged with its format."""
     out = {"format": format_tag}
-    out.update(_stringify_keys(asdict(report)))
+    out.update(_stringify_keys(vars(report)))
     return out
 
 

@@ -17,7 +17,7 @@ insertion-time search would have added.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +115,8 @@ class GroupIndex:
     ``derive`` builds the row of one edit of an indexed structure from that
     structure's row, re-encoding only the groups the edit may have changed,
     and returns its distance to that structure.
-    ``append`` only stores a row and its count. ``neighbours`` answers one
+    The index starts with the rows of the words it is given; ``append``
+    stores one more row and its count. ``distances`` answers one
     query by a scan over every row. ``join`` returns every pair within
     d = max_distance at once, as a partition-based exact join (Arasu, Ganti &
     Kaushik, VLDB 2006) on the pigeonhole filter of multi-index hashing
@@ -143,7 +144,7 @@ class GroupIndex:
     #: Rows allocated up front; the id matrix doubles whenever it is full.
     _CAPACITY = 64
 
-    def __init__(self, cfg: DistanceConfig) -> None:
+    def __init__(self, cfg: DistanceConfig, words: Iterable[str]) -> None:
         self._unit = cfg.unit_distance
         self._max_d = cfg.max_distance
         entries = cfg.match_table.entries if cfg.match_table is not None else {}
@@ -164,6 +165,8 @@ class GroupIndex:
         self._rows = np.full((self._CAPACITY, 1), self._PAD, dtype=np.int32)
         self._counts = np.zeros(self._rows.shape[0], dtype=np.int32)
         self._n = 0
+        for word in words:
+            self.append(self.encode(word))
 
     def _multiset_id(self, key: str) -> int:
         """The id of multiset *key*; multisets take the ids from L on."""
@@ -237,10 +240,6 @@ class GroupIndex:
         matches = self._matches(self._rows[: self._n, :g], encoded[:g])
         counts = np.minimum(self._counts[: self._n], g)
         return (counts - np.count_nonzero(matches, axis=1)).astype(np.int32)
-
-    def neighbours(self, encoded: np.ndarray) -> np.ndarray:
-        """Sorted indices of the indexed structures within max_distance."""
-        return np.flatnonzero(self.distances(encoded) <= self._max_d)
 
     def join(self) -> tuple[np.ndarray, np.ndarray]:
         """Every pair (u, v), u < v, of indexed structures within max_distance.
@@ -338,13 +337,10 @@ def grow_incremental(instance: Instance) -> tuple[Network, GrowthTrace]:
     induced prefix of n nodes.
     """
     rng = random.Random(instance.seed)
-    index = GroupIndex(instance.distance)
     trace = GrowthTrace()
-
     structures = list(instance.initial_structures)
     seen = set(structures)
-    for word in structures:
-        index.append(index.encode(word))
+    index = GroupIndex(instance.distance, structures)
 
     max_distance = instance.distance.max_distance
     budget = instance.attempt_budget
@@ -362,7 +358,7 @@ def grow_incremental(instance: Instance) -> tuple[Network, GrowthTrace]:
         encoded, distance = index.derive(template, word, at, len(word) == len(template_word))
         # A candidate within reach of its template has a neighbour already;
         # only one further away needs a search, which scans the template too.
-        if distance > max_distance and index.neighbours(encoded).shape[0] == 0:
+        if distance > max_distance and not (index.distances(encoded) <= max_distance).any():
             trace.rejected_isolated += 1
             continue
         index.append(encoded)
@@ -417,10 +413,7 @@ def grow_batch(instance: Instance) -> tuple[Network, GrowthTrace]:
         structures.append(word)
         trace.accepted += 1
 
-    index = GroupIndex(instance.distance)
-    for word in structures:
-        index.append(index.encode(word))
-    net = Network(structures, *index.join())
+    net = Network(structures, *GroupIndex(instance.distance, structures).join())
     keep = net.degrees() > 0
     dropped = int(np.count_nonzero(~keep))
     if dropped:

@@ -61,20 +61,9 @@ class Network:
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
-    def from_edges(
-        cls,
-        n_nodes: int,
-        edges: Iterable[tuple[int, int]],
-        structures: Sequence[str | None] | None = None,
-    ) -> Network:
+    def from_edges(cls, n_nodes: int, edges: Iterable[tuple[int, int]]) -> Network:
         pairs = list(edges)
-        u = [p[0] for p in pairs]
-        v = [p[1] for p in pairs]
-        if structures is None:
-            structures = [None] * n_nodes
-        elif len(structures) != n_nodes:
-            raise ValueError("structures length must equal n_nodes")
-        return cls(structures, u, v)
+        return cls([None] * n_nodes, [p[0] for p in pairs], [p[1] for p in pairs])
 
     @property
     def n_nodes(self) -> int:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import replace
 
 import numpy as np
 
-from snmodel.growth import INCREMENTAL, Instance, grow_incremental
+from snmodel.distance import within_max_distance
+from snmodel.growth import BATCH, INCREMENTAL, GrowthTrace, Instance, grow_incremental
 from snmodel.network import Network
+from snmodel.structures import apply_random_edit, edit_space_size
 
 
 def shortest_path_lengths_bfs(net: Network, source: int) -> dict[int, int]:
@@ -69,3 +72,48 @@ def checkpoint_rows(
         assert np.array_equal(at_n.edge_v, prefix.edge_v), f"edges differ at {n} nodes"
         rows.append((n, prefix.n_edges, trace.attempts))
     return rows
+
+
+def replay_growth(instance: Instance) -> tuple[list[str], list[tuple[int, int]], GrowthTrace]:
+    """Growth of *instance* replayed by string distance: its structures,
+    sorted edges and trace.
+
+    The replay draws the random stream growth draws: a template, uniform over
+    the structures so far (batch: over the initial ones), then its edit.
+    Duplicates are found in the word list, and a candidate's isolation and
+    every edge are decided by ``within_max_distance`` alone. Batch growth
+    stops early once every single edit of the initial words has been drawn,
+    wires its words at the end and drops the isolated ones.
+    """
+    rng = random.Random(instance.seed)
+    cfg, probs, alphabet = instance.distance, instance.probs, instance.alphabet
+    initial, batch = instance.initial_structures, instance.mode == BATCH
+    budget = instance.attempt_budget
+    space = edit_space_size(initial, probs, alphabet, budget) if batch else None
+    trace = GrowthTrace()
+    words = list(initial)
+    while len(words) < instance.target_nodes and trace.attempts < budget and len(words) != space:
+        trace.attempts += 1
+        pool = initial if batch else words
+        word, _, _ = apply_random_edit(pool[rng.randrange(len(pool))], probs, alphabet, rng)
+        if word is None:
+            trace.rejected_edit_failed += 1
+        elif word in words:
+            trace.rejected_duplicate += 1
+        elif not batch and not any(within_max_distance(word, w, cfg) for w in words):
+            trace.rejected_isolated += 1
+        else:
+            words.append(word)
+            trace.accepted += 1
+    trace.saturated = len(words) < instance.target_nodes
+    edges = [
+        (u, v) for v in range(len(words)) for u in range(v)
+        if within_max_distance(words[u], words[v], cfg)
+    ]
+    if batch:
+        linked = sorted({node for edge in edges for node in edge})
+        trace.rejected_isolated += len(words) - len(linked)
+        new_id = {old: new for new, old in enumerate(linked)}
+        words = [words[i] for i in linked]
+        edges = [(new_id[u], new_id[v]) for u, v in edges]
+    return words, sorted(edges), trace

@@ -301,8 +301,14 @@ class TestExperiment:
                 ["--referenced-metrics", "bogus"],
                 "error: unknown metric 'bogus'; known metrics: n_nodes",
             ),
+            # Naming no referenced metric, the reference would let every seed qualify.
+            (["--reference", '{"means": {}}'], "error: reference names none of the metrics"),
+            (["--reference", '{"bogus_metric": 3}'], "error: reference names none of the metrics"),
         ],
-        ids=["list", "null", "null-means", "object-value", "null-value", "unknown-metric"],
+        ids=[
+            "list", "null", "null-means", "object-value", "null-value", "unknown-metric",
+            "empty-means", "unreferenced-only",
+        ],
     )
     def test_bad_reference_is_one_error_line(self, tmp_path, instance_file, capsys, argv, message):
         if argv[0] == "--reference":

@@ -13,7 +13,7 @@ from snmodel.network import Network
 
 
 def sample_net() -> Network:
-    return Network.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 4)], "ABCDE")
+    return Network(list("ABCDE"), [0, 1, 2, 0], [1, 2, 3, 4])
 
 
 class TestEdgeList:

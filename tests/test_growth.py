@@ -218,8 +218,8 @@ class TestGrowIncremental:
 
     @staticmethod
     def count_index_calls(monkeypatch) -> dict[str, int]:
-        """Count the calls of GroupIndex.encode and GroupIndex.neighbours from now on."""
-        calls = {"encode": 0, "neighbours": 0}
+        """Count the calls of GroupIndex.encode and GroupIndex.distances from now on."""
+        calls = {"encode": 0, "distances": 0}
         for name in calls:
 
             def counted(index, *args, _name=name, _original=getattr(GroupIndex, name)):
@@ -238,7 +238,7 @@ class TestGrowIncremental:
         )
         _, trace = grow_incremental(instance)
         assert trace.accepted == 148
-        assert calls == {"encode": 2, "neighbours": 0}
+        assert calls == {"encode": 2, "distances": 0}
 
     def test_all_edits_reach_suffix_encoding_and_neighbour_search(self, monkeypatch):
         # The all-edits golden run: shifted groups re-encode the suffix, and
@@ -253,7 +253,7 @@ class TestGrowIncremental:
         _, trace = grow_incremental(instance)
         assert trace.rejected_isolated > 0
         assert calls["encode"] > 1
-        assert calls["neighbours"] > 0
+        assert calls["distances"] > 0
 
 
 class TestGrowBatch:
@@ -392,19 +392,17 @@ class TestGroupIndex:
     @settings(max_examples=300, deadline=None)
     def test_neighbours_three_way(self, words, candidate, unit, max_d, kind):
         cfg = self.config(unit, max_d, kind)
-        index = GroupIndex(cfg)
+        index = GroupIndex(cfg, [])
         # Only a linking table costs a pair lookup when verifying.
         assert (index._pairs.size > 0) == (cfg.match_table is not None and kind == "linking")
         for i, word in enumerate(words + [candidate]):
             encoded = index.encode(word)
-            got = index.neighbours(encoded)
-            assert got.dtype == np.int64
             scanned = np.flatnonzero(index.distances(encoded) <= max_d)
             expected = [
                 j for j, other in enumerate(words[:i])
                 if structure_distance(word, other, cfg) <= max_d
             ]
-            assert got.tolist() == scanned.tolist() == expected
+            assert scanned.tolist() == expected
             if i < len(words):
                 index.append(encoded)
         # The join lists every pair once, in no fixed order; Network orders them.
@@ -422,7 +420,7 @@ class TestGroupIndex:
         # The join hashes block keys of labels, so two groups the table or the
         # multiset rule declares equal must never get different labels.
         cfg = self.config(unit, 0, kind)
-        index = GroupIndex(cfg)
+        index = GroupIndex(cfg, [])
         groups = ["".join(g) for g in itertools.product("ABC", repeat=unit)]
         ids = {group: int(index.encode(group)[0]) for group in groups}
         labels = index._key_labels()
@@ -441,9 +439,7 @@ class TestGroupIndex:
     @settings(max_examples=300, deadline=None)
     def test_derived_ids_equal_encoding(self, words, template, kind, seed, unit, table):
         cfg = self.config(unit, 1, table)
-        index = GroupIndex(cfg)
-        for word in words:
-            index.append(index.encode(word))
+        index = GroupIndex(cfg, words)
         template %= len(words)
         template_word = words[template]
         probs = EditProbabilities(**{kind.value: 1.0})
@@ -469,9 +465,7 @@ class TestGroupIndex:
         from snmodel.distance import structure_distance
 
         cfg = DistanceConfig(unit, 0)
-        index = GroupIndex(cfg)
-        for word in words:
-            index.append(index.encode(word))
+        index = GroupIndex(cfg, words)
         got = index.distances(index.encode(candidate))
         expected = [structure_distance(candidate, w, cfg) for w in words]
         assert got.tolist() == expected
@@ -479,7 +473,7 @@ class TestGroupIndex:
     def test_construction_does_not_allocate_by_max_distance(self):
         tracemalloc.start()
         try:
-            index = GroupIndex(DistanceConfig(2, 10**6))
+            index = GroupIndex(DistanceConfig(2, 10**6), [])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -487,7 +481,7 @@ class TestGroupIndex:
         # Too short to hash: the join verifies every structure against the others.
         for word in ("ABAB", "ABCC", "CCCC"):
             index.append(index.encode(word))
-        assert index.neighbours(index.encode("ABAC")).tolist() == [0, 1, 2]
+        assert index.distances(index.encode("ABAC")).tolist() == [1, 1, 2]
         assert sorted(zip(*(arr.tolist() for arr in index.join()))) == [(0, 1), (0, 2), (1, 2)]
 
     def test_memory_grows_with_groups_not_their_square(self):
@@ -497,10 +491,10 @@ class TestGroupIndex:
         assert len({word[i : i + 6] for word in words for i in range(0, 36, 6)}) > 5000
         tracemalloc.start()
         try:
-            index = GroupIndex(DistanceConfig(6, 1))
+            index = GroupIndex(DistanceConfig(6, 1), [])
             for word in words:
                 encoded = index.encode(word)
-                index.neighbours(encoded)
+                index.distances(encoded)
                 index.append(encoded)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -519,9 +513,7 @@ class TestGroupIndex:
             "".join(rng.choice("ABC") for _ in range(rng.randint(1, 10)))
             for _ in range(120)
         ]
-        index = GroupIndex(cfg)
-        for word in words:
-            index.append(index.encode(word))
+        index = GroupIndex(cfg, words)
         for candidate in words[:25]:
             got = index.distances(index.encode(candidate))
             expected = [structure_distance(candidate, w, cfg) for w in words]

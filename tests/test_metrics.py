@@ -415,7 +415,7 @@ class TestComponentsAndReport:
             for _ in range(rng.randrange(8)):
                 u, v = rng.sample(block, 2)
                 edges.add((min(u, v), max(u, v)))
-        net = Network.from_edges(40, sorted(edges), [str(i) for i in range(40)])
+        net = Network([str(i) for i in range(40)], *zip(*sorted(edges)))
         g = to_nx(net)
         components = list(nx.connected_components(g))
         size = max(len(c) for c in components)

@@ -98,7 +98,7 @@ class TestSlicing:
         assert np.array_equal(net.edge_v, v[order])
 
     def test_subgraph_compacts_ids(self):
-        net = Network.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)], "ABCDE")
+        net = Network(list("ABCDE"), [0, 1, 2, 3], [1, 2, 3, 4])
         sub = net.subgraph(np.array([False, True, True, True, False]))
         assert sub.n_nodes == 3
         assert sub.structures == ["B", "C", "D"]

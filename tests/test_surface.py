@@ -45,7 +45,7 @@ SURFACE = {
     },
     "snmodel.growth": {"grow", "grow_batch", "grow_incremental", "prune_low_degree"},
     "snmodel.structures": {"apply_random_edit", "edit_space_size"},
-    "GroupIndex": {"append", "derive", "distances", "encode", "join", "neighbours"},
+    "GroupIndex": {"append", "derive", "distances", "encode", "join"},
     "Network": {
         "degrees",
         "edge_pairs",
