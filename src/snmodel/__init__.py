@@ -29,8 +29,6 @@ from .growth import (
     GrowthTrace,
     Instance,
     grow,
-    grow_batch,
-    grow_incremental,
     prune_low_degree,
 )
 from .metrics import MetricsReport, compute_metrics, fit_power_law_slope
@@ -66,8 +64,6 @@ __all__ = [
     "groups_equal",
     "grow",
     "grow_ba",
-    "grow_batch",
-    "grow_incremental",
     "instances_dir",
     "load_instance_file",
     "parse_instance_file",

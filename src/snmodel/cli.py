@@ -56,8 +56,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     net, trace = experiments.run_single(config.instance)
     report = compute_metrics(net, fit_k_min=args.fit_k_min)
     fileio.write_network(args.out, net, report)
-    grown = len(config.instance.initial_structures) + trace.accepted  # before any pruning
-    if grown < config.instance.target_nodes:
+    if trace.saturated:
+        grown = len(config.instance.initial_structures) + trace.accepted  # before any pruning
         print(f"warning: growth stopped at {grown} of {config.instance.target_nodes} target nodes"
               f" after {trace.attempts} attempts", file=sys.stderr)
     print(f"wrote network with {net.n_nodes} nodes, {net.n_edges} edges to {args.out}")

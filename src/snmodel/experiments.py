@@ -9,6 +9,7 @@ baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
@@ -208,20 +209,29 @@ def _scalars(report: MetricsReport) -> dict[str, float | None]:
     return {name: getattr(report, name) for name in _SCALAR_FIELDS}
 
 
+def _metric_list(names: Sequence[str], known: Sequence[str]) -> tuple[str, ...]:
+    """*names* in their order, each once; ValueError when empty or naming an unknown one."""
+    distinct = tuple(dict.fromkeys(names))
+    if not distinct:
+        raise ValueError("the metric list names no metric")
+    for name in distinct:
+        if name not in known:
+            raise ValueError(f"unknown metric {name!r}; known metrics: {', '.join(known)}")
+    return distinct
+
+
 def _checked_reference(
     referenced_metrics: Sequence[str], reference: Mapping[str, float] | None
-) -> dict[str, float] | None:
-    """The reference values of the referenced metrics, or None without a reference.
+) -> tuple[tuple[str, ...], dict[str, float] | None]:
+    """The referenced metrics, each once, and their reference values (None without one).
 
-    Raises ValueError for a metric that is not a scalar of the report, and
-    for a reference that is not a mapping of metric names to numbers or that
-    names none of the referenced metrics, which every seed would match.
+    Raises ValueError for an empty or unknown metric list, and for a reference
+    that is not a mapping of metric names to finite numbers or that names none
+    of the referenced metrics: every seed would match it, as it would a NaN.
     """
-    for m in referenced_metrics:
-        if m not in _SCALAR_FIELDS:
-            raise ValueError(f"unknown metric {m!r}; known metrics: {', '.join(_SCALAR_FIELDS)}")
+    referenced_metrics = _metric_list(referenced_metrics, _SCALAR_FIELDS)
     if reference is None:
-        return None
+        return referenced_metrics, None
     if not isinstance(reference, Mapping):
         raise ValueError("reference must map metric names to numbers")
     ref = {}
@@ -230,10 +240,12 @@ def _checked_reference(
             value = reference[m]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"reference value of {m!r} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"reference value of {m!r} must be finite, got {value!r}")
             ref[m] = float(value)
     if not ref:
         raise ValueError(f"reference names none of the metrics {', '.join(referenced_metrics)}")
-    return ref
+    return referenced_metrics, ref
 
 
 def summarize(
@@ -249,7 +261,7 @@ def summarize(
     """
     if not reports:
         raise ValueError("summarize requires at least one report")
-    ref = _checked_reference(referenced_metrics, reference)
+    referenced_metrics, ref = _checked_reference(referenced_metrics, reference)
     rows = [_scalars(r) for r in reports]
     means: dict[str, float | None] = {}
     stds: dict[str, float | None] = {}
@@ -287,7 +299,7 @@ def summarize(
         within_10=within_10,
         within_20=within_20,
         reference=ref,
-        referenced_metrics=tuple(referenced_metrics),
+        referenced_metrics=referenced_metrics,
     )
 
 
@@ -341,9 +353,9 @@ def run_growth_comparison(
     Incremental growth makes the subgraph on the first n nodes equal to the
     intermediate network at size n, so each run is grown once and sliced.
     Batch growth drops isolated nodes, so a batch instance is rejected.
-    A checkpoint given twice counts once. Returns {metric: {"sn" | "ba":
-    {checkpoint: mean}}} and, when an output directory is given, writes one
-    "n_nodes sn ba" file per metric.
+    A checkpoint or metric given twice counts once. Returns {metric: {"sn" |
+    "ba": {checkpoint: mean}}} and, when an output directory is given, writes
+    one "n_nodes sn ba" file per metric.
     """
     if sn_instance.mode == BATCH:
         raise ValueError("compare-ba needs mode = incremental, not batch")
@@ -358,9 +370,7 @@ def run_growth_comparison(
         raise ValueError("checkpoints exceed the configured target size")
 
     evaluators = _evaluators()
-    for name in metric_names:
-        if name not in evaluators:
-            raise ValueError(f"unknown comparison metric {name!r}")
+    metric_names = _metric_list(metric_names, tuple(evaluators))
 
     sums: dict[str, dict[str, dict[int, float]]] = {
         name: {"sn": {c: 0.0 for c in checkpoints}, "ba": {c: 0.0 for c in checkpoints}}

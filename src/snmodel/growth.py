@@ -1,17 +1,17 @@
-"""Growth of structured-node networks: incremental, batch variant, and pruning.
+"""Growth of structured-node networks, incremental or batch, and pruning.
 
 The growth loop derives a candidate structure from a randomly chosen template
-and rejects duplicates and candidates that would be isolated. The edit
-reports where the word starts to change, so the candidate's group ids come
-from its template's row: a mutation replaces at most one id, any other edit
-re-encodes only the suffix from the group it starts in and compares it with
-the template's. So the distance to the template is known: exact, or at most 1
-for a mutant. A candidate within max_distance of its template has a neighbour
-already; only one further away is searched for a neighbour, by a scan over
-every structure, the template included. Distances are static, so
-the edge relation depends on the accepted structures alone: once the loop
-ends, one pairwise join over them yields every edge, the same edges an
-insertion-time search would have added.
+and rejects duplicates and, in incremental mode, candidates that would be
+isolated. The edit reports where the word starts to change, so the candidate's
+group ids come from its template's row: a mutation replaces at most one id,
+any other edit re-encodes only the suffix from the group it starts in and
+compares it with the template's. So the distance to the template is known:
+exact, or at most 1 for a mutant. A candidate within max_distance of its
+template has a neighbour already; only one further away is searched for a
+neighbour, by a scan over every structure, the template included. Distances
+are static, so the edge relation depends on the accepted structures alone:
+once the loop ends, one pairwise join over them yields every edge, the same
+edges an insertion-time search would have added.
 """
 
 from __future__ import annotations
@@ -328,25 +328,39 @@ class GroupIndex:
             t0, done = t1, int(total[t1 - 1])
 
 
-def grow_incremental(instance: Instance) -> tuple[Network, GrowthTrace]:
-    """Grow a network node by node until target_nodes or the attempt budget.
+def grow(instance: Instance) -> tuple[Network, GrowthTrace]:
+    """Grow a network from the instance's initial structures.
 
-    Every accepted node is connected to all existing nodes within the
-    distance threshold; candidates duplicating an existing structure or
-    connecting to nothing are rejected. The network at n nodes is the
-    induced prefix of n nodes.
+    Each attempt edits a uniformly chosen template once; a failed edit or a
+    duplicate structure is rejected. Incremental growth draws the template
+    from every structure so far and rejects a candidate that would connect
+    to nothing, so the network at n nodes is the induced prefix of n nodes.
+    Batch growth draws it from the initial structures, tests no isolation,
+    stops once it has drawn every single edit of them, and after wiring
+    drops every isolated node, initial ones included. Both stop at
+    target_nodes or when the attempt budget runs out.
     """
     rng = random.Random(instance.seed)
     trace = GrowthTrace()
-    structures = list(instance.initial_structures)
+    initial = instance.initial_structures
+    structures = list(initial)
     seen = set(structures)
     index = GroupIndex(instance.distance, structures)
 
+    batch = instance.mode == BATCH
     max_distance = instance.distance.max_distance
     budget = instance.attempt_budget
-    while len(structures) < instance.target_nodes and trace.attempts < budget:
+    # A space larger than the budget is not listed: None never equals a count.
+    space_size = None
+    if batch:
+        space_size = edit_space_size(initial, instance.probs, instance.alphabet, budget)
+    while (
+        len(structures) < instance.target_nodes
+        and trace.attempts < budget
+        and len(structures) != space_size
+    ):
         trace.attempts += 1
-        template = rng.randrange(len(structures))
+        template = rng.randrange(len(initial) if batch else len(structures))
         template_word = structures[template]
         word, _, at = apply_random_edit(template_word, instance.probs, instance.alphabet, rng)
         if word is None:
@@ -358,7 +372,11 @@ def grow_incremental(instance: Instance) -> tuple[Network, GrowthTrace]:
         encoded, distance = index.derive(template, word, at, len(word) == len(template_word))
         # A candidate within reach of its template has a neighbour already;
         # only one further away needs a search, which scans the template too.
-        if distance > max_distance and not (index.distances(encoded) <= max_distance).any():
+        if (
+            not batch
+            and distance > max_distance
+            and not (index.distances(encoded) <= max_distance).any()
+        ):
             trace.rejected_isolated += 1
             continue
         index.append(encoded)
@@ -368,67 +386,11 @@ def grow_incremental(instance: Instance) -> tuple[Network, GrowthTrace]:
 
     trace.saturated = len(structures) < instance.target_nodes
     # Distances are static, so the edges follow from the accepted structures alone.
-    return Network(structures, *index.join()), trace
-
-
-def grow_batch(instance: Instance) -> tuple[Network, GrowthTrace]:
-    """Batch variant: derive all structures from the initial ones, then wire.
-
-    Candidate structures are generated by single random edits of uniformly
-    chosen *initial* structures until target_nodes distinct structures exist
-    or the attempt budget runs out, stopping early once every single edit of
-    the initial structures has been drawn. Edges are then computed in one
-    pairwise pass and every node left isolated (initial nodes included) is
-    removed.
-    """
-    rng = random.Random(instance.seed)
-    trace = GrowthTrace()
-
-    structures: list[str] = list(instance.initial_structures)
-    seen: set[str] = set(structures)
-    n_initial = len(structures)
-
-    budget = instance.attempt_budget
-    # A space larger than the budget is not listed: None never equals len(seen).
-    space_size = edit_space_size(
-        instance.initial_structures, instance.probs, instance.alphabet, budget
-    )
-    while (
-        len(structures) < instance.target_nodes
-        and trace.attempts < budget
-        and len(seen) != space_size
-    ):
-        trace.attempts += 1
-        template = rng.randrange(n_initial)
-        word, _, _ = apply_random_edit(
-            instance.initial_structures[template], instance.probs, instance.alphabet, rng
-        )
-        if word is None:
-            trace.rejected_edit_failed += 1
-            continue
-        if word in seen:
-            trace.rejected_duplicate += 1
-            continue
-        seen.add(word)
-        structures.append(word)
-        trace.accepted += 1
-
-    net = Network(structures, *GroupIndex(instance.distance, structures).join())
-    keep = net.degrees() > 0
-    dropped = int(np.count_nonzero(~keep))
-    if dropped:
-        trace.rejected_isolated += dropped
-        net = net.subgraph(keep)
-
-    trace.saturated = len(structures) < instance.target_nodes
+    net = Network(structures, *index.join())
+    if batch:
+        net = prune_low_degree(net, 1)
+        trace.rejected_isolated += len(structures) - net.n_nodes
     return net, trace
-
-
-def grow(instance: Instance) -> tuple[Network, GrowthTrace]:
-    """Dispatch on the instance mode."""
-    if instance.mode == BATCH:
-        return grow_batch(instance)
-    return grow_incremental(instance)
 
 
 def prune_low_degree(net: Network, min_degree: int) -> Network:

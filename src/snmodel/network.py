@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -87,13 +87,6 @@ class Network:
             indptr = np.concatenate([[0], np.cumsum(self.degrees())])
             self._csr = indptr, cols[np.argsort(rows)]
         return self._csr
-
-    def edge_pairs(self) -> Iterator[tuple[int, int]]:
-        for u, v in zip(self.edge_u.tolist(), self.edge_v.tolist()):
-            yield u, v
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(self.edge_pairs())
 
     def induced_prefix(self, n: int) -> Network:
         """Subgraph on nodes 0..n-1.

@@ -4,20 +4,31 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import replace
 
 import numpy as np
 
 from snmodel.distance import within_max_distance
-from snmodel.growth import BATCH, INCREMENTAL, GrowthTrace, Instance, grow_incremental
+from snmodel.growth import BATCH, INCREMENTAL, GrowthTrace, Instance, grow
 from snmodel.network import Network
 from snmodel.structures import apply_random_edit, edit_space_size
+
+
+def edge_pairs(net: Network) -> Iterator[tuple[int, int]]:
+    """The edges of *net* as (u, v) pairs, u < v, in its canonical order."""
+    for u, v in zip(net.edge_u.tolist(), net.edge_v.tolist()):
+        yield u, v
+
+
+def edge_set(net: Network) -> set[tuple[int, int]]:
+    return set(edge_pairs(net))
 
 
 def shortest_path_lengths_bfs(net: Network, source: int) -> dict[int, int]:
     """Plain BFS from one node; reference route for the bit-parallel sweep."""
     adjacency: list[list[int]] = [[] for _ in range(net.n_nodes)]
-    for u, v in net.edge_pairs():
+    for u, v in edge_pairs(net):
         adjacency[u].append(v)
         adjacency[v].append(u)
     dist = {source: 0}
@@ -63,7 +74,7 @@ def checkpoint_rows(
     for n in range(len(instance.initial_structures), net.n_nodes + 1):
         if n % interval:
             continue
-        at_n, trace = grow_incremental(
+        at_n, trace = grow(
             replace(instance, target_nodes=n, max_attempts=instance.attempt_budget)
         )
         prefix = net.induced_prefix(n)

@@ -62,7 +62,7 @@ from snmodel.metrics import (
     path_length_histogram,
 )
 
-from oracles import checkpoint_rows, shortest_path_lengths_bfs
+from oracles import checkpoint_rows, edge_pairs, edge_set, shortest_path_lengths_bfs
 
 
 def _load(name: str):
@@ -279,7 +279,7 @@ def _try_power_law_fit(net: Network) -> tuple[float | None, str]:
 
 def test_acceptance_07_batch_variant():
     # Batch candidates are single edits of the initial structures (see
-    # grow_batch). With mutation only and one initial word w of length L
+    # growth.grow). With mutation only and one initial word w of length L
     # over an alphabet of size A, every candidate is w with exactly one
     # symbol replaced by a different one, so at most n = 1 + L*(A - 1)
     # distinct structures exist. Any two of them differ from each other in
@@ -349,7 +349,7 @@ def _floyd_warshall(net: Network) -> list[list[float]]:
     dist = [[math.inf] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = 0.0
-    for u, v in net.edge_pairs():
+    for u, v in edge_pairs(net):
         dist[u][v] = dist[v][u] = 1.0
     for k in range(n):
         dk = dist[k]
@@ -382,7 +382,7 @@ def test_acceptance_08_property_suites():
     for _ in range(100):
         net = _random_network(rng, 30)
         brute = {0: 0, 1: 0, 2: 0, 3: 0}
-        edges = net.edge_set()
+        edges = edge_set(net)
         for a, b, c in itertools.combinations(range(net.n_nodes), 3):
             brute[((a, b) in edges) + ((a, c) in edges) + ((b, c) in edges)] += 1
         assert motif_census_3(net) == brute
@@ -411,7 +411,7 @@ def test_acceptance_08_property_suites():
         net, _ = grow(instance)
         assert net.n_nodes == target
         cfg = instance.distance
-        edges = net.edge_set()
+        edges = edge_set(net)
         for u in range(net.n_nodes):
             su = net.structures[u]
             for v in range(u + 1, net.n_nodes):

@@ -301,13 +301,28 @@ class TestExperiment:
                 ["--referenced-metrics", "bogus"],
                 "error: unknown metric 'bogus'; known metrics: n_nodes",
             ),
+            # Every comparison with NaN is false, so a non-finite reference
+            # would let every seed qualify; JSON reads 1e400 as infinity.
+            (
+                ["--reference", '{"average_degree": NaN}'],
+                "error: reference value of 'average_degree' must be finite",
+            ),
+            (
+                ["--reference", '{"means": {"average_degree": Infinity}}'],
+                "error: reference value of 'average_degree' must be finite",
+            ),
+            (
+                ["--reference", '{"average_degree": 1e400}'],
+                "error: reference value of 'average_degree' must be finite",
+            ),
             # Naming no referenced metric, the reference would let every seed qualify.
             (["--reference", '{"means": {}}'], "error: reference names none of the metrics"),
             (["--reference", '{"bogus_metric": 3}'], "error: reference names none of the metrics"),
         ],
         ids=[
             "list", "null", "null-means", "object-value", "null-value", "unknown-metric",
-            "empty-means", "unreferenced-only",
+            "nan-value", "infinite-value", "overflowing-value", "empty-means",
+            "unreferenced-only",
         ],
     )
     def test_bad_reference_is_one_error_line(self, tmp_path, instance_file, capsys, argv, message):
@@ -476,8 +491,12 @@ def _bad_input_cases() -> list:
     cases.append((["bogus"], "usage", "unknown-subcommand"))
     flags = {
         "generate": [["--seed", "x"], ["--max-attempts", "5"], ["--fit-k-min", "x"]],
-        "experiment": [["--n-seeds", "0"], ["--referenced-metrics", "bogus"]],
-        "compare-ba": [["--checkpoints", "0"], ["--metrics", "bogus"], ["--ba-edges", "9"]],
+        "experiment": [
+            ["--n-seeds", "0"], ["--referenced-metrics", "bogus"], ["--referenced-metrics", ","],
+        ],
+        "compare-ba": [
+            ["--checkpoints", "0"], ["--metrics", "bogus"], ["--metrics", ","], ["--ba-edges", "9"],
+        ],
     }
     for command, variants in flags.items():
         for flag in variants:

@@ -194,6 +194,15 @@ class TestSummarize:
         with pytest.raises(ValueError, match="unknown metric 'bogus'; known metrics: n_nodes, "):
             summarize(self.make_reports(), ("bogus",))
 
+    def test_empty_metric_list_rejected(self):
+        # With no referenced metric every seed would qualify.
+        with pytest.raises(ValueError, match="names no metric"):
+            summarize(self.make_reports(), ())
+
+    def test_repeated_metric_counts_once(self):
+        summary = summarize(self.make_reports(), ("average_degree", "average_degree"))
+        assert summary.referenced_metrics == ("average_degree",)
+
     @pytest.mark.parametrize(
         "reference",
         [[1, 2], {"average_degree": {"a": 1}}, {"average_degree": None}, {"average_degree": True}],
@@ -297,6 +306,27 @@ class TestRunGrowthComparison:
         for metric in once:
             name = f"comparison_{metric}.tsv"
             assert (tmp_path / "twice" / name).read_text() == (tmp_path / "once" / name).read_text()
+
+    def test_repeated_metric_counts_once(self, tmp_path):
+        config = parse_instance_file(MINIMAL)
+        ba = BAParams(target_nodes=40, initial_clique=4, edges_per_node=4, seed=1)
+        twice = run_growth_comparison(
+            config.instance, ba, [20, 40], n_seeds=2, output_directory=tmp_path / "twice",
+            metric_names=("average_degree", "average_degree"),
+        )
+        once = run_growth_comparison(
+            config.instance, ba, [20, 40], n_seeds=2, output_directory=tmp_path / "once",
+            metric_names=("average_degree",),
+        )
+        assert twice == once
+        name = "comparison_average_degree.tsv"
+        assert (tmp_path / "twice" / name).read_text() == (tmp_path / "once" / name).read_text()
+
+    def test_empty_metric_list_rejected(self, tmp_path):
+        config = parse_instance_file(MINIMAL)
+        ba = BAParams(target_nodes=40, initial_clique=4, edges_per_node=4)
+        with pytest.raises(ValueError, match="names no metric"):
+            run_growth_comparison(config.instance, ba, [20], n_seeds=1, metric_names=())
 
     def test_checkpoint_below_one_rejected(self):
         config = parse_instance_file(MINIMAL)

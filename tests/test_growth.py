@@ -1,4 +1,4 @@
-"""Growth engine: incremental loop, batch variant, pruning, distance index."""
+"""Growth engine: the growth loop in both modes, pruning, distance index."""
 
 from __future__ import annotations
 
@@ -26,14 +26,12 @@ from snmodel.growth import (
     GroupIndex,
     Instance,
     grow,
-    grow_batch,
-    grow_incremental,
     prune_low_degree,
 )
 from snmodel.network import Network
 from snmodel.structures import Alphabet, Edit, EditProbabilities, apply_random_edit
 
-from oracles import checkpoint_rows, validate
+from oracles import checkpoint_rows, edge_set, validate
 
 AB = Alphabet.from_string("AB")
 ABC = Alphabet.from_string("ABC")
@@ -56,13 +54,26 @@ def small_instance(**overrides) -> Instance:
 
 def check_biconditional(net: Network, instance: Instance) -> None:
     """Edge present iff structures within max distance, over all pairs."""
-    edges = net.edge_set()
+    edges = edge_set(net)
     for u in range(net.n_nodes):
         for v in range(u + 1, net.n_nodes):
             expected = within_max_distance(
                 net.structures[u], net.structures[v], instance.distance
             )
             assert ((u, v) in edges) == expected, (u, v)
+
+
+def count_index_calls(monkeypatch) -> dict[str, int]:
+    """Count the calls of GroupIndex.encode and GroupIndex.distances from now on."""
+    calls = {"encode": 0, "distances": 0}
+    for name in calls:
+
+        def counted(index, *args, _name=name, _original=getattr(GroupIndex, name)):
+            calls[_name] += 1
+            return _original(index, *args)
+
+        monkeypatch.setattr(GroupIndex, name, counted)
+    return calls
 
 
 class TestInstanceValidation:
@@ -98,7 +109,7 @@ class TestInstanceValidation:
 class TestGrowIncremental:
     def test_single_node_trivial_run(self):
         instance = small_instance(initial_structures=("ABCABC",), target_nodes=1)
-        net, trace = grow_incremental(instance)
+        net, trace = grow(instance)
         assert net.n_nodes == 1
         assert net.n_edges == 0
         assert trace.attempts == 0
@@ -106,14 +117,14 @@ class TestGrowIncremental:
 
     def test_reaches_target_with_distinct_structures(self):
         instance = small_instance()
-        net, trace = grow_incremental(instance)
+        net, trace = grow(instance)
         assert net.n_nodes == 60
         assert trace.accepted == 59
         validate(net)
 
     def test_counters_partition_attempts(self):
         instance = small_instance(target_nodes=80)
-        _, trace = grow_incremental(instance)
+        _, trace = grow(instance)
         total = (
             trace.accepted
             + trace.rejected_duplicate
@@ -124,7 +135,7 @@ class TestGrowIncremental:
 
     def test_edge_iff_within_distance(self):
         instance = small_instance(target_nodes=80, seed=11)
-        net, _ = grow_incremental(instance)
+        net, _ = grow(instance)
         check_biconditional(net, instance)
 
     def test_biconditional_with_match_table(self):
@@ -138,15 +149,15 @@ class TestGrowIncremental:
             target_nodes=40,
             seed=5,
         )
-        net, _ = grow_incremental(instance)
+        net, _ = grow(instance)
         check_biconditional(net, instance)
 
     def test_initial_structures_connected_when_close(self):
         instance = small_instance(
             initial_structures=("ABCABC", "ABCABA"), target_nodes=2
         )
-        net, _ = grow_incremental(instance)
-        assert net.edge_set() == {(0, 1)}
+        net, _ = grow(instance)
+        assert edge_set(net) == {(0, 1)}
 
     def test_distant_initials_survive_without_edges(self):
         # Initial nodes are exempt from the isolated-node rule.
@@ -157,7 +168,7 @@ class TestGrowIncremental:
             distance=DistanceConfig(2, 0),
             target_nodes=2,
         )
-        net, _ = grow_incremental(instance)
+        net, _ = grow(instance)
         assert net.n_nodes == 2
         assert net.n_edges == 0
 
@@ -172,7 +183,7 @@ class TestGrowIncremental:
             target_nodes=3,
             max_attempts=25,
         )
-        net, trace = grow_incremental(instance)
+        net, trace = grow(instance)
         assert net.n_nodes == 1
         assert trace.saturated
         assert trace.attempts == 25
@@ -180,16 +191,16 @@ class TestGrowIncremental:
 
     def test_deterministic_for_seed(self):
         instance = small_instance(target_nodes=50)
-        net_a, _ = grow_incremental(instance)
-        net_b, _ = grow_incremental(instance)
+        net_a, _ = grow(instance)
+        net_b, _ = grow(instance)
         assert net_a.structures == net_b.structures
-        assert net_a.edge_set() == net_b.edge_set()
-        net_c, _ = grow_incremental(small_instance(target_nodes=50, seed=4))
+        assert edge_set(net_a) == edge_set(net_b)
+        net_c, _ = grow(small_instance(target_nodes=50, seed=4))
         assert net_a.structures != net_c.structures
 
     def test_checkpoints_record_growth(self):
         instance = small_instance(target_nodes=30)
-        net, trace = grow_incremental(instance)
+        net, trace = grow(instance)
         rows = checkpoint_rows(net, instance, 10)
         sizes = [nodes for nodes, _, _ in rows]
         assert sizes == [10, 20, 30]
@@ -216,41 +227,28 @@ class TestGrowIncremental:
         assert net.n_edges == 24705
         assert peak < 5_000_000
 
-    @staticmethod
-    def count_index_calls(monkeypatch) -> dict[str, int]:
-        """Count the calls of GroupIndex.encode and GroupIndex.distances from now on."""
-        calls = {"encode": 0, "distances": 0}
-        for name in calls:
-
-            def counted(index, *args, _name=name, _original=getattr(GroupIndex, name)):
-                calls[_name] += 1
-                return _original(index, *args)
-
-            monkeypatch.setattr(GroupIndex, name, counted)
-        return calls
-
     def test_mutants_are_not_reencoded(self, monkeypatch):
         # A mutant's ids come from its template's row, and one changed group
         # never exceeds max_distance 1: no encoding and no neighbour search.
-        calls = self.count_index_calls(monkeypatch)
+        calls = count_index_calls(monkeypatch)
         instance = small_instance(
             probs=MUTATE_ONLY, initial_structures=("ABCABC", "CCABBA"), target_nodes=150
         )
-        _, trace = grow_incremental(instance)
+        _, trace = grow(instance)
         assert trace.accepted == 148
         assert calls == {"encode": 2, "distances": 0}
 
     def test_all_edits_reach_suffix_encoding_and_neighbour_search(self, monkeypatch):
         # The all-edits golden run: shifted groups re-encode the suffix, and
         # candidates beyond their template are searched for a neighbour.
-        calls = self.count_index_calls(monkeypatch)
+        calls = count_index_calls(monkeypatch)
         table = parse_match_file("AA = BB\nBB = AA\nAB = CC\nCC = AB\n", 2, ABC)
         instance = small_instance(
             initial_structures=("ABCABCABCABC",),
             distance=DistanceConfig(2, 1, match_table=table),
             target_nodes=400,
         )
-        _, trace = grow_incremental(instance)
+        _, trace = grow(instance)
         assert trace.rejected_isolated > 0
         assert calls["encode"] > 1
         assert calls["distances"] > 0
@@ -265,7 +263,7 @@ class TestGrowBatch:
             target_nodes=30,
             seed=9,
         )
-        net, _ = grow_batch(instance)
+        net, _ = grow(instance)
         for word in net.structures:
             assert any(
                 len(word) == len(init)
@@ -275,7 +273,7 @@ class TestGrowBatch:
 
     def test_pairwise_biconditional_after_removal(self):
         instance = small_instance(mode=BATCH, target_nodes=50, seed=2)
-        net, _ = grow_batch(instance)
+        net, _ = grow(instance)
         check_biconditional(net, instance)
         validate(net)
 
@@ -291,33 +289,39 @@ class TestGrowBatch:
             target_nodes=4,
             max_attempts=200,
         )
-        net, trace = grow_batch(instance)
+        net, trace = grow(instance)
         assert sorted(net.structures) == ["AB", "BA"]
         assert net.n_edges == 1
         assert trace.rejected_isolated == 2
-
-    def test_dispatch_by_mode(self):
-        instance = small_instance(mode=BATCH, target_nodes=20, seed=8)
-        net_a, _ = grow(instance)
-        net_b, _ = grow_batch(instance)
-        assert net_a.structures == net_b.structures
 
     def test_stops_once_every_single_edit_exists(self, monkeypatch):
         # batch.instance has 1 + 12 * 17 = 205 distinct words within one
         # mutation of its initial word, far fewer than its 150 000 attempts.
         instance = load_instance_file(instances_dir() / "batch.instance").instance
-        net, trace = grow_batch(instance)
+        assert instance.mode == BATCH
+        net, trace = grow(instance)
         assert trace.saturated
         assert trace.accepted == 204
         assert trace.attempts < instance.attempt_budget // 20
 
         # Without the stop the loop draws only duplicates up to the budget.
         monkeypatch.setattr(growth, "edit_space_size", lambda *args: None)
-        full_net, full_trace = grow_batch(instance)
+        full_net, full_trace = grow(instance)
         assert full_trace.attempts == instance.attempt_budget
         assert net.structures == full_net.structures
         assert np.array_equal(net.edge_u, full_net.edge_u)
         assert np.array_equal(net.edge_v, full_net.edge_v)
+
+    def test_rows_derive_from_the_initial_row(self, monkeypatch):
+        # Every candidate is a mutant of the initial word, so its ids come
+        # from that word's row: one word is encoded, and no neighbour search
+        # runs, in the loop or in the join.
+        calls = count_index_calls(monkeypatch)
+        instance = load_instance_file(instances_dir() / "batch.instance").instance
+        assert instance.mode == BATCH
+        _, trace = grow(instance)
+        assert trace.accepted == 204
+        assert calls == {"encode": 1, "distances": 0}
 
 
 class TestPrune:
@@ -339,7 +343,7 @@ class TestPrune:
         net = Network.from_edges(4, [(0, 1), (1, 2)])
         pruned = prune_low_degree(net, 0)
         assert pruned.n_nodes == 4
-        assert pruned.edge_set() == net.edge_set()
+        assert edge_set(pruned) == edge_set(net)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):

@@ -32,7 +32,7 @@ from snmodel.metrics import (
 )
 from snmodel.network import Network
 
-from oracles import shortest_path_lengths_bfs
+from oracles import edge_pairs, edge_set, shortest_path_lengths_bfs
 
 
 def random_network(rng: random.Random, n: int, p: float) -> Network:
@@ -45,7 +45,7 @@ def random_network(rng: random.Random, n: int, p: float) -> Network:
 def to_nx(net: Network) -> nx.Graph:
     g = nx.Graph()
     g.add_nodes_from(range(net.n_nodes))
-    g.add_edges_from(net.edge_pairs())
+    g.add_edges_from(edge_pairs(net))
     return g
 
 
@@ -115,7 +115,7 @@ def floyd_warshall(net: Network) -> dict[tuple[int, int], int]:
     n = net.n_nodes
     inf = math.inf
     dist = [[0 if i == j else inf for j in range(n)] for i in range(n)]
-    for u, v in net.edge_pairs():
+    for u, v in edge_pairs(net):
         dist[u][v] = dist[v][u] = 1
     for k in range(n):
         dk = dist[k]
@@ -194,7 +194,7 @@ class TestDegreeAndPaths:
         if relabel is not None:
             perm = list(range(net.n_nodes))
             random.Random(relabel).shuffle(perm)
-            net = Network.from_edges(net.n_nodes, [(perm[u], perm[v]) for u, v in net.edge_pairs()])
+            net = Network.from_edges(net.n_nodes, [(perm[u], perm[v]) for u, v in edge_pairs(net)])
         g = to_nx(net)
         giant = max(nx.connected_components(g), key=len)
         assert len(giant) == 572
@@ -284,7 +284,7 @@ class TestClustering:
 
 class TestMotifCensus:
     def brute_force(self, net: Network) -> dict[int, int]:
-        edges = net.edge_set()
+        edges = edge_set(net)
         counts = {0: 0, 1: 0, 2: 0, 3: 0}
         for triple in itertools.combinations(range(net.n_nodes), 3):
             k = sum(
@@ -471,7 +471,7 @@ class TestComponentsAndReport:
         perm = list(range(25))
         rng.shuffle(perm)
         relabeled = Network.from_edges(
-            25, [(perm[u], perm[v]) for u, v in net.edge_pairs()]
+            25, [(perm[u], perm[v]) for u, v in edge_pairs(net)]
         )
         a = compute_metrics(net)
         b = compute_metrics(relabeled)

@@ -43,13 +43,11 @@ SURFACE = {
         "path_length_histogram",
         "triangle_count",
     },
-    "snmodel.growth": {"grow", "grow_batch", "grow_incremental", "prune_low_degree"},
+    "snmodel.growth": {"grow", "prune_low_degree"},
     "snmodel.structures": {"apply_random_edit", "edit_space_size"},
     "GroupIndex": {"append", "derive", "distances", "encode", "join"},
     "Network": {
         "degrees",
-        "edge_pairs",
-        "edge_set",
         "from_edges",
         "induced_prefix",
         "n_edges",
@@ -59,11 +57,6 @@ SURFACE = {
     },
     "Network instance": {"edge_u", "edge_v", "structures"},
 }
-
-#: Kept without a user in src/: the tests' edge view, which would otherwise
-#: only move into the tests.
-KEPT = {"edge_set"}
-
 
 def _public(owner) -> set[str]:
     if inspect.isclass(owner):
@@ -125,7 +118,6 @@ def test_every_listed_name_has_a_user():
         | set(experiments._evaluators())
         | _traced()
         | _called_in_src()
-        | KEPT
     )
     listed = set().union(*SURFACE.values())
     assert listed <= users, f"{sorted(listed - users)} have no user; {HINT}"
