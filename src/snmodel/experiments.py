@@ -9,7 +9,7 @@ baseline.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
@@ -240,7 +240,8 @@ def _checked_reference(
             value = reference[m]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"reference value of {m!r} must be a number, got {value!r}")
-            if not math.isfinite(value):
+            # NaN fails every comparison; an int beyond the float range would overflow.
+            if not -sys.float_info.max <= value <= sys.float_info.max:
                 raise ValueError(f"reference value of {m!r} must be finite, got {value!r}")
             ref[m] = float(value)
     if not ref:

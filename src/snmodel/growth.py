@@ -387,7 +387,7 @@ def grow(instance: Instance) -> tuple[Network, GrowthTrace]:
     trace.saturated = len(structures) < instance.target_nodes
     # Distances are static, so the edges follow from the accepted structures alone.
     net = Network(structures, *index.join())
-    if batch:
+    if batch and not net.degrees().all():
         net = prune_low_degree(net, 1)
         trace.rejected_isolated += len(structures) - net.n_nodes
     return net, trace

@@ -315,13 +315,18 @@ class TestExperiment:
                 ["--reference", '{"average_degree": 1e400}'],
                 "error: reference value of 'average_degree' must be finite",
             ),
+            # An integer too large for a float overflows instead.
+            (
+                ["--reference", '{"average_degree": 1' + "0" * 400 + "}"],
+                "error: reference value of 'average_degree' must be finite",
+            ),
             # Naming no referenced metric, the reference would let every seed qualify.
             (["--reference", '{"means": {}}'], "error: reference names none of the metrics"),
             (["--reference", '{"bogus_metric": 3}'], "error: reference names none of the metrics"),
         ],
         ids=[
             "list", "null", "null-means", "object-value", "null-value", "unknown-metric",
-            "nan-value", "infinite-value", "overflowing-value", "empty-means",
+            "nan-value", "infinite-value", "overflowing-value", "overflowing-int", "empty-means",
             "unreferenced-only",
         ],
     )
