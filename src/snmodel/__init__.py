@@ -7,8 +7,6 @@ from pathlib import Path
 from .ba import BAParams, grow_ba
 from .distance import (
     DistanceConfig,
-    MatchTable,
-    groups_equal,
     parse_match_file,
     structure_distance,
     within_max_distance,
@@ -54,14 +52,12 @@ __all__ = [
     "GrowthTrace",
     "INCREMENTAL",
     "Instance",
-    "MatchTable",
     "MetricsReport",
     "Network",
     "SummaryReport",
     "apply_random_edit",
     "compute_metrics",
     "fit_power_law_slope",
-    "groups_equal",
     "grow",
     "grow_ba",
     "instances_dir",

@@ -17,29 +17,18 @@ from typing import Mapping
 from .structures import Alphabet
 
 
-@dataclass(frozen=True)
-class MatchTable:
-    """Declared equivalences between symbol groups of a fixed size.
-
-    ``entries`` maps a group to the set of groups declared equal to it; the
-    mapping is symmetric by construction.
-    """
-
-    unit: int
-    entries: Mapping[str, frozenset[str]]
-    alphabet: Alphabet
-
-    def declares_equal(self, g1: str, g2: str) -> bool:
-        return g2 in self.entries.get(g1, ())
-
-
-def parse_match_file(text: str, unit: int, alphabet: Alphabet) -> MatchTable:
+def parse_match_file(text: str, unit: int, alphabet: Alphabet) -> Mapping[str, frozenset[str]]:
     """Parse match rules, one per line: ``TUPLE = [TUPLE [TUPLE ...]]``.
 
     ``#`` starts a comment and blank lines are ignored. The right side may be
     empty, which contributes no equivalences beyond the default multiset
-    rule. Asymmetric input is accepted: the symmetric closure is taken and a
-    warning is emitted.
+    rule. A rule between two groups of the same multiset restates that rule
+    and is dropped. Asymmetric input is accepted: the symmetric closure is
+    taken and a warning is emitted.
+
+    Returns the match table: a read-only mapping from each group to the
+    groups of other multisets declared equal to it, symmetric by
+    construction.
     """
     if unit <= 1:
         raise ValueError("A match table requires unit_distance > 1")
@@ -66,9 +55,8 @@ def parse_match_file(text: str, unit: int, alphabet: Alphabet) -> MatchTable:
         declared.setdefault(left, set())
         for token in right_text.split():
             right = check_group(token, line_no)
-            if right == left:
-                continue
-            declared[left].add(right)
+            if sorted(right) != sorted(left):
+                declared[left].add(right)
 
     asymmetric = False
     for left, rights in list(declared.items()):
@@ -82,17 +70,16 @@ def parse_match_file(text: str, unit: int, alphabet: Alphabet) -> MatchTable:
             stacklevel=2,
         )
 
-    frozen = {g: frozenset(eq) for g, eq in declared.items() if eq}
-    return MatchTable(unit=unit, entries=MappingProxyType(frozen), alphabet=alphabet)
+    return MappingProxyType({g: frozenset(eq) for g, eq in declared.items() if eq})
 
 
 @dataclass(frozen=True)
 class DistanceConfig:
-    """Unit distance, edge threshold, and optional match table."""
+    """Unit distance, edge threshold, and optional match table from ``parse_match_file``."""
 
     unit_distance: int
     max_distance: int
-    match_table: MatchTable | None = None
+    match_table: Mapping[str, frozenset[str]] | None = None
 
     def __post_init__(self) -> None:
         if self.unit_distance < 1:
@@ -102,31 +89,24 @@ class DistanceConfig:
         if self.match_table is not None:
             if self.unit_distance <= 1:
                 raise ValueError("a match table is only allowed when unit_distance > 1")
-            if self.match_table.unit != self.unit_distance:
-                raise ValueError(
-                    f"match table unit {self.match_table.unit} does not match "
-                    f"unit_distance {self.unit_distance}"
-                )
-
-
-def groups_equal(g1: str, g2: str, table: MatchTable | None = None) -> bool:
-    """True when the groups are multiset-equal or the table declares them equal."""
-    if len(g1) != len(g2):
-        raise ValueError(f"group length mismatch: {len(g1)} vs {len(g2)}")
-    if g1 == g2 or sorted(g1) == sorted(g2):
-        return True
-    return table is not None and table.declares_equal(g1, g2)
+            for group in self.match_table:
+                if len(group) != self.unit_distance:
+                    raise ValueError(
+                        f"match table group {group!r} has length {len(group)}, "
+                        f"not unit_distance {self.unit_distance}"
+                    )
 
 
 def structure_distance(s1: str, s2: str, cfg: DistanceConfig) -> int:
     """Number of differing groups over the common full-group prefix."""
     unit = cfg.unit_distance
     n_groups = min(len(s1), len(s2)) // unit
-    table = cfg.match_table
+    table = cfg.match_table or {}
     distance = 0
     for i in range(n_groups):
         lo, hi = i * unit, (i + 1) * unit
-        if not groups_equal(s1[lo:hi], s2[lo:hi], table):
+        g1, g2 = s1[lo:hi], s2[lo:hi]
+        if sorted(g1) != sorted(g2) and g2 not in table.get(g1, ()):
             distance += 1
     return distance
 

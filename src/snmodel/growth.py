@@ -64,10 +64,9 @@ class Instance:
             raise ValueError("prune_min_degree must be >= 0")
         if self.probs.mutate > 0 and len(self.alphabet) < 2:
             raise ValueError("mutation requires an alphabet of size >= 2")
-        if self.distance.match_table is not None:
-            for sym in self.distance.match_table.alphabet.symbols:
-                if sym not in self.alphabet:
-                    raise ValueError("match table uses symbols outside the alphabet")
+        for group in self.distance.match_table or {}:
+            if any(sym not in self.alphabet for sym in group):
+                raise ValueError("match table uses symbols outside the alphabet")
 
     @property
     def attempt_budget(self) -> int:
@@ -147,9 +146,8 @@ class GroupIndex:
     def __init__(self, cfg: DistanceConfig, words: Iterable[str]) -> None:
         self._unit = cfg.unit_distance
         self._max_d = cfg.max_distance
-        entries = cfg.match_table.entries if cfg.match_table is not None else {}
-        # Entries whose two sides share a multiset add nothing.
-        links = [(g, p) for g in entries for p in entries[g] if _multiset(p) != _multiset(g)]
+        table = cfg.match_table or {}
+        links = [(group, partner) for group in table for partner in table[group]]
         # A linked group has an id of its own, 0..L-1; pair codes say what it equals.
         linked = sorted({group for link in links for group in link})
         self._group_ids = {group: gid for gid, group in enumerate(linked)}

@@ -78,12 +78,14 @@ class EditProbabilities:
         for value in values:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"EditProbabilities entries must lie in [0, 1], got {value}")
-        total = sum(values)
+        bounds = tuple(accumulate(values))
+        total = bounds[-1]
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"EditProbabilities must sum to 1 (got {total})")
-        # The draw's cumulative thresholds: kind i is drawn below _bounds[i]
-        # and at or above the bounds before it; duplicate takes the rest.
-        object.__setattr__(self, "_bounds", tuple(accumulate(values[:3])))
+        # The draw's cumulative thresholds, scaled by their total so the last
+        # is 1.0: kind i is drawn below _bounds[i] and at or above the bounds
+        # before it, so a kind of probability 0 is never drawn.
+        object.__setattr__(self, "_bounds", tuple(b / total for b in bounds))
 
 
 def apply_random_edit(
@@ -152,7 +154,7 @@ def edit_space_size(
     per word of length L over A symbols) exceed *limit*.
     """
     # A kind can be drawn when its interval of [0, 1) is not empty.
-    edges = (0.0, *probs._bounds, 1.0)  # type: ignore[attr-defined]
+    edges = (0.0, *probs._bounds)  # type: ignore[attr-defined]
     mutate, insert, delete, duplicate = (lo < hi for lo, hi in zip(edges, edges[1:]))
 
     symbols = alphabet.symbols

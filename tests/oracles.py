@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from collections import deque
 from collections.abc import Iterator
@@ -23,6 +25,43 @@ def edge_pairs(net: Network) -> Iterator[tuple[int, int]]:
 
 def edge_set(net: Network) -> set[tuple[int, int]]:
     return set(edge_pairs(net))
+
+
+def random_network(rng: random.Random, n: int, p: float) -> Network:
+    """G(n, p): each of the n(n-1)/2 node pairs is an edge with probability p."""
+    edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+    ]
+    return Network.from_edges(n, edges)
+
+
+def floyd_warshall(net: Network) -> list[list[float]]:
+    """All-pairs shortest path lengths; math.inf between components."""
+    n = net.n_nodes
+    dist = [[0 if i == j else math.inf for j in range(n)] for i in range(n)]
+    for u, v in edge_pairs(net):
+        dist[u][v] = dist[v][u] = 1
+    for k in range(n):
+        dk = dist[k]
+        for i in range(n):
+            dik = dist[i][k]
+            if dik == math.inf:
+                continue
+            di = dist[i]
+            for j in range(n):
+                alt = dik + dk[j]
+                if alt < di[j]:
+                    di[j] = alt
+    return dist
+
+
+def census_3_brute_force(net: Network) -> dict[int, int]:
+    """Node triples by the number of edges among them, by enumeration."""
+    edges = edge_set(net)
+    counts = {0: 0, 1: 0, 2: 0, 3: 0}
+    for a, b, c in itertools.combinations(range(net.n_nodes), 3):
+        counts[((a, b) in edges) + ((a, c) in edges) + ((b, c) in edges)] += 1
+    return counts
 
 
 def shortest_path_lengths_bfs(net: Network, source: int) -> dict[int, int]:

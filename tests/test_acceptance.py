@@ -49,6 +49,7 @@ from snmodel import (
 )
 from snmodel.cli import main as cli_main
 from snmodel.fileio import render_edge_list, render_structures, write_network
+from snmodel.growth import GroupIndex
 from snmodel.metrics import (
     average_clustering,
     average_degree,
@@ -62,7 +63,14 @@ from snmodel.metrics import (
     path_length_histogram,
 )
 
-from oracles import checkpoint_rows, edge_pairs, edge_set, shortest_path_lengths_bfs
+from oracles import (
+    census_3_brute_force,
+    checkpoint_rows,
+    edge_set,
+    floyd_warshall,
+    random_network,
+    shortest_path_lengths_bfs,
+)
 
 
 def _load(name: str):
@@ -99,6 +107,9 @@ def test_acceptance_01_distance_worked_examples():
     want = [d for _, _, _, d in cases]
     for (s1, s2, cfg, _), value in zip(cases, got):
         assert structure_distance(s2, s1, cfg) == value
+        # The growth engine's distance query gives the same value.
+        index = GroupIndex(cfg, [s2])
+        assert index.distances(index.encode(s1)).tolist() == [value]
     _report(1, f"distances {got} == {want}")
     assert got == want
 
@@ -344,53 +355,19 @@ def test_acceptance_07_batch_variant():
     assert not failures, "; ".join(failures)
 
 
-def _floyd_warshall(net: Network) -> list[list[float]]:
-    n = net.n_nodes
-    dist = [[math.inf] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0.0
-    for u, v in edge_pairs(net):
-        dist[u][v] = dist[v][u] = 1.0
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            if dik == math.inf:
-                continue
-            di = dist[i]
-            for j in range(n):
-                alt = dik + dk[j]
-                if alt < di[j]:
-                    di[j] = alt
-    return dist
-
-
-def _random_network(rng: random.Random, max_nodes: int) -> Network:
-    n = rng.randint(3, max_nodes)
-    p = rng.uniform(0.05, 0.5)
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-    ]
-    return Network.from_edges(n, edges)
-
-
 def test_acceptance_08_property_suites():
     start = time.perf_counter()
     rng = random.Random(80801)
 
     # Closed-form 3-node census against brute-force triple enumeration.
     for _ in range(100):
-        net = _random_network(rng, 30)
-        brute = {0: 0, 1: 0, 2: 0, 3: 0}
-        edges = edge_set(net)
-        for a, b, c in itertools.combinations(range(net.n_nodes), 3):
-            brute[((a, b) in edges) + ((a, c) in edges) + ((b, c) in edges)] += 1
-        assert motif_census_3(net) == brute
+        net = random_network(rng, rng.randint(3, 30), rng.uniform(0.05, 0.5))
+        assert motif_census_3(net) == census_3_brute_force(net)
 
     # BFS path lengths against Floyd-Warshall, per pair and as histograms.
     for _ in range(20):
-        net = _random_network(rng, 50)
-        fw = _floyd_warshall(net)
+        net = random_network(rng, rng.randint(3, 50), rng.uniform(0.05, 0.5))
+        fw = floyd_warshall(net)
         fw_hist: dict[int, int] = {}
         for src in range(net.n_nodes):
             bfs = shortest_path_lengths_bfs(net, src)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given
@@ -10,8 +11,6 @@ from hypothesis import strategies as st
 
 from snmodel.distance import (
     DistanceConfig,
-    MatchTable,
-    groups_equal,
     parse_match_file,
     structure_distance,
     within_max_distance,
@@ -26,7 +25,7 @@ PAIR_FILE = "AB =\nBA =\nAA = BB\nBB = AA\n"
 words = st.text(alphabet="ABC", min_size=1, max_size=20)
 
 
-def table_from(text: str, unit: int = 2, alphabet: Alphabet = AB) -> MatchTable:
+def table_from(text: str, unit: int = 2, alphabet: Alphabet = AB) -> Mapping[str, frozenset[str]]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return parse_match_file(text, unit, alphabet)
@@ -60,45 +59,53 @@ class TestWorkedExamples:
 
 
 class TestGroupsEqual:
-    def test_multiset_rule(self):
-        assert groups_equal("AB", "BA")
-        assert groups_equal("ABB", "BAB")
-        assert not groups_equal("AA", "AB")
+    """One-group structures: the distance is 0 exactly when the groups are equal."""
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            groups_equal("A", "AB")
+    def test_multiset_rule(self):
+        assert structure_distance("AB", "BA", DistanceConfig(2, 0)) == 0
+        assert structure_distance("ABB", "BAB", DistanceConfig(3, 0)) == 0
+        assert structure_distance("AA", "AB", DistanceConfig(2, 0)) == 1
 
     def test_table_extends_equality(self):
-        table = table_from(PAIR_FILE)
-        assert groups_equal("AA", "BB", table)
-        assert not groups_equal("AA", "AB", table)
+        cfg = DistanceConfig(2, 0, match_table=table_from(PAIR_FILE))
+        assert structure_distance("AA", "BB", cfg) == 0
+        assert structure_distance("AA", "AB", cfg) == 1
 
 
 class TestParseMatchFile:
     def test_comments_and_blanks_ignored(self):
         table = table_from("# comment\n\nAA = BB\nBB = AA\n")
-        assert table.declares_equal("AA", "BB")
+        assert "BB" in table["AA"]
 
     def test_multiple_right_tuples(self):
         table = table_from("AA = AB BB\nAB = AA\nBB = AA\n")
-        assert table.declares_equal("AA", "AB")
-        assert table.declares_equal("AA", "BB")
+        assert table["AA"] == {"AB", "BB"}
 
     def test_empty_right_side_declares_nothing(self):
-        table = table_from("AB =\n")
-        assert not table.declares_equal("AB", "BA")
+        assert table_from("AB =\n") == {}
 
     def test_symmetric_closure_warns(self):
         with pytest.warns(UserWarning):
             table = parse_match_file("AA = BB\n", 2, AB)
-        assert table.declares_equal("BB", "AA")
+        assert "AA" in table["BB"]
 
     def test_no_transitive_closure(self):
         table = table_from("AA = AB\nAB = AA BB\nBB = AB\n")
-        assert table.declares_equal("AA", "AB")
-        assert table.declares_equal("AB", "BB")
-        assert not table.declares_equal("AA", "BB")
+        assert table["AA"] == {"AB"}
+        assert table["AB"] == {"AA", "BB"}
+        assert "AA" not in table["BB"]
+
+    def test_same_multiset_rule_dropped_without_warning(self):
+        # AT = TA restates the multiset rule, so it is no rule to close.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = parse_match_file("AT = TA\n", 2, Alphabet.from_string("AT"))
+        assert table == {}
+
+    def test_table_is_read_only(self):
+        table = table_from(PAIR_FILE)
+        with pytest.raises(TypeError):
+            table["AB"] = frozenset({"BB"})
 
     def test_wrong_tuple_length(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -128,8 +135,12 @@ class TestDistanceConfig:
 
     def test_table_requires_matching_unit(self):
         table = table_from(PAIR_FILE, unit=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not unit_distance 3"):
             DistanceConfig(3, 1, match_table=table)
+
+    def test_table_requires_unit_above_1(self):
+        with pytest.raises(ValueError, match="unit_distance > 1"):
+            DistanceConfig(1, 1, match_table={})
 
     def test_within_max_distance(self):
         cfg = DistanceConfig(2, 2)

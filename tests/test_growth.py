@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from snmodel import growth, instances_dir
 from snmodel.distance import (
     DistanceConfig,
-    groups_equal,
     parse_match_file,
     structure_distance,
     within_max_distance,
@@ -104,6 +103,20 @@ class TestInstanceValidation:
                 initial_structures=("AAA",),
                 probs=MUTATE_ONLY,
             )
+
+    def test_table_groups_must_fit_alphabet(self):
+        # The table's groups are checked, not the alphabet it was parsed over.
+        def instance_with(rules: str) -> Instance:
+            table = parse_match_file(rules, 2, ABC)
+            return small_instance(
+                alphabet=AB,
+                initial_structures=("ABAB",),
+                distance=DistanceConfig(2, 1, match_table=table),
+            )
+
+        instance_with("AA = BB\nBB = AA\n")
+        with pytest.raises(ValueError, match="match table"):
+            instance_with("AA = CC\nCC = AA\n")
 
 
 class TestGrowIncremental:
@@ -312,6 +325,23 @@ class TestGrowBatch:
         assert np.array_equal(net.edge_u, full_net.edge_u)
         assert np.array_equal(net.edge_v, full_net.edge_v)
 
+    @pytest.mark.parametrize("p_mutate", [1.0, 0.9999999999])
+    def test_stop_ignores_the_rounding_slack_of_the_probabilities(self, p_mutate):
+        # "ABAB" has 4 mutants; mutation is the only kind with positive
+        # probability even when the probabilities sum to just below 1.
+        instance = small_instance(
+            alphabet=AB,
+            probs=EditProbabilities(mutate=p_mutate),
+            initial_structures=("ABAB",),
+            distance=DistanceConfig(1, 1),
+            mode=BATCH,
+            target_nodes=100,
+            seed=0,
+        )
+        _, trace = grow(instance)
+        assert trace.saturated
+        assert (trace.attempts, trace.accepted) == (7, 4)
+
     def test_rows_derive_from_the_initial_row(self, monkeypatch):
         # Every candidate is a mutant of the initial word, so its ids come
         # from that word's row: one word is encoded, and no neighbour search
@@ -429,7 +459,7 @@ class TestGroupIndex:
         ids = {group: int(index.encode(group)[0]) for group in groups}
         labels = index._key_labels()
         for g1, g2 in itertools.product(groups, repeat=2):
-            if groups_equal(g1, g2, cfg.match_table):
+            if structure_distance(g1, g2, cfg) == 0:
                 assert labels[ids[g1]] == labels[ids[g2]], (g1, g2)
 
     @given(

@@ -196,6 +196,20 @@ class TestApplyRandomEdit:
         assert abs(kinds[Edit.DELETE] / 4000 - 0.1) < 0.05
         assert abs(kinds[Edit.DUPLICATE] / 4000 - 0.4) < 0.05
 
+    def test_kind_of_probability_zero_is_never_drawn(self):
+        # The probabilities sum to within rounding of 1, not to 1; a draw in
+        # the slack [total, 1) still takes a kind of positive probability.
+        probs = EditProbabilities(mutate=0.5, insert=0.5 - 1e-10)
+        total = probs.mutate + probs.insert
+
+        class Slack(random.Random):
+            def random(self) -> float:
+                return (total + 1.0) / 2
+
+        assert total <= Slack().random() < 1.0
+        _, kind, _ = apply_random_edit("ABCABC", probs, ABC, Slack(0))
+        assert kind is Edit.INSERT
+
     def test_deterministic_given_seed(self):
         probs = EditProbabilities(mutate=0.5, insert=0.2, delete=0.1, duplicate=0.2)
         rng_a, rng_b = random.Random(5), random.Random(5)
@@ -226,6 +240,11 @@ class TestEditSpace:
             if word is not None:
                 reached.add(word)
         assert edit_space_size(words, probs, AB, 400) == len(reached)
+
+    def test_kinds_of_probability_zero_are_not_listed(self):
+        # Mutants alone: 4 words besides "ABAB", however close the sum is to 1.
+        for p in (1.0, 0.9999999999):
+            assert edit_space_size(("ABAB",), EditProbabilities(mutate=p), AB, 100) == 5
 
     def test_edit_space_listed_only_within_the_limit(self):
         # "ABCABC": 6 * 2 mutants + 7 * 3 inserts + 6 deletes + 21 duplicates

@@ -1,5 +1,5 @@
-"""Public surface guard for ``snmodel.metrics``, ``snmodel.growth``,
-``snmodel.structures``, ``GroupIndex`` and ``Network``.
+"""Public surface guard for ``snmodel.distance``, ``snmodel.metrics``,
+``snmodel.growth``, ``snmodel.structures``, ``GroupIndex`` and ``Network``.
 
 Their public functions and methods, and the public attributes a ``Network``
 instance holds, must equal the explicit list below, and
@@ -17,17 +17,18 @@ import inspect
 from pathlib import Path
 
 import snmodel
-from snmodel import experiments, growth, metrics, structures
+from snmodel import distance, experiments, growth, metrics, structures
 from snmodel.network import Network
 
 ROOT = Path(__file__).resolve().parents[1]
 HINT = (
-    "the public surface of metrics, growth, structures, GroupIndex or Network (its methods or "
-    "the attributes an instance holds) changed: update SURFACE in tests/test_surface.py, the "
-    "README's lower-level entry points and ROADMAP item 5"
+    "the public surface of distance, metrics, growth, structures, GroupIndex or Network (its "
+    "methods or the attributes an instance holds) changed: update SURFACE in "
+    "tests/test_surface.py, the README's lower-level entry points and ROADMAP item 5"
 )
 
 SURFACE = {
+    "snmodel.distance": {"parse_match_file", "structure_distance", "within_max_distance"},
     "snmodel.metrics": {
         "average_clustering",
         "average_degree",
@@ -105,7 +106,7 @@ def _called_in_src() -> set[str]:
 
 
 def test_public_surface_is_the_listed_one():
-    for owner in (metrics, growth, structures, growth.GroupIndex, Network):
+    for owner in (distance, metrics, growth, structures, growth.GroupIndex, Network):
         name = owner.__name__ if not inspect.isclass(owner) else owner.__qualname__
         assert _public(owner) == SURFACE[name], HINT
     held = {name for name in vars(Network(["A", "B"], [0], [1])) if not name.startswith("_")}
