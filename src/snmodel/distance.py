@@ -75,7 +75,11 @@ def parse_match_file(text: str, unit: int, alphabet: Alphabet) -> Mapping[str, f
 
 @dataclass(frozen=True)
 class DistanceConfig:
-    """Unit distance, edge threshold, and optional match table from ``parse_match_file``."""
+    """Unit distance, edge threshold, and optional match table from ``parse_match_file``.
+
+    A table built by hand must be symmetric and hold only groups of
+    ``unit_distance`` symbols, as ``parse_match_file`` returns it.
+    """
 
     unit_distance: int
     max_distance: int
@@ -89,12 +93,20 @@ class DistanceConfig:
         if self.match_table is not None:
             if self.unit_distance <= 1:
                 raise ValueError("a match table is only allowed when unit_distance > 1")
-            for group in self.match_table:
-                if len(group) != self.unit_distance:
-                    raise ValueError(
-                        f"match table group {group!r} has length {len(group)}, "
-                        f"not unit_distance {self.unit_distance}"
-                    )
+            for group, partners in self.match_table.items():
+                for g in (group, *partners):
+                    if len(g) != self.unit_distance:
+                        raise ValueError(
+                            f"match table group {g!r} has length {len(g)}, "
+                            f"not unit_distance {self.unit_distance}"
+                        )
+                # structure_distance looks up one direction, GroupIndex both.
+                for partner in partners:
+                    if group not in self.match_table.get(partner, ()):
+                        raise ValueError(
+                            f"match table is not symmetric: {group!r} = {partner!r} "
+                            f"has no reverse {partner!r} = {group!r}"
+                        )
 
 
 def structure_distance(s1: str, s2: str, cfg: DistanceConfig) -> int:

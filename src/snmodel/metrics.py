@@ -4,6 +4,12 @@ Path lengths come from one bit-parallel multi-source BFS (Then et al., "The
 More the Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014):
 each 64-source word of a 512-source chunk is one row of node bits (words-major), a BFS level
 is one flat gather and OR-reduce over the CSR adjacency, and a word that reaches nothing retires.
+A sweep of more than one chunk runs on every usable CPU, as Then et al. run
+independent source batches: the calling thread and one plain thread per
+further CPU take slices of whole words ``_CHUNK // _WORKERS`` sources wide,
+so one chunk's words are in flight, and add exact integer level totals.
+A sweep of one chunk, or one on a one-CPU host, starts no thread. No flag
+sets the thread count.
 Triangles use the same bits with neighbours in place of sources. Components
 come from min-label hooking with pointer jumping (Shiloach & Vishkin, 1982).
 ``compute_metrics`` sweeps and counts triangles once per report. Tests check
@@ -13,8 +19,10 @@ these against plain-Python, Floyd-Warshall, networkx and brute-force oracles.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from itertools import count, zip_longest
+from itertools import zip_longest
 from typing import Mapping
 
 import numpy as np
@@ -23,6 +31,12 @@ from .network import Network, component_labels
 
 #: Sources per BFS chunk or neighbours per triangle chunk: 8 uint64 words per node.
 _CHUNK = 512
+#: Threads that sweep slices of one chunk, the caller included: one per
+#: usable CPU, at most one per 64-source word of a chunk.
+_WORKERS = min(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+    _CHUNK // 64,
+)
 
 
 def average_degree(net: Network) -> float:
@@ -49,9 +63,10 @@ def degree_distribution(net: Network) -> dict[int, float]:
 def _pair_counts(adj: tuple[np.ndarray, np.ndarray], sources: np.ndarray) -> list[int]:
     """Ordered (source, target) pairs at each distance >= 1; entry 0 is 0.
 
-    One BFS runs from a chunk of sources at once: bit i % 64 of word i // 64
-    at a node says that source i has reached it. A level ORs each node's
-    neighbour frontiers and keeps the new bits; a word with none is done.
+    More than one chunk of sources is split into slices of whole words,
+    ``_CHUNK // _WORKERS`` sources wide, that the calling thread and
+    ``_WORKERS - 1`` threads take in turn, so one chunk's words are in flight.
+    Level totals are Python ints, so the sum is the same for any split.
     """
     indptr, indices = adj
     # A node without neighbours reaches nothing and nothing reaches it, so
@@ -61,33 +76,69 @@ def _pair_counts(adj: tuple[np.ndarray, np.ndarray], sources: np.ndarray) -> lis
     renumber = np.cumsum(linked) - 1
     sources, indices = renumber[sources[linked[sources]]], renumber[indices]
     starts = indptr[:-1][linked]
+    workers = _WORKERS if len(sources) > _CHUNK else 1
+    width = _CHUNK // workers // 64 * 64
+    slices = iter(range(0, len(sources), width))
+    totals = [0]
+    failed: list[BaseException] = []
+    lock = threading.Lock()
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    first = None if failed else next(slices, None)
+                if first is None:
+                    return
+                counts = _sweep(sources[first : first + width], starts, indices)
+                with lock:
+                    totals.extend([0] * (len(counts) - len(totals)))
+                    for level, c in enumerate(counts):
+                        totals[level] += c
+        except BaseException as exc:  # re-raised by the caller once all threads are joined
+            with lock:
+                failed.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
+    return totals
+
+
+def _sweep(chunk: np.ndarray, starts: np.ndarray, indices: np.ndarray) -> list[int]:
+    """Ordered pairs at each distance from a slice of at most ``_CHUNK`` sources.
+
+    One BFS runs from the slice at once: bit i % 64 of word i // 64 at a
+    node says that source i has reached it. A level ORs each node's
+    neighbour frontiers and keeps the new bits; a word with none is done.
+    """
     n = starts.size
     totals = [0]
-    for first in range(0, len(sources), _CHUNK):
-        chunk = sources[first : first + _CHUNK]
-        bit = np.arange(chunk.size, dtype=np.uint64)
-        seen = np.zeros(((chunk.size + 63) // 64, n), dtype=np.uint64)
-        seen[bit // 64, chunk] = np.uint64(1) << (bit % 64)
-        frontier = seen.copy()
-        # Word w's gathered neighbour frontiers start at w * indices.size.
-        offsets = (starts + indices.size * np.arange(len(seen))[:, None]).ravel()
-        for level in count(1):
-            reached = np.bitwise_or.reduceat(
-                np.take(frontier, indices, axis=1).ravel(), offsets
-            ).reshape(len(seen), n)
-            reached &= ~seen
-            counts = np.bitwise_count(reached).sum(axis=1)
-            if not counts.any():
-                break
-            if level == len(totals):
-                totals.append(0)
-            totals[level] += int(counts.sum())
-            seen |= reached
-            frontier = reached
-            if not counts.all():
-                seen, frontier = seen[counts > 0], frontier[counts > 0]
-                offsets = offsets[: len(seen) * n]
-    return totals
+    bit = np.arange(chunk.size, dtype=np.uint64)
+    seen = np.zeros(((chunk.size + 63) // 64, n), dtype=np.uint64)
+    seen[bit // 64, chunk] = np.uint64(1) << (bit % 64)
+    frontier = seen.copy()
+    # Word w's gathered neighbour frontiers start at w * indices.size.
+    offsets = (starts + indices.size * np.arange(len(seen))[:, None]).ravel()
+    while True:
+        reached = np.bitwise_or.reduceat(
+            np.take(frontier, indices, axis=1).ravel(), offsets
+        ).reshape(len(seen), n)
+        reached &= ~seen
+        counts = np.bitwise_count(reached).sum(axis=1)
+        if not counts.any():
+            return totals
+        totals.append(int(counts.sum()))
+        seen |= reached
+        frontier = reached
+        if not counts.all():
+            seen, frontier = seen[counts > 0], frontier[counts > 0]
+            offsets = offsets[: len(seen) * n]
 
 
 def _unordered(pair_counts: list[int]) -> dict[int, int]:

@@ -265,6 +265,39 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and at least two usable CPUs",
+)
+def test_generate_is_byte_identical_on_one_cpu(tmp_path):
+    # The path-length sweep runs on as many threads as the process has CPUs.
+    script = """
+import sys
+from snmodel import instances_dir, metrics
+from snmodel.cli import main
+print(metrics._WORKERS)
+sys.exit(main(["generate", "--instance", str(instances_dir() / "comparison.instance"), "--out", sys.argv[1]]))
+"""
+    cpu = min(os.sched_getaffinity(0))
+    src = str(Path(snmodel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    files = {}
+    for name, pin in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / name)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            preexec_fn=pin,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        workers = int(result.stdout.splitlines()[0])
+        assert (workers == 1) == (name == "one")
+        files[name] = [(tmp_path / name / f).read_bytes() for f in ("metrics.json", "edges.tsv")]
+    assert files["one"] == files["all"]
+
+
 class TestExperiment:
     def test_summary_written(self, tmp_path, instance_file, capsys):
         out = tmp_path / "exp"

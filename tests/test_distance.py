@@ -138,6 +138,19 @@ class TestDistanceConfig:
         with pytest.raises(ValueError, match="not unit_distance 3"):
             DistanceConfig(3, 1, match_table=table)
 
+    def test_table_partner_requires_matching_unit(self):
+        with pytest.raises(ValueError, match="'BBB' has length 3, not unit_distance 2"):
+            DistanceConfig(2, 1, match_table={"AA": frozenset({"BBB"})})
+
+    def test_asymmetric_table_is_rejected(self):
+        # The string route would give AA-BB 0 but BB-AA 1; GroupIndex 0 both ways.
+        with pytest.raises(ValueError, match="'AA' = 'BB' has no reverse 'BB' = 'AA'"):
+            DistanceConfig(2, 0, match_table={"AA": frozenset({"BB"})})
+        with pytest.raises(ValueError, match="not symmetric"):
+            DistanceConfig(
+                2, 0, match_table={"AA": frozenset({"BB", "CC"}), "BB": frozenset({"AA"})}
+            )
+
     def test_table_requires_unit_above_1(self):
         with pytest.raises(ValueError, match="unit_distance > 1"):
             DistanceConfig(1, 1, match_table={})

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import networkx as nx
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snmodel import instances_dir
+from snmodel import instances_dir, metrics
 from snmodel.experiments import load_instance_file, run_single
 from snmodel.metrics import (
     average_clustering,
@@ -101,6 +103,44 @@ def words_of_different_depths(rng: random.Random) -> Network:
     return Network.from_edges(700, sorted(edges))
 
 
+def linked_sources(count: int) -> Network:
+    """``sparse_multi_component`` with exactly ``count`` nodes that have neighbours."""
+    n = next(n for n in itertools.count(count) if n - max(1, n // 20) == count)
+    net = sparse_multi_component(random.Random(count), n)
+    assert np.count_nonzero(net.degrees()) == count
+    return net
+
+
+def networkx_sweep(net: Network) -> tuple:
+    """The histogram and a report's giant/rest split, from networkx's all-pairs BFS."""
+    g = to_nx(net)
+    giant = max(nx.connected_components(g), key=len)
+    expected: dict[int, int] = {}
+    giant_sum = 0
+    for source, lengths in nx.all_pairs_shortest_path_length(g):
+        for target, length in lengths.items():
+            if source < target:
+                expected[length] = expected.get(length, 0) + 1
+                giant_sum += length if source in giant else 0
+    total = sum(expected.values())
+    return (
+        expected,
+        len(giant) / net.n_nodes,
+        {k: c / total for k, c in expected.items()},
+        giant_sum / (len(giant) * (len(giant) - 1) // 2),
+    )
+
+
+def snmodel_sweep(net: Network) -> tuple:
+    report = compute_metrics(net)
+    return (
+        path_length_histogram(net),
+        report.largest_component_fraction,
+        report.path_length_distribution,
+        report.average_path_length_largest_component,
+    )
+
+
 @st.composite
 def small_graphs(draw) -> Network:
     n = draw(st.integers(1, 140))
@@ -168,24 +208,9 @@ class TestDegreeAndPaths:
             perm = list(range(net.n_nodes))
             random.Random(relabel).shuffle(perm)
             net = Network.from_edges(net.n_nodes, [(perm[u], perm[v]) for u, v in edge_pairs(net)])
-        g = to_nx(net)
-        giant = max(nx.connected_components(g), key=len)
-        assert len(giant) == 572
-        expected: dict[int, int] = {}
-        giant_sum = 0
-        for source, lengths in nx.all_pairs_shortest_path_length(g):
-            for target, length in lengths.items():
-                if source < target:
-                    expected[length] = expected.get(length, 0) + 1
-                    giant_sum += length if source in giant else 0
-        assert path_length_histogram(net) == expected
-        report = compute_metrics(net)
-        assert report.largest_component_fraction == 572 / 700
-        total = sum(expected.values())
-        assert report.path_length_distribution == {k: c / total for k, c in expected.items()}
-        assert report.average_path_length_largest_component == pytest.approx(
-            giant_sum / (572 * 571 // 2)
-        )
+        expected = networkx_sweep(net)
+        assert expected[1] == 572 / 700
+        assert snmodel_sweep(net) == expected
 
     def test_sweep_frees_each_level_before_the_next(self):
         # About 4.2 MB on the 3000-node comparison network; a level's
@@ -209,6 +234,73 @@ class TestDegreeAndPaths:
             assert average_path_length(net) == pytest.approx(
                 nx.average_shortest_path_length(g)
             )
+
+
+class TestSweepThreads:
+    """More than one chunk of sources is swept in slices on ``_WORKERS`` threads."""
+
+    @pytest.fixture
+    def started(self, monkeypatch) -> list[threading.Thread]:
+        threads: list[threading.Thread] = []
+
+        class Recorded(threading.Thread):
+            def start(self) -> None:
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        return threads
+
+    @pytest.mark.parametrize("graph", [511, 512, 513, 1100, 1600, "words"])
+    def test_counts_are_exact_for_any_worker_count(self, graph, monkeypatch, started):
+        # Partial last words, isolated nodes and several components; slices
+        # of 256, 128 and 64 sources. More workers than CPUs and a short
+        # switch interval would expose a lost update to the shared totals.
+        if graph == "words":
+            net = words_of_different_depths(random.Random(3))
+        else:
+            net = linked_sources(graph)
+        expected = networkx_sweep(net)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(metrics, "_WORKERS", workers)
+                assert snmodel_sweep(net) == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize(
+        "workers, linked, threads", [(1, 1600, 0), (2, 512, 0), (2, 513, 1), (8, 1100, 7)]
+    )
+    def test_threads_start_only_beyond_one_chunk(self, monkeypatch, started, workers, linked, threads):
+        monkeypatch.setattr(metrics, "_WORKERS", workers)
+        net = linked_sources(linked)
+        before = threading.active_count()
+        path_length_histogram(net)
+        assert len(started) == threads
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_failing_slice_reaches_the_caller_after_every_join(self, monkeypatch, started, workers):
+        monkeypatch.setattr(metrics, "_WORKERS", workers)
+        sweep, calls, lock = metrics._sweep, itertools.count(1), threading.Lock()
+
+        def fail_second_slice(*args):
+            with lock:
+                call = next(calls)
+            if call == 2:
+                raise RuntimeError("second slice failed")
+            return sweep(*args)
+
+        monkeypatch.setattr(metrics, "_sweep", fail_second_slice)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second slice failed"):
+            path_length_histogram(linked_sources(1600))
+        assert threading.active_count() == before
+        assert len(started) == workers - 1
+        assert not any(thread.is_alive() for thread in started)
 
 
 class TestClustering:
