@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .network import Network
+from .structures import below
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ def grow_ba(params: BAParams) -> Network:
     node's edges are added. Edge count is exactly
     C(initial_clique, 2) + edges_per_node * (target_nodes - initial_clique).
     """
-    rng = random.Random(params.seed)
+    bits = random.Random(params.seed).getrandbits
     c = params.initial_clique
     m = params.edges_per_node
 
@@ -59,7 +60,7 @@ def grow_ba(params: BAParams) -> Network:
         pool_size = len(repeated)
         targets: set[int] = set()
         while len(targets) < m:
-            targets.add(repeated[rng.randrange(pool_size)])
+            targets.add(repeated[below(bits, pool_size)])
         for t in sorted(targets):
             edges_u.append(t)
             edges_v.append(new)

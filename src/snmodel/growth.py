@@ -8,10 +8,12 @@ any other edit re-encodes only the suffix from the group it starts in and
 compares it with the template's. So the distance to the template is known:
 exact, or at most 1 for a mutant. A candidate within max_distance of its
 template has a neighbour already; only one further away is searched for a
-neighbour, by a scan over every structure, the template included. Distances
-are static, so the edge relation depends on the accepted structures alone:
-once the loop ends, one pairwise join over them yields every edge, the same
-edges an insertion-time search would have added.
+neighbour, by a scan over every structure, the template included. A row is
+plain bytes, so an attempt allocates no numpy array; the id matrix the scan
+and the join read is filled from the rows when they read it. Distances are
+static, so the edge relation depends on the accepted structures alone: once
+the loop ends, one pairwise join over them yields every edge, the same edges
+an insertion-time search would have added.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .distance import DistanceConfig
 from .network import Network, component_labels
-from .structures import Alphabet, EditProbabilities, apply_random_edit, edit_space_size
+from .structures import Alphabet, EditProbabilities, apply_random_edit, below, edit_space_size
 
 INCREMENTAL = "incremental"
 BATCH = "batch"
@@ -98,6 +101,10 @@ def _multiset(group: str) -> str:
     return "".join(sorted(group))
 
 
+def _id(packed: bytes) -> int:
+    return int.from_bytes(packed, "little")
+
+
 class GroupIndex:
     """Exact distance queries and the pairwise distance join over structures.
 
@@ -107,41 +114,59 @@ class GroupIndex:
     groups take ids 0..L-1 and the multisets the ids from L on. A linked
     group's equalities (table partners, multiset siblings and its multiset)
     form one sorted array of pair codes, the only copy of the table
-    relation, consulted only when not empty. Structures are rows of one id
-    matrix padded with -1, an id no group has, kept with their group counts:
-    the distance over g groups is min(count, g) minus the matches.
+    relation (held as a frozenset too, for one pair at a time), consulted
+    only when not empty. The distance over g groups is min(count, g) minus
+    the matches.
 
-    ``derive`` builds the row of one edit of an indexed structure from that
-    structure's row, re-encoding only the groups the edit may have changed,
-    and returns its distance to that structure.
-    The index starts with the rows of the words it is given; ``append``
-    stores one more row and its count. ``distances`` answers one
-    query by a scan over every row. ``join`` returns every pair within
-    d = max_distance at once, as a partition-based exact join (Arasu, Ganti &
-    Kaushik, VLDB 2006) on the pigeonhole filter of multi-index hashing
-    (Norouzi, Punjani & Fleet, CVPR 2012; Manku, Jain & Das Sarma, WWW 2007).
-    With b = max(1, G0 // (d+1)), set at join time from the group count G0
-    of row 0, two structures that both have at least (d+1)*b groups and lie
-    within distance d agree in every group of at least one of their first
-    d+1 blocks of b groups. A block key holds the groups' labels: the
-    connected components of the pair codes, so equal groups share a label.
-    The table relation is not transitive, so keys may over-match;
-    verification against the exact relation removes the extras. Per block,
-    the rows are grouped by a hash of their key, the pairs inside each group
-    are verified in bounded chunks, and a pair an earlier block already
+    A row is the packed little-endian int32 bytes of a structure's ids, and
+    the index keeps its rows in a list, so ``encode``, ``derive`` and
+    ``append`` build and store plain bytes. ``derive`` builds the row of one
+    edit of an indexed structure from that structure's row, re-encoding only
+    the groups the edit may have changed, and returns its distance to that
+    structure. The index starts with the rows of the words it is given;
+    ``append`` stores one more. The numpy view of the rows, one id matrix
+    padded with -1 (an id no group has) and the group counts, is a cache:
+    it is filled from the rows appended since, only when ``distances`` or
+    ``join`` reads it, so growth by mutation alone fills it once, at the
+    join. ``distances`` answers one query by a scan over every row.
+
+    ``join`` returns every pair within d = max_distance at once, as a
+    partition-based exact join (Arasu, Ganti & Kaushik, VLDB 2006) on the
+    general pigeonhole filter (Manku, Jain & Das Sarma, WWW 2007; Qin et
+    al., "GPH", ICDE 2018) of multi-index hashing (Norouzi, Punjani & Fleet,
+    CVPR 2012). The leading groups are split into d+k blocks of b groups,
+    set from the group count G0 of row 0 (see ``_blocks``): single groups,
+    k = G0 - d, when that takes at most 16 keys, and otherwise blocks of
+    about 8 groups, k = max(1, G0 // 8 - d), lowered while the keys exceed
+    16. Two structures that both have at least (d+k)*b groups and lie within
+    distance d differ in at most d blocks, so they agree in every group of
+    some k blocks. There is one key per choice of the d blocks left out, so
+    C(d+k, d) keys. The key hash is additive: each group adds its label times
+    a constant of its column, in 64 bits that wrap, so a key is the row's
+    total minus the terms of the d blocks it leaves out. A label is
+    the connected component of a group's id in the pair codes, so equal
+    groups share one. The table relation is not transitive, so keys may
+    over-match; verification against the exact relation removes the extras.
+    Per key, the rows are grouped by their key, the pairs inside each group
+    are verified in bounded chunks, and a pair an earlier key already
     grouped together is dropped, so each pair is verified once. A structure
     with fewer groups is short: it is verified against every other one.
     """
 
     _PAD = -1
-    #: Candidate pairs the join verifies at once: bounds its memory.
+    #: Candidate pairs the join verifies at once, and rows filled into the
+    #: id matrix at once: bounds their memory.
     _CHUNK = 8192
     #: Groups compared per step when verifying the join's pairs.
     _SLAB = 32
-    #: Odd multiplier of the block-key hash (the golden ratio in 64 bits).
+    #: Odd multiplier of the key hash (the golden ratio in 64 bits); column c
+    #: weighs its label by its (c+1)-th power.
     _MIX = np.uint64(0x9E3779B97F4A7C15)
-    #: Rows allocated up front; the id matrix doubles whenever it is full.
-    _CAPACITY = 64
+    #: Groups per join block of long rows, roughly, and the most keys the join
+    #: sorts by: more keys cost a sort of every row each, and long blocks
+    #: already make a key nearly as selective as the edges themselves.
+    _BLOCK = 8
+    _KEYS = 16
 
     def __init__(self, cfg: DistanceConfig, words: Iterable[str]) -> None:
         self._unit = cfg.unit_distance
@@ -150,19 +175,23 @@ class GroupIndex:
         links = [(group, partner) for group in table for partner in table[group]]
         # A linked group has an id of its own, 0..L-1; pair codes say what it equals.
         linked = sorted({group for link in links for group in link})
-        self._group_ids = {group: gid for gid, group in enumerate(linked)}
+        ids = {group: gid for gid, group in enumerate(linked)}
         self._n_linked = len(linked)
         self._multiset_ids: dict[str, int] = {}
-        pairs = {(self._group_ids[group], self._group_ids[partner]) for group, partner in links}
+        pairs = {(ids[group], ids[partner]) for group, partner in links}
         for group in linked:
-            key, gid = _multiset(group), self._group_ids[group]
-            siblings = [self._group_ids[other] for other in linked if _multiset(other) == key]
+            key, gid = _multiset(group), ids[group]
+            siblings = [ids[other] for other in linked if _multiset(other) == key]
             pairs.update((gid, other) for other in siblings + [self._multiset_id(key)])
         codes = sorted({a << 32 | b for pair in pairs for a, b in (pair, pair[::-1])})
         self._pairs = np.array(codes, dtype=np.int64)
-        self._rows = np.full((self._CAPACITY, 1), self._PAD, dtype=np.int32)
-        self._counts = np.zeros(self._rows.shape[0], dtype=np.int32)
-        self._n = 0
+        self._pair_set = frozenset(codes)
+        #: Each group seen so far, with its packed id.
+        self._groups = {group: gid.to_bytes(4, "little") for group, gid in ids.items()}
+        self._rows: list[bytes] = []
+        self._ids = np.full((0, 0), self._PAD, dtype=np.int32)
+        self._counts = np.zeros(0, dtype=np.int32)
+        self._filled = 0
         for word in words:
             self.append(self.encode(word))
 
@@ -170,25 +199,22 @@ class GroupIndex:
         """The id of multiset *key*; multisets take the ids from L on."""
         return self._multiset_ids.setdefault(key, self._n_linked + len(self._multiset_ids))
 
-    def _group_id(self, group: str) -> int:
-        """The id of one symbol group: its multiset's, unless the table links it."""
-        gid = self._group_ids.get(group)
-        if gid is None:
-            gid = self._group_ids[group] = self._multiset_id(_multiset(group))
-        return gid
+    def _group(self, group: str) -> bytes:
+        """The packed id of one symbol group: its multiset's, unless the table links it."""
+        packed = self._groups.get(group)
+        if packed is None:
+            packed = self._multiset_id(_multiset(group)).to_bytes(4, "little")
+            self._groups[group] = packed
+        return packed
 
-    def encode(self, word: str) -> np.ndarray:
-        """The ids of the full symbol groups of *word*."""
+    def encode(self, word: str) -> bytes:
+        """The packed ids of the full symbol groups of *word*."""
         unit = self._unit
-        ids = np.empty(len(word) // unit, dtype=np.int32)
-        for i in range(ids.shape[0]):
-            ids[i] = self._group_id(word[i * unit : (i + 1) * unit])
-        return ids
+        end = len(word) - len(word) % unit
+        return b"".join([self._group(word[i : i + unit]) for i in range(0, end, unit)])
 
-    def derive(
-        self, template: int, word: str, at: int, same_length: bool
-    ) -> tuple[np.ndarray, int]:
-        """The ids of *word*, one edit of indexed structure *template*, and its distance.
+    def derive(self, template: int, word: str, at: int, same_length: bool) -> tuple[bytes, int]:
+        """The packed ids of *word*, one edit of indexed structure *template*, and its distance.
 
         *word* agrees with the template's word before position *at* and, when
         *same_length* (a mutation), after it too. The groups before the one
@@ -200,30 +226,49 @@ class GroupIndex:
         """
         unit = self._unit
         k = at // unit
-        template_row = self._rows[template, : self._counts[template]]
+        row = self._rows[template]
+        lo = 4 * k
         if same_length:
-            row = template_row.copy()
-            if k == row.shape[0]:  # the trailing partial group, in no id
+            if lo == len(row):  # the trailing partial group, in no id
                 return row, 0
-            row[k] = self._group_id(word[k * unit : (k + 1) * unit])
-            return row, 1
+            return row[:lo] + self._group(word[k * unit : (k + 1) * unit]) + row[lo + 4 :], 1
         suffix = self.encode(word[k * unit :])
-        g = min(suffix.shape[0], template_row.shape[0] - k)
-        matches = self._matches(template_row[k : k + g], suffix[:g])
-        return np.concatenate((template_row[:k], suffix)), g - np.count_nonzero(matches)
+        pairs, misses = self._pair_set, 0
+        for i in range(0, min(len(suffix), len(row) - lo), 4):
+            a, b = row[lo + i : lo + i + 4], suffix[i : i + 4]
+            misses += a != b and (not pairs or _id(a) << 32 | _id(b) not in pairs)
+        return row[:lo] + suffix, misses
 
-    def append(self, encoded: np.ndarray) -> None:
-        capacity, width = self._rows.shape
-        if self._n >= capacity or encoded.shape[0] > width:
-            if self._n >= capacity:
-                capacity *= 2
-            if encoded.shape[0] > width:
-                width = max(encoded.shape[0], 2 * width)
-            self._rows = _resized(self._rows, (capacity, width), self._PAD)
-            self._counts = _resized(self._counts, (capacity,), 0)
-        self._rows[self._n, : encoded.shape[0]] = encoded
-        self._counts[self._n] = encoded.shape[0]
-        self._n += 1
+    def append(self, encoded: bytes) -> None:
+        self._rows.append(encoded)
+
+    def _matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """The padded id matrix and the group counts of every row.
+
+        Rows appended since the last call are filled in, _CHUNK at a time.
+        The matrix is sized to the rows on its first fill and doubles when
+        it is full, so the fill at a mutation-only run's join is its only one.
+        """
+        n, done = len(self._rows), self._filled
+        if done < n:
+            new = self._rows[done:]
+            counts = [len(row) // 4 for row in new]
+            width = max(counts)
+            capacity, have = self._ids.shape
+            if n > capacity or width > have:
+                capacity = max(n, 2 * capacity) if n > capacity else capacity
+                have = max(width, 2 * have) if width > have else have
+                self._ids = _resized(self._ids, (capacity, have), self._PAD)
+                self._counts = _resized(self._counts, (capacity,), 0)
+            self._counts[done:n] = counts
+            if min(counts) < width:
+                new = [row.ljust(4 * width, b"\xff") for row in new]
+            for lo in range(0, n - done, self._CHUNK):
+                rows = new[lo : lo + self._CHUNK]
+                block = np.frombuffer(b"".join(rows), "<i4").reshape(len(rows), width)
+                self._ids[done + lo : done + lo + len(rows), :width] = block
+            self._filled = n
+        return self._ids[:n], self._counts[:n]
 
     def _matches(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Where the group ids *a* and *b* name equal groups; a pad equals no group."""
@@ -232,49 +277,76 @@ class GroupIndex:
             matches |= np.isin(a.astype(np.int64) << 32 | b, self._pairs)
         return matches
 
-    def distances(self, encoded: np.ndarray) -> np.ndarray:
+    def distances(self, encoded: bytes) -> np.ndarray:
         """Distance from the encoded candidate to every indexed structure."""
-        g = min(encoded.shape[0], self._rows.shape[1])
-        matches = self._matches(self._rows[: self._n, :g], encoded[:g])
-        counts = np.minimum(self._counts[: self._n], g)
-        return (counts - np.count_nonzero(matches, axis=1)).astype(np.int32)
+        ids, counts = self._matrix()
+        candidate = np.frombuffer(encoded, "<i4")
+        g = min(candidate.shape[0], ids.shape[1])
+        matches = self._matches(ids[:, :g], candidate[:g])
+        return (np.minimum(counts, g) - np.count_nonzero(matches, axis=1)).astype(np.int32)
 
     def join(self) -> tuple[np.ndarray, np.ndarray]:
         """Every pair (u, v), u < v, of indexed structures within max_distance.
 
         Returns the int64 arrays u and v, each pair once, in no fixed order.
         """
-        n, max_d = self._n, self._max_d
-        counts = self._counts[:n]
-        rows = self._rows[:n, : int(counts.max()) if n else 0]
-        b = max(1, int(counts[0]) // (max_d + 1)) if n else 1
-        short = counts < (max_d + 1) * b
+        ids, counts = self._matrix()
+        n, max_d = ids.shape[0], self._max_d
+        ids = ids[:, : int(counts.max()) if n else 0]
+        blocks, b = self._blocks(int(counts[0]) if n else 0)
+        short = counts < blocks * b
         nodes = np.arange(n)
         # Seeded empty, so a join that finds no pair returns empty int64 arrays.
         found: list[tuple[np.ndarray, np.ndarray]] = [(nodes[:0], nodes[:0])]
         # A short structure is verified against all others; two short ones once.
         for s in np.flatnonzero(short):
-            dist = self.distances(rows[s, : counts[s]])
+            dist = self.distances(self._rows[s])
             others = np.flatnonzero((dist <= max_d) & ((nodes > s) | ~short & (nodes < s)))
             found.append((np.minimum(others, s), np.maximum(others, s)))
         hashed = np.flatnonzero(~short)
         if hashed.shape[0] > 1:
-            labels = self._key_labels()
+            labels = ids[hashed, : blocks * b] if short.any() else ids[:, : blocks * b]
+            if self._pairs.size:
+                labels = self._key_labels()[labels]
+            # Per row and block, the block's term of the additive key hash.
+            weights = np.cumprod(np.full(blocks * b, self._MIX)).view(np.int64)
+            terms = np.einsum(
+                "rjc,jc->rj", labels.reshape(-1, blocks, b), weights.reshape(blocks, b)
+            )
+            total = terms.sum(axis=1)
             keys: list[np.ndarray] = []
-            for k in range(max_d + 1):
-                key = np.zeros(hashed.shape[0], dtype=np.uint64)
-                for col in range(k * b, (k + 1) * b):
-                    key = key * self._MIX + labels[rows[hashed, col]].astype(np.uint64)
+            for left_out in combinations(range(blocks), max_d):
+                key = total - terms[:, left_out].sum(axis=1)
                 for a, c in self._equal_key_pairs(key, self._CHUNK):
-                    # A pair whose key hash agrees in an earlier block was verified there.
+                    # A pair whose key agrees in an earlier key was verified there.
                     for earlier in keys:
                         keep = earlier[a] != earlier[c]
                         a, c = a[keep], c[keep]
                     u, v = hashed[a], hashed[c]
-                    close = self._close(rows, counts, u, v)
+                    close = self._close(ids, counts, u, v)
                     found.append((u[close], v[close]))
                 keys.append(key)
         return np.concatenate([u for u, _ in found]), np.concatenate([v for _, v in found])
+
+    def _blocks(self, g0: int) -> tuple[int, int]:
+        """The join's block count d + k and block width b for row 0's g0 groups.
+
+        Single groups give the most selective keys; the class docstring has the rule.
+        """
+        max_d = self._max_d
+
+        def most_blocks(limit: int) -> int:
+            blocks, n_keys = max_d + 1, max_d + 1
+            # C(m+1, d) = C(m, d) * (m+1) / (m+1-d)
+            while blocks < limit and n_keys * (blocks + 1) // (blocks + 1 - max_d) <= self._KEYS:
+                n_keys = n_keys * (blocks + 1) // (blocks + 1 - max_d)
+                blocks += 1
+            return blocks
+
+        blocks = most_blocks(g0)
+        if blocks < g0:
+            blocks = most_blocks(g0 // self._BLOCK)
+        return blocks, max(1, g0 // blocks)
 
     def _key_labels(self) -> np.ndarray:
         """Per id, the smallest id of its connected component in the pair codes."""
@@ -307,7 +379,7 @@ class GroupIndex:
     def _equal_key_pairs(key: np.ndarray, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Chunks of about *chunk* position pairs (a, c), a < c, with equal *key*."""
         n = key.shape[0]
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(key)
         ordered = key[order]
         starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
         ends = np.r_[starts[1:], n]
@@ -321,8 +393,8 @@ class GroupIndex:
             first = np.repeat(np.arange(t0, t1), per)
             offset = np.arange(first.shape[0]) - np.repeat(total[t0:t1] - per - done, per)
             second = first + 1 + offset
-            # order is increasing within a run, so the first of a pair is the smaller.
-            yield order[first], order[second]
+            a, c = order[first], order[second]
+            yield np.minimum(a, c), np.maximum(a, c)
             t0, done = t1, int(total[t1 - 1])
 
 
@@ -335,10 +407,12 @@ def grow(instance: Instance) -> tuple[Network, GrowthTrace]:
     to nothing, so the network at n nodes is the induced prefix of n nodes.
     Batch growth draws it from the initial structures, tests no isolation,
     stops once it has drawn every single edit of them, and after wiring
-    drops every isolated node, initial ones included. Both stop at
-    target_nodes or when the attempt budget runs out.
+    drops every isolated node, initial ones included. Incremental growth by
+    mutation alone stops once it holds every word of its initial lengths.
+    Both stop at target_nodes or when the attempt budget runs out.
     """
     rng = random.Random(instance.seed)
+    bits = rng.getrandbits
     trace = GrowthTrace()
     initial = instance.initial_structures
     structures = list(initial)
@@ -346,21 +420,23 @@ def grow(instance: Instance) -> tuple[Network, GrowthTrace]:
     index = GroupIndex(instance.distance, structures)
 
     batch = instance.mode == BATCH
+    probs, alphabet = instance.probs, instance.alphabet
     max_distance = instance.distance.max_distance
-    budget = instance.attempt_budget
+    target, budget = instance.target_nodes, instance.attempt_budget
     # A space larger than the budget is not listed: None never equals a count.
-    space_size = None
     if batch:
-        space_size = edit_space_size(initial, instance.probs, instance.alphabet, budget)
+        space_size = edit_space_size(initial, probs, alphabet, budget)
+    else:
+        space_size = _word_space_size(instance, budget + len(initial))
     while (
-        len(structures) < instance.target_nodes
+        len(structures) < target
         and trace.attempts < budget
         and len(structures) != space_size
     ):
         trace.attempts += 1
-        template = rng.randrange(len(initial) if batch else len(structures))
+        template = below(bits, len(initial) if batch else len(structures))
         template_word = structures[template]
-        word, _, at = apply_random_edit(template_word, instance.probs, instance.alphabet, rng)
+        word, _, at = apply_random_edit(template_word, probs, alphabet, rng)
         if word is None:
             trace.rejected_edit_failed += 1
             continue
@@ -382,13 +458,34 @@ def grow(instance: Instance) -> tuple[Network, GrowthTrace]:
         structures.append(word)
         trace.accepted += 1
 
-    trace.saturated = len(structures) < instance.target_nodes
+    trace.saturated = len(structures) < target
     # Distances are static, so the edges follow from the accepted structures alone.
     net = Network(structures, *index.join())
     if batch and not net.degrees().all():
         net = prune_low_degree(net, 1)
         trace.rejected_isolated += len(structures) - net.n_nodes
     return net, trace
+
+
+def _word_space_size(instance: Instance, limit: int) -> int | None:
+    """The words incremental growth of *instance* can hold, if it is by mutation alone.
+
+    A mutant keeps its template's length, so growth holds at most the |A|^L
+    words of each distinct initial length L; once it holds them all, every
+    further attempt draws a duplicate. (With max_distance >= 1 no mutant is
+    isolated, and mutations link every word of a length, so it reaches
+    them.) Returns None for any other edit mix, or when that count exceeds
+    *limit*, without computing a power above it.
+    """
+    probs = instance.probs
+    if probs.insert or probs.delete or probs.duplicate:
+        return None
+    lengths = {len(word) for word in instance.initial_structures}
+    # |A| >= 2, so |A|^L > limit once L reaches limit's bit length.
+    if max(lengths) >= limit.bit_length():
+        return None
+    size = sum(len(instance.alphabet) ** length for length in lengths)
+    return size if size <= limit else None
 
 
 def prune_low_degree(net: Network, min_degree: int) -> Network:

@@ -21,6 +21,8 @@ class Edit(str, Enum):
 
 
 _KINDS = tuple(Edit)
+# Module names, because looking up an Enum member on its class is slow.
+_MUTATE, _INSERT, _DELETE = _KINDS[:3]
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,21 @@ class EditProbabilities:
         object.__setattr__(self, "_bounds", tuple(b / total for b in bounds))
 
 
+def below(bits, n: int) -> int:
+    """A uniform draw from ``range(n)``, n >= 1, where *bits* is ``rng.getrandbits``.
+
+    It draws ``bits(n.bit_length())`` until the value is below *n*: the rule
+    of CPython's ``Random.randrange(n)``, so it returns the same values and
+    leaves the generator in the same state, without that method's argument
+    checks.
+    """
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def apply_random_edit(
     word: str,
     probs: EditProbabilities,
@@ -101,7 +118,9 @@ def apply_random_edit(
     exceed ``DEFAULT_MAX_LENGTH``; ``at`` is then 0. Otherwise ``new_word[:at] ==
     word[:at]``: ``at`` is the mutated, inserted or deleted position, or the
     end of a duplicated segment, where its copy begins. A mutation changes
-    position ``at`` alone. Parameter draws:
+    position ``at`` alone. The kind is drawn by ``rng.random()``, and every
+    parameter by ``below``, which gives what ``rng.randrange`` and
+    ``rng.randint`` would. Parameter draws:
 
     - mutate: position uniform over the word, new symbol uniform over the
       alphabet minus the current symbol (the edit always changes the word);
@@ -111,31 +130,32 @@ def apply_random_edit(
       1..len-start, copy inserted immediately after the segment.
     """
     kind = _KINDS[bisect_right(probs._bounds, rng.random())]  # type: ignore[attr-defined]
+    bits, symbols = rng.getrandbits, alphabet.symbols
     n = len(word)
-    if kind is Edit.MUTATE:
-        if len(alphabet) < 2:
+    if kind is _MUTATE:
+        if len(symbols) < 2:
             return None, kind, 0
-        index = rng.randrange(n)
-        pick = rng.randrange(len(alphabet) - 1)
+        index = below(bits, n)
+        pick = below(bits, len(symbols) - 1)
         if pick >= alphabet.position(word[index]):
             pick += 1
-        return word[:index] + alphabet.symbols[pick] + word[index + 1 :], kind, index
+        return word[:index] + symbols[pick] + word[index + 1 :], kind, index
 
-    if kind is Edit.INSERT:
+    if kind is _INSERT:
         if n + 1 > DEFAULT_MAX_LENGTH:
             return None, kind, 0
-        index = rng.randrange(n + 1)
-        symbol = alphabet.symbols[rng.randrange(len(alphabet))]
+        index = below(bits, n + 1)
+        symbol = symbols[below(bits, len(symbols))]
         return word[:index] + symbol + word[index:], kind, index
 
-    if kind is Edit.DELETE:
+    if kind is _DELETE:
         if n < 2:
             return None, kind, 0
-        index = rng.randrange(n)
+        index = below(bits, n)
         return word[:index] + word[index + 1 :], kind, index
 
-    start = rng.randrange(n)
-    length = rng.randint(1, n - start)
+    start = below(bits, n)
+    length = 1 + below(bits, n - start)
     if n + length > DEFAULT_MAX_LENGTH:
         return None, kind, 0
     end = start + length

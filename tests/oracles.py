@@ -133,13 +133,21 @@ def replay_growth(instance: Instance) -> tuple[list[str], list[tuple[int, int]],
     Duplicates are found in the word list, and a candidate's isolation and
     every edge are decided by ``within_max_distance`` alone. Batch growth
     stops early once every single edit of the initial words has been drawn,
-    wires its words at the end and drops the isolated ones.
+    wires its words at the end and drops the isolated ones. Incremental
+    growth by mutation alone stops early once it holds every word of the
+    initial lengths.
     """
     rng = random.Random(instance.seed)
     cfg, probs, alphabet = instance.distance, instance.probs, instance.alphabet
     initial, batch = instance.initial_structures, instance.mode == BATCH
     budget = instance.attempt_budget
-    space = edit_space_size(initial, probs, alphabet, budget) if batch else None
+    if batch:
+        space = edit_space_size(initial, probs, alphabet, budget)
+    elif not (probs.insert or probs.delete or probs.duplicate):
+        # A mutant keeps its length: past these words, every draw is a duplicate.
+        space = sum(len(alphabet) ** n for n in {len(word) for word in initial})
+    else:
+        space = None
     trace = GrowthTrace()
     words = list(initial)
     while len(words) < instance.target_nodes and trace.attempts < budget and len(words) != space:

@@ -265,6 +265,34 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("target", ["5000", "1000000000000"])
+def test_growth_ends_once_it_holds_every_word(tmp_path, target):
+    # celegans mutates words of 6 two-symbol groups over AT at distance 1,
+    # so it can reach all 2^12 = 4096 words and no others. Seed 1 holds
+    # them after 35 622 attempts; the budget of 50 * target is not drawn.
+    # A child process, so that a run that does not stop fails by timeout.
+    out = tmp_path / "run"
+    script = "import sys\nfrom snmodel.cli import main\nsys.exit(main(sys.argv[1:]))"
+    argv = [
+        "generate", "--instance", str(instances_dir() / "celegans.instance"),
+        "--target-nodes", target, "--seed", "1", "--out", str(out),
+    ]
+    src = str(Path(snmodel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == (
+        f"warning: growth stopped at 4096 of {target} target nodes after 35622 attempts\n"
+    )
+    assert fileio.read_edge_list(out / "edges.tsv").n_nodes == 4096
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs sched_setaffinity and at least two usable CPUs",

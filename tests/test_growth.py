@@ -62,6 +62,12 @@ def check_biconditional(net: Network, instance: Instance) -> None:
             assert ((u, v) in edges) == expected, (u, v)
 
 
+def decoded(row: bytes) -> list[int]:
+    """The group ids of a packed row: little-endian int32, four bytes each."""
+    assert len(row) % 4 == 0
+    return [int.from_bytes(row[i : i + 4], "little", signed=True) for i in range(0, len(row), 4)]
+
+
 def count_index_calls(monkeypatch) -> dict[str, int]:
     """Count the calls of GroupIndex.encode and GroupIndex.distances from now on."""
     calls = {"encode": 0, "distances": 0}
@@ -439,15 +445,48 @@ class TestGroupIndex:
             assert scanned.tolist() == expected
             if i < len(words):
                 index.append(encoded)
-        # The join lists every pair once, in no fixed order; Network orders them.
+        self.assert_join_is_brute_force(index, words, cfg)
+
+    @staticmethod
+    def assert_join_is_brute_force(index: GroupIndex, words: list[str], cfg: DistanceConfig):
+        """The join lists every pair once, in no fixed order; Network orders them."""
         edge_u, edge_v = index.join()
         assert edge_u.dtype == edge_v.dtype == np.int64
         pairs = [
             (u, v) for v in range(len(words)) for u in range(v)
-            if structure_distance(words[u], words[v], cfg) <= max_d
+            if structure_distance(words[u], words[v], cfg) <= cfg.max_distance
         ]
         joined = zip(edge_u.tolist(), edge_v.tolist())
         assert sorted(joined, key=lambda pair: pair[::-1]) == pairs
+
+    @given(
+        st.integers(16, 40),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from([None, "linking", "order-only"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(40, 2, 1, "linking", 0)  # G0 = 40 at d = 1: k = 4, five blocks of 8
+    @example(40, 3, 3, None, 1)  # d = 3: k = 2, ten keys
+    @settings(max_examples=150, deadline=None)
+    def test_join_on_long_rows(self, groups, unit, max_d, kind, seed):
+        # Row 0 has 16-40 groups, so the join splits them into d + k blocks
+        # with k > 1 whenever groups // 8 - d > 1. The other rows are a few
+        # mutations from earlier ones, so many pairs lie near the threshold;
+        # some are cut short (short rows, verified against all) or extended.
+        rng = random.Random(seed)
+        words = ["".join(rng.choices("ABC", k=groups * unit))]
+        for _ in range(rng.randint(10, 40)):
+            word = list(rng.choice(words))
+            for _ in range(rng.randint(1, 2 * max_d)):
+                word[rng.randrange(len(word))] = rng.choice("ABC")
+            if rng.random() < 0.2 and len(word) > 1:
+                word = word[: rng.randrange(1, len(word))]
+            elif rng.random() < 0.1:
+                word += rng.choices("ABC", k=rng.randint(1, 3 * unit))
+            words.append("".join(word))
+        cfg = self.config(unit, max_d, kind)
+        self.assert_join_is_brute_force(GroupIndex(cfg, words), words, cfg)
 
     @pytest.mark.parametrize("unit, kind", sorted(TABLES))
     def test_equal_groups_share_a_key_label(self, unit, kind):
@@ -456,7 +495,7 @@ class TestGroupIndex:
         cfg = self.config(unit, 0, kind)
         index = GroupIndex(cfg, [])
         groups = ["".join(g) for g in itertools.product("ABC", repeat=unit)]
-        ids = {group: int(index.encode(group)[0]) for group in groups}
+        ids = {group: decoded(index.encode(group))[0] for group in groups}
         labels = index._key_labels()
         for g1, g2 in itertools.product(groups, repeat=2):
             if structure_distance(g1, g2, cfg) == 0:
@@ -481,8 +520,7 @@ class TestGroupIndex:
         if word is None:  # nothing to delete
             return
         derived, distance = index.derive(template, word, at, len(word) == len(template_word))
-        assert derived.dtype == np.int32
-        assert derived.tolist() == index.encode(word).tolist()
+        assert decoded(derived) == decoded(index.encode(word))
         if kind is Edit.MUTATE:
             # The one group a mutation may change bounds its distance.
             assert 1 >= distance >= structure_distance(word, template_word, cfg)

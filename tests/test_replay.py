@@ -47,6 +47,22 @@ def test_shipped_instance_replays(name, seed):
     assert_replays(replace(shipped(name), seed=seed))
 
 
+def test_mutation_only_growth_stops_once_it_holds_every_word():
+    # Over AB, lengths 2 and 3 give 4 + 8 = 12 words, and mutants reach them all.
+    instance = Instance(
+        alphabet=Alphabet.from_string("AB"),
+        initial_structures=("AB", "ABA"),
+        probs=EditProbabilities(mutate=1.0),
+        distance=DistanceConfig(1, 1),
+        target_nodes=50,
+        seed=3,
+    )
+    trace = assert_replays(instance)
+    assert trace.accepted == 10
+    assert trace.saturated
+    assert trace.attempts < instance.attempt_budget
+
+
 def test_batch_instance_replays():
     # Drawing stops early: the initial word has 205 distinct single edits.
     instance = shipped("batch")

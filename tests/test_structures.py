@@ -16,6 +16,7 @@ from snmodel.structures import (
     Edit,
     EditProbabilities,
     apply_random_edit,
+    below,
     edit_space_size,
 )
 
@@ -216,6 +217,30 @@ class TestApplyRandomEdit:
         a = [apply_random_edit("ABCABC", probs, ABC, rng_a) for _ in range(50)]
         b = [apply_random_edit("ABCABC", probs, ABC, rng_b) for _ in range(50)]
         assert a == b
+
+
+class TestBelow:
+    """``below`` must draw what CPython's ``randrange`` and ``randint`` draw."""
+
+    #: 1, 2, 3, each 2^k - 1, 2^k and 2^k + 1 up to k = 40, and the draw
+    #: sizes of the shipped instances (282 templates, 3000 nodes).
+    SIZES = sorted({1, 2, 3, 282, 3000} | {2**k + e for k in range(2, 41) for e in (-1, 0, 1)})
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_same_values_and_state_as_randrange(self, n):
+        ours, cpython = random.Random(n), random.Random(n)
+        assert [below(ours.getrandbits, n) for _ in range(300)] == [
+            cpython.randrange(n) for _ in range(300)
+        ]
+        assert ours.getstate() == cpython.getstate()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_one_more_is_randint_from_one(self, n):
+        ours, cpython = random.Random(-n), random.Random(-n)
+        assert [1 + below(ours.getrandbits, n) for _ in range(300)] == [
+            cpython.randint(1, n) for _ in range(300)
+        ]
+        assert ours.getstate() == cpython.getstate()
 
 
 class TestEditSpace:

@@ -45,7 +45,7 @@ SURFACE = {
         "triangle_count",
     },
     "snmodel.growth": {"grow", "prune_low_degree"},
-    "snmodel.structures": {"apply_random_edit", "edit_space_size"},
+    "snmodel.structures": {"apply_random_edit", "below", "edit_space_size"},
     "GroupIndex": {"append", "derive", "distances", "encode", "join"},
     "Network": {
         "degrees",
