@@ -216,9 +216,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser of every main call, built by the first: building costs milliseconds.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser.parse_args(argv)
         for key, convert in _NUMBER_FLAGS.items():
             if getattr(args, key, None) is not None:
                 setattr(args, key, experiments.convert_value(key, convert, getattr(args, key)))

@@ -28,11 +28,9 @@ MAX_NODES = np.iinfo(np.int64).max
 
 def render_edge_list(net: Network) -> str:
     """Edge list text: one "u<TAB>v" line per edge, ids 0-based, sorted."""
-    lines = [EDGE_HEADER, f"# nodes {net.n_nodes}"]
     order = np.argsort(net.edge_u * net.n_nodes + net.edge_v)  # as in Network, n < 3.04e9
-    for u, v in zip(net.edge_u[order].tolist(), net.edge_v[order].tolist()):
-        lines.append(f"{u}\t{v}")
-    return "\n".join(lines) + "\n"
+    ids = np.column_stack((net.edge_u[order], net.edge_v[order])).ravel().tolist()
+    return f"{EDGE_HEADER}\n# nodes {net.n_nodes}\n" + "%d\t%d\n" * order.shape[0] % tuple(ids)
 
 
 def write_edge_list(path: str | Path, net: Network) -> None:

@@ -9,16 +9,18 @@ compares it with the template's. So the distance to the template is known:
 exact, or at most 1 for a mutant. A candidate within max_distance of its
 template has a neighbour already; only one further away is searched for a
 neighbour, by a scan over every structure, the template included. A row is
-plain bytes, so an attempt allocates no numpy array; the id matrix the scan
-and the join read is filled from the rows when they read it. Distances are
-static, so the edge relation depends on the accepted structures alone: once
-the loop ends, one pairwise join over them yields every edge, the same edges
-an insertion-time search would have added.
+plain bytes, so an attempt allocates no numpy array. The index keeps every
+row once, in one padded buffer that the scan and the join read in place
+through numpy views; no view outlives its call, since the buffer cannot grow
+while one lives. Distances are static, so the edge relation depends on the
+accepted structures alone: once the loop ends, one pairwise join over them
+yields every edge, the same edges an insertion-time search would have added.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
@@ -90,13 +92,6 @@ class GrowthTrace:
     saturated: bool = False
 
 
-def _resized(a: np.ndarray, shape: tuple[int, ...], fill: int) -> np.ndarray:
-    """*a* copied into the leading corner of a *fill*-padded array of *shape*."""
-    out = np.full(shape, fill, dtype=a.dtype)
-    out[tuple(slice(0, n) for n in a.shape)] = a
-    return out
-
-
 def _multiset(group: str) -> str:
     return "".join(sorted(group))
 
@@ -118,17 +113,21 @@ class GroupIndex:
     only when not empty. The distance over g groups is min(count, g) minus
     the matches.
 
-    A row is the packed little-endian int32 bytes of a structure's ids, and
-    the index keeps its rows in a list, so ``encode``, ``derive`` and
-    ``append`` build and store plain bytes. ``derive`` builds the row of one
-    edit of an indexed structure from that structure's row, re-encoding only
-    the groups the edit may have changed, and returns its distance to that
-    structure. The index starts with the rows of the words it is given;
-    ``append`` stores one more. The numpy view of the rows, one id matrix
-    padded with -1 (an id no group has) and the group counts, is a cache:
-    it is filled from the rows appended since, only when ``distances`` or
-    ``join`` reads it, so growth by mutation alone fills it once, at the
-    join. ``distances`` answers one query by a scan over every row.
+    A row is the packed little-endian int32 bytes of a structure's ids, so
+    ``encode``, ``derive`` and ``append`` build plain bytes. ``derive`` builds
+    the row of one edit of an indexed structure from that structure's row,
+    re-encoding only the groups the edit may have changed, and returns its
+    distance to that structure. The index starts with the rows of the words
+    it is given; ``append`` stores one more.
+
+    Each row is kept once, in one row store: a bytearray of every row, each
+    padded with -1 ids (0xff bytes, an id no group has) to the width of the
+    longest row so far, and an array of the rows' group counts. A row longer
+    than the width widens every row first, to at least twice the width.
+    ``distances`` and ``join`` read the store in place, as numpy views of an
+    id matrix and of the counts. A view must not outlive the call that made
+    it: while one lives, the next ``append`` raises BufferError.
+    ``distances`` answers one query by a scan over every row.
 
     ``join`` returns every pair within d = max_distance at once, as a
     partition-based exact join (Arasu, Ganti & Kaushik, VLDB 2006) on the
@@ -154,8 +153,7 @@ class GroupIndex:
     """
 
     _PAD = -1
-    #: Candidate pairs the join verifies at once, and rows filled into the
-    #: id matrix at once: bounds their memory.
+    #: Candidate pairs the join verifies at once: bounds their memory.
     _CHUNK = 8192
     #: Groups compared per step when verifying the join's pairs.
     _SLAB = 32
@@ -188,10 +186,10 @@ class GroupIndex:
         self._pair_set = frozenset(codes)
         #: Each group seen so far, with its packed id.
         self._groups = {group: gid.to_bytes(4, "little") for group, gid in ids.items()}
-        self._rows: list[bytes] = []
-        self._ids = np.full((0, 0), self._PAD, dtype=np.int32)
-        self._counts = np.zeros(0, dtype=np.int32)
-        self._filled = 0
+        #: The row store: every row padded to _width groups, and each row's group count.
+        self._store = bytearray()
+        self._width = 0
+        self._counts = array("i")
         for word in words:
             self.append(self.encode(word))
 
@@ -226,7 +224,7 @@ class GroupIndex:
         """
         unit = self._unit
         k = at // unit
-        row = self._rows[template]
+        row = self._row(template)
         lo = 4 * k
         if same_length:
             if lo == len(row):  # the trailing partial group, in no id
@@ -240,35 +238,24 @@ class GroupIndex:
         return row[:lo] + suffix, misses
 
     def append(self, encoded: bytes) -> None:
-        self._rows.append(encoded)
+        groups = len(encoded) // 4
+        if groups > self._width:
+            n, width = len(self._counts), max(groups, 2 * self._width)
+            wide = np.full((n, width), self._PAD, dtype="<i4")
+            wide[:, : self._width] = np.frombuffer(self._store, "<i4").reshape(n, self._width)
+            self._store, self._width = bytearray(wide), width
+        self._store += encoded.ljust(4 * self._width, b"\xff")
+        self._counts.append(groups)
+
+    def _row(self, i: int) -> bytearray:
+        """Row *i* without its padding."""
+        lo = 4 * self._width * i
+        return self._store[lo : lo + 4 * self._counts[i]]
 
     def _matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """The padded id matrix and the group counts of every row.
-
-        Rows appended since the last call are filled in, _CHUNK at a time.
-        The matrix is sized to the rows on its first fill and doubles when
-        it is full, so the fill at a mutation-only run's join is its only one.
-        """
-        n, done = len(self._rows), self._filled
-        if done < n:
-            new = self._rows[done:]
-            counts = [len(row) // 4 for row in new]
-            width = max(counts)
-            capacity, have = self._ids.shape
-            if n > capacity or width > have:
-                capacity = max(n, 2 * capacity) if n > capacity else capacity
-                have = max(width, 2 * have) if width > have else have
-                self._ids = _resized(self._ids, (capacity, have), self._PAD)
-                self._counts = _resized(self._counts, (capacity,), 0)
-            self._counts[done:n] = counts
-            if min(counts) < width:
-                new = [row.ljust(4 * width, b"\xff") for row in new]
-            for lo in range(0, n - done, self._CHUNK):
-                rows = new[lo : lo + self._CHUNK]
-                block = np.frombuffer(b"".join(rows), "<i4").reshape(len(rows), width)
-                self._ids[done + lo : done + lo + len(rows), :width] = block
-            self._filled = n
-        return self._ids[:n], self._counts[:n]
+        """The padded id matrix and the group counts: views of the row store."""
+        ids = np.frombuffer(self._store, "<i4").reshape(len(self._counts), self._width)
+        return ids, np.frombuffer(self._counts, np.intc)
 
     def _matches(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Where the group ids *a* and *b* name equal groups; a pad equals no group."""
@@ -300,7 +287,7 @@ class GroupIndex:
         found: list[tuple[np.ndarray, np.ndarray]] = [(nodes[:0], nodes[:0])]
         # A short structure is verified against all others; two short ones once.
         for s in np.flatnonzero(short):
-            dist = self.distances(self._rows[s])
+            dist = self.distances(self._row(s))
             others = np.flatnonzero((dist <= max_d) & ((nodes > s) | ~short & (nodes < s)))
             found.append((np.minimum(others, s), np.maximum(others, s)))
         hashed = np.flatnonzero(~short)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import snmodel
-from snmodel import fileio, instances_dir
+from snmodel import cli, fileio, instances_dir
 from snmodel.cli import _config_from_args, build_parser, main
 from snmodel.experiments import INSTANCE_KEYS
 
@@ -619,3 +619,40 @@ class TestBadInput:
             main(["--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: snm")
+
+
+class TestRepeatedCalls:
+    def test_one_parser_serves_every_call(self, tmp_path, instance_file, capsys, monkeypatch):
+        # main builds its parser on the first call of a process and reuses it,
+        # so no flag or handler of one call may leak into the next.
+        builds = []
+
+        def counted_build():
+            builds.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted_build)
+        small, wide = tmp_path / "small", tmp_path / "wide"
+        argv = ["generate", "--instance", str(instance_file), "--out"]
+        assert main([*argv, str(small), "--target-nodes", "12"]) == 0
+        assert main([*argv, str(wide)]) == 0
+        assert fileio.read_edge_list(small / "edges.tsv").n_nodes == 12
+        assert fileio.read_edge_list(wide / "edges.tsv").n_nodes == 30
+        capsys.readouterr()
+
+        edges = str(wide / "edges.tsv")
+        assert main(["metrics", "--edges", edges, "--fit-k-min", "two"]) == 1
+        assert capsys.readouterr().err.startswith("error: key 'fit_k_min': cannot parse value")
+        assert main(["metrics", "--edges", edges]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout == (wide / "metrics.json").read_text()
+
+        pruned = tmp_path / "pruned.tsv"
+        assert main(["prune", "--edges", edges, "--bogus", "--out", str(pruned)]) == 1
+        assert capsys.readouterr().err.startswith("error: snm prune: ")
+        assert main(["prune", "--edges", edges, "--min-degree", "100", "--out", str(pruned)]) == 0
+        assert fileio.read_edge_list(pruned).n_nodes == 0
+        assert main([*argv, str(tmp_path / "again"), "--target-nodes", "12"]) == 0
+        assert (tmp_path / "again" / "edges.tsv").read_bytes() == (small / "edges.tsv").read_bytes()
+        assert len(builds) == 1

@@ -488,6 +488,53 @@ class TestGroupIndex:
         cfg = self.config(unit, max_d, kind)
         self.assert_join_is_brute_force(GroupIndex(cfg, words), words, cfg)
 
+    @given(
+        st.lists(st.integers(0, 12), min_size=1, max_size=20),
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.sampled_from([None, "linking"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([1, 2, 5, 3, 11, 12, 4], 2, 1, "linking", 0)  # widens 1 -> 2 -> 5 -> 11 -> 22
+    @settings(max_examples=200, deadline=None)
+    def test_row_store_widens_one_append_at_a_time(self, groups, unit, max_d, kind, seed):
+        # Rows of the given group counts (some with a trailing partial group),
+        # often extending an earlier row, so a row longer than every row so far
+        # widens the store between two reads of it.
+        rng = random.Random(seed)
+        cfg = self.config(unit, max_d, kind)
+        index = GroupIndex(cfg, [])
+        words: list[str] = []
+        for g in groups:
+            length = max(1, g * unit + rng.randrange(unit))
+            base = list(rng.choice(words)) if words and rng.random() < 0.6 else []
+            word = (base + rng.choices("ABC", k=length))[:length]
+            for _ in range(rng.randint(0, max_d + 1)):
+                word[rng.randrange(length)] = rng.choice("ABC")
+            words.append("".join(word))
+            index.append(index.encode(words[-1]))
+            assert index._width >= max(len(word) // unit for word in words)
+            probe = "".join(rng.choices("ABC", k=rng.randint(1, 14 * unit)))
+            for candidate in (probe, rng.choice(words)):
+                expected = [structure_distance(candidate, other, cfg) for other in words]
+                assert index.distances(index.encode(candidate)).tolist() == expected
+        self.assert_join_is_brute_force(index, words, cfg)
+
+    def test_append_after_a_read(self):
+        # A read leaves no view of the row store alive, so the store can grow,
+        # and widen, right after it.
+        cfg = DistanceConfig(2, 0)
+        words = ["ABAB", "ABCC"]
+        index = GroupIndex(cfg, words)
+        index.distances(index.encode("ABAC"))
+        words.append("ABCCAB")  # longer than every row so far: widens the store
+        index.append(index.encode(words[-1]))
+        self.assert_join_is_brute_force(index, words, cfg)
+        words.append("CC")
+        index.append(index.encode(words[-1]))
+        self.assert_join_is_brute_force(index, words, cfg)
+        assert index.distances(index.encode("ABCC")).tolist() == [1, 0, 0, 1]
+
     @pytest.mark.parametrize("unit, kind", sorted(TABLES))
     def test_equal_groups_share_a_key_label(self, unit, kind):
         # The join hashes block keys of labels, so two groups the table or the
