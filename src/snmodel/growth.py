@@ -1,20 +1,24 @@
 """Growth of structured-node networks, incremental or batch, and pruning.
 
 The growth loop derives a candidate structure from a randomly chosen template
-and rejects duplicates and, in incremental mode, candidates that would be
-isolated. The edit reports where the word starts to change, so the candidate's
-group ids come from its template's row: a mutation replaces at most one id,
-any other edit re-encodes only the suffix from the group it starts in and
-compares it with the template's. So the distance to the template is known:
-exact, or at most 1 for a mutant. A candidate within max_distance of its
-template has a neighbour already; only one further away is searched for a
-neighbour, by a scan over every structure, the template included. A row is
-plain bytes, so an attempt allocates no numpy array. The index keeps every
-row once, in one padded buffer that the scan and the join read in place
-through numpy views; no view outlives its call, since the buffer cannot grow
-while one lives. Distances are static, so the edge relation depends on the
-accepted structures alone: once the loop ends, one pairwise join over them
-yields every edge, the same edges an insertion-time search would have added.
+by one edit, drawn by an edit drawer bound once per run, and rejects
+duplicates and, in incremental mode, candidates that would be isolated. The
+edit reports where the word starts to change, so ``GroupIndex.add`` writes
+the candidate's row straight into the row store from its template's row: a
+mutant's row is the template's padded row copied inside the store with at
+most one id replaced; any other edit keeps the template's prefix and appends
+the suffix encoded from the group it starts in, compared with the template's.
+So the distance to the template is known: exact, or at most 1 for a mutant. A
+candidate within max_distance of its template has a neighbour already; only
+one further away is taken back by ``pop`` and searched for a neighbour, by a
+scan over every structure, the template included, and stored again if it has
+one. A row is plain bytes, so an attempt allocates no numpy array. The index
+keeps every row once, in one padded buffer that the scan and the join read in
+place through numpy views; no view outlives its call, since the buffer cannot
+grow while one lives. Distances are static, so the edge relation depends on
+the accepted structures alone: once the loop ends, one pairwise join over
+them yields every edge, the same edges an insertion-time search would have
+added.
 """
 
 from __future__ import annotations
@@ -29,7 +33,11 @@ import numpy as np
 
 from .distance import DistanceConfig
 from .network import Network, component_labels
-from .structures import Alphabet, EditProbabilities, apply_random_edit, below, edit_space_size
+from .structures import Alphabet, Edit, EditProbabilities, below, edit_drawer, edit_space_size
+
+# Growth draws its edits through edit_drawer; this name is kept for the
+# benchmark's tracer (perfbench/tracer.py), which wraps growth.apply_random_edit.
+from .structures import apply_random_edit  # noqa: F401
 
 INCREMENTAL = "incremental"
 BATCH = "batch"
@@ -114,19 +122,21 @@ class GroupIndex:
     the matches.
 
     A row is the packed little-endian int32 bytes of a structure's ids, so
-    ``encode``, ``derive`` and ``append`` build plain bytes. ``derive`` builds
-    the row of one edit of an indexed structure from that structure's row,
-    re-encoding only the groups the edit may have changed, and returns its
-    distance to that structure. The index starts with the rows of the words
-    it is given; ``append`` stores one more.
+    ``encode`` returns plain bytes and ``append`` takes them. The index
+    starts with the rows of the words it is given; ``append`` stores one
+    more. ``add`` writes the row of one edit of an indexed structure in
+    place, from that structure's row, re-encoding only the groups the edit
+    may have changed, and returns its distance to that structure. ``pop``
+    takes the last row back.
 
     Each row is kept once, in one row store: a bytearray of every row, each
     padded with -1 ids (0xff bytes, an id no group has) to the width of the
     longest row so far, and an array of the rows' group counts. A row longer
-    than the width widens every row first, to at least twice the width.
-    ``distances`` and ``join`` read the store in place, as numpy views of an
-    id matrix and of the counts. A view must not outlive the call that made
-    it: while one lives, the next ``append`` raises BufferError.
+    than the width widens every row first, to at least twice the width; a
+    row taken back leaves the width as it is. ``distances`` and ``join``
+    read the store in place, as numpy views of an id matrix and of the
+    counts. A view must not outlive the call that made it: while one lives,
+    the next ``append`` or ``add`` raises BufferError.
     ``distances`` answers one query by a scan over every row.
 
     ``join`` returns every pair within d = max_distance at once, as a
@@ -211,41 +221,70 @@ class GroupIndex:
         end = len(word) - len(word) % unit
         return b"".join([self._group(word[i : i + unit]) for i in range(0, end, unit)])
 
-    def derive(self, template: int, word: str, at: int, same_length: bool) -> tuple[bytes, int]:
-        """The packed ids of *word*, one edit of indexed structure *template*, and its distance.
+    def append(self, encoded: bytes) -> None:
+        """Store one more row, the packed ids *encoded*."""
+        groups = len(encoded) // 4
+        self._fit(groups)
+        self._store += encoded.ljust(4 * self._width, b"\xff")
+        self._counts.append(groups)
+
+    def add(self, template: int, word: str, at: int, same_length: bool) -> int:
+        """Store the row of *word*, one edit of indexed structure *template*; its distance.
 
         *word* agrees with the template's word before position *at* and, when
         *same_length* (a mutation), after it too. The groups before the one
-        holding *at* keep the template's ids, which match. A mutation
-        replaces that one group's id, or none in the trailing partial group,
-        and its distance is bounded by the groups replaced, 1 or 0. Any
-        other edit re-encodes the suffix from that group on, and its distance
-        is exact: the suffix's misses against the template's row from there.
+        holding *at* keep the template's ids, which match. A mutation copies
+        the template's padded row inside the store with that one group's id
+        replaced, or none in the trailing partial group; its distance is
+        bounded by the groups replaced, 1 or 0. Any other edit keeps the
+        template's prefix and encodes the suffix from that group on, and its
+        distance is exact: the suffix's misses against the template's row
+        from there.
         """
-        unit = self._unit
+        unit, count = self._unit, self._counts[template]
         k = at // unit
-        row = self._row(template)
-        lo = 4 * k
+        store, w4 = self._store, 4 * self._width
+        lo = w4 * template
         if same_length:
-            if lo == len(row):  # the trailing partial group, in no id
-                return row, 0
-            return row[:lo] + self._group(word[k * unit : (k + 1) * unit]) + row[lo + 4 :], 1
+            self._counts.append(count)
+            if k == count:  # the trailing partial group, in no id
+                store += store[lo : lo + w4]
+                return 0
+            # Three appends cost less than a copy and a 4-byte slice assignment.
+            at_id = lo + 4 * k
+            store += store[lo:at_id]
+            store += self._group(word[k * unit : (k + 1) * unit])
+            store += store[at_id + 4 : lo + w4]
+            return 1
         suffix = self.encode(word[k * unit :])
-        pairs, misses = self._pair_set, 0
-        for i in range(0, min(len(suffix), len(row) - lo), 4):
-            a, b = row[lo + i : lo + i + 4], suffix[i : i + 4]
+        pairs, misses, lo = self._pair_set, 0, lo + 4 * k
+        for i in range(0, 4 * min(count - k, len(suffix) // 4), 4):
+            a, b = store[lo + i : lo + i + 4], suffix[i : i + 4]
             misses += a != b and (not pairs or _id(a) << 32 | _id(b) not in pairs)
-        return row[:lo] + suffix, misses
+        groups = k + len(suffix) // 4
+        if groups > self._width:
+            self._fit(groups)
+            store, w4 = self._store, 4 * self._width
+            lo = w4 * template + 4 * k
+        store += store[lo - 4 * k : lo]
+        store += suffix.ljust(w4 - 4 * k, b"\xff")
+        self._counts.append(groups)
+        return misses
 
-    def append(self, encoded: bytes) -> None:
-        groups = len(encoded) // 4
+    def pop(self) -> bytes:
+        """Remove the last row; return its packed ids."""
+        row = bytes(self._row(len(self._counts) - 1))
+        del self._store[-4 * self._width :]
+        self._counts.pop()
+        return row
+
+    def _fit(self, groups: int) -> None:
+        """Widen every row, to at least twice the width, if *groups* exceed it."""
         if groups > self._width:
             n, width = len(self._counts), max(groups, 2 * self._width)
             wide = np.full((n, width), self._PAD, dtype="<i4")
             wide[:, : self._width] = np.frombuffer(self._store, "<i4").reshape(n, self._width)
             self._store, self._width = bytearray(wide), width
-        self._store += encoded.ljust(4 * self._width, b"\xff")
-        self._counts.append(groups)
 
     def _row(self, i: int) -> bytearray:
         """Row *i* without its padding."""
@@ -400,52 +439,54 @@ def grow(instance: Instance) -> tuple[Network, GrowthTrace]:
     """
     rng = random.Random(instance.seed)
     bits = rng.getrandbits
-    trace = GrowthTrace()
+    draw = edit_drawer(instance.probs, instance.alphabet, rng)
     initial = instance.initial_structures
     structures = list(initial)
     seen = set(structures)
     index = GroupIndex(instance.distance, structures)
 
     batch = instance.mode == BATCH
-    probs, alphabet = instance.probs, instance.alphabet
     max_distance = instance.distance.max_distance
     target, budget = instance.target_nodes, instance.attempt_budget
     # A space larger than the budget is not listed: None never equals a count.
     if batch:
-        space_size = edit_space_size(initial, probs, alphabet, budget)
+        space_size = edit_space_size(initial, instance.probs, instance.alphabet, budget)
     else:
         space_size = _word_space_size(instance, budget + len(initial))
-    while (
-        len(structures) < target
-        and trace.attempts < budget
-        and len(structures) != space_size
-    ):
-        trace.attempts += 1
-        template = below(bits, len(initial) if batch else len(structures))
-        template_word = structures[template]
-        word, _, at = apply_random_edit(template_word, probs, alphabet, rng)
+    mutate, n = Edit.MUTATE, len(structures)
+    attempts = duplicates = isolated = failed = 0
+    while n < target and attempts < budget and n != space_size:
+        attempts += 1
+        template = below(bits, len(initial) if batch else n)
+        word, kind, at = draw(structures[template])
         if word is None:
-            trace.rejected_edit_failed += 1
+            failed += 1
             continue
         if word in seen:
-            trace.rejected_duplicate += 1
+            duplicates += 1
             continue
-        encoded, distance = index.derive(template, word, at, len(word) == len(template_word))
+        distance = index.add(template, word, at, kind is mutate)
         # A candidate within reach of its template has a neighbour already;
-        # only one further away needs a search, which scans the template too.
-        if (
-            not batch
-            and distance > max_distance
-            and not (index.distances(encoded) <= max_distance).any()
-        ):
-            trace.rejected_isolated += 1
-            continue
-        index.append(encoded)
+        # one further away is taken back and searched for one, over every
+        # structure so far, its template included.
+        if not batch and distance > max_distance:
+            encoded = index.pop()
+            if not (index.distances(encoded) <= max_distance).any():
+                isolated += 1
+                continue
+            index.append(encoded)
         seen.add(word)
         structures.append(word)
-        trace.accepted += 1
+        n += 1
 
-    trace.saturated = len(structures) < target
+    trace = GrowthTrace(
+        attempts=attempts,
+        accepted=n - len(initial),
+        rejected_duplicate=duplicates,
+        rejected_isolated=isolated,
+        rejected_edit_failed=failed,
+        saturated=n < target,
+    )
     # Distances are static, so the edges follow from the accepted structures alone.
     net = Network(structures, *index.join())
     if batch and not net.degrees().all():

@@ -1,9 +1,13 @@
-"""Node structures (symbol words) and the stochastic edits that derive new ones."""
+"""Node structures (symbol words) and the stochastic edits that derive new ones.
+
+``edit_drawer`` is the one implementation of the edit draw: growth binds it
+once per run, and ``apply_random_edit`` is its one-call form.
+"""
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -20,9 +24,8 @@ class Edit(str, Enum):
     DUPLICATE = "duplicate"
 
 
-_KINDS = tuple(Edit)
 # Module names, because looking up an Enum member on its class is slow.
-_MUTATE, _INSERT, _DELETE = _KINDS[:3]
+_MUTATE, _INSERT, _DELETE, _DUPLICATE = Edit
 
 
 @dataclass(frozen=True)
@@ -50,12 +53,6 @@ class Alphabet:
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def position(self, symbol: str) -> int:
-        try:
-            return self._index[symbol]  # type: ignore[attr-defined]
-        except KeyError:
-            raise ValueError(f"Symbol {symbol!r} is not in the alphabet") from None
 
     def validate_word(self, word: str) -> None:
         """Raise ValueError unless *word* is a non-empty string over this alphabet."""
@@ -105,22 +102,25 @@ def below(bits, n: int) -> int:
     return r
 
 
-def apply_random_edit(
-    word: str,
-    probs: EditProbabilities,
-    alphabet: Alphabet,
-    rng: random.Random,
-) -> tuple[str | None, Edit, int]:
-    """Draw one edit kind from *probs* and apply it with uniform random parameters.
+def edit_drawer(
+    probs: EditProbabilities, alphabet: Alphabet, rng: random.Random
+) -> Callable[[str], tuple[str | None, Edit, int]]:
+    """The edit draw of one run: ``draw(word) -> (new_word, kind, at)``.
 
-    Returns ``(new_word, kind, at)``. ``new_word`` is None when the attempt
-    fails: a delete drawn on a length-1 structure, or a result that would
-    exceed ``DEFAULT_MAX_LENGTH``; ``at`` is then 0. Otherwise ``new_word[:at] ==
-    word[:at]``: ``at`` is the mutated, inserted or deleted position, or the
-    end of a duplicated segment, where its copy begins. A mutation changes
-    position ``at`` alone. The kind is drawn by ``rng.random()``, and every
-    parameter by ``below``, which gives what ``rng.randrange`` and
-    ``rng.randint`` would. Parameter draws:
+    The one implementation of the edit draw. It binds the generator's
+    methods, the kinds' probability bounds and the alphabet once, so a
+    draw calls no Python function but the generator's methods. ``draw``
+    draws one edit kind from *probs* and applies it to *word* with uniform
+    random parameters.
+
+    ``new_word`` is None when the attempt fails: a delete drawn on a
+    length-1 structure, a mutation over a 1-symbol alphabet, or a result
+    that would exceed ``DEFAULT_MAX_LENGTH``; ``at`` is then 0. Otherwise
+    ``new_word[:at] == word[:at]``: ``at`` is the mutated, inserted or
+    deleted position, or the end of a duplicated segment, where its copy
+    begins. A mutation changes position ``at`` alone. The kind is drawn by
+    ``rng.random()``, and every parameter by the rule of ``below``, which
+    gives what ``rng.randrange`` and ``rng.randint`` would. Parameter draws:
 
     - mutate: position uniform over the word, new symbol uniform over the
       alphabet minus the current symbol (the edit always changes the word);
@@ -129,37 +129,80 @@ def apply_random_edit(
     - duplicate: start uniform over the word, segment length uniform over
       1..len-start, copy inserted immediately after the segment.
     """
-    kind = _KINDS[bisect_right(probs._bounds, rng.random())]  # type: ignore[attr-defined]
-    bits, symbols = rng.getrandbits, alphabet.symbols
-    n = len(word)
-    if kind is _MUTATE:
-        if len(symbols) < 2:
-            return None, kind, 0
-        index = below(bits, n)
-        pick = below(bits, len(symbols) - 1)
-        if pick >= alphabet.position(word[index]):
-            pick += 1
-        return word[:index] + symbols[pick] + word[index + 1 :], kind, index
+    random_, bits = rng.random, rng.getrandbits
+    # Kind i is drawn below bound i and at or above the bounds before it.
+    to_mutate, to_insert, to_delete = probs._bounds[:3]  # type: ignore[attr-defined]
+    symbols, position = alphabet.symbols, alphabet._index  # type: ignore[attr-defined]
+    n_symbols, n_others = len(symbols), len(symbols) - 1
+    k_symbols, k_others = n_symbols.bit_length(), n_others.bit_length()
+    max_length = DEFAULT_MAX_LENGTH
 
-    if kind is _INSERT:
-        if n + 1 > DEFAULT_MAX_LENGTH:
-            return None, kind, 0
-        index = below(bits, n + 1)
-        symbol = symbols[below(bits, len(symbols))]
-        return word[:index] + symbol + word[index:], kind, index
+    # Each `while` below redraws ``bits(m.bit_length())`` until it is below m:
+    # ``below(bits, m)`` written out, since a call per parameter would cost
+    # more than the draw itself.
+    def draw(word: str) -> tuple[str | None, Edit, int]:
+        r = random_()
+        n = len(word)
+        if r < to_mutate:
+            if not n_others:
+                return None, _MUTATE, 0
+            k = n.bit_length()
+            index = bits(k)
+            while index >= n:
+                index = bits(k)
+            pick = bits(k_others)
+            while pick >= n_others:
+                pick = bits(k_others)
+            if pick >= position[word[index]]:
+                pick += 1
+            return word[:index] + symbols[pick] + word[index + 1 :], _MUTATE, index
 
-    if kind is _DELETE:
-        if n < 2:
-            return None, kind, 0
-        index = below(bits, n)
-        return word[:index] + word[index + 1 :], kind, index
+        if r < to_insert:
+            if n + 1 > max_length:
+                return None, _INSERT, 0
+            k = (n + 1).bit_length()
+            index = bits(k)
+            while index > n:
+                index = bits(k)
+            pick = bits(k_symbols)
+            while pick >= n_symbols:
+                pick = bits(k_symbols)
+            return word[:index] + symbols[pick] + word[index:], _INSERT, index
 
-    start = below(bits, n)
-    length = 1 + below(bits, n - start)
-    if n + length > DEFAULT_MAX_LENGTH:
-        return None, kind, 0
-    end = start + length
-    return word[:end] + word[start:end] + word[end:], kind, end
+        k = n.bit_length()
+        if r < to_delete:
+            if n < 2:
+                return None, _DELETE, 0
+            index = bits(k)
+            while index >= n:
+                index = bits(k)
+            return word[:index] + word[index + 1 :], _DELETE, index
+
+        start = bits(k)
+        while start >= n:
+            start = bits(k)
+        rest = n - start
+        k = rest.bit_length()
+        length = bits(k)
+        while length >= rest:
+            length = bits(k)
+        length += 1
+        if n + length > max_length:
+            return None, _DUPLICATE, 0
+        end = start + length
+        return word[:end] + word[start:end] + word[end:], _DUPLICATE, end
+
+    return draw
+
+
+def apply_random_edit(
+    word: str,
+    probs: EditProbabilities,
+    alphabet: Alphabet,
+    rng: random.Random,
+) -> tuple[str | None, Edit, int]:
+    """Draw one edit of *word*: ``edit_drawer(probs, alphabet, rng)(word)``."""
+    return edit_drawer(probs, alphabet, rng)(word)
 
 
 def edit_space_size(
@@ -167,7 +210,7 @@ def edit_space_size(
 ) -> int | None:
     """Distinct words among *words* and all their single edits.
 
-    Lists exactly what ``apply_random_edit`` can return for each edit kind
+    Lists exactly what ``edit_drawer`` can return for each edit kind
     it can draw, so once that many distinct structures exist every further
     draw from *words* repeats one. Returns None, without listing, when the
     edit counts (mutate L(A-1), insert (L+1)A, delete L, duplicate L(L+1)/2

@@ -11,10 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from snmodel import structures
 from snmodel.distance import within_max_distance
 from snmodel.growth import BATCH, INCREMENTAL, GrowthTrace, Instance, grow
 from snmodel.network import Network
-from snmodel.structures import apply_random_edit, edit_space_size
+from snmodel.structures import Alphabet, Edit, EditProbabilities, edit_space_size
 
 
 def edge_pairs(net: Network) -> Iterator[tuple[int, int]]:
@@ -124,12 +125,51 @@ def checkpoint_rows(
     return rows
 
 
+def reference_edit(
+    word: str, probs: EditProbabilities, alphabet: Alphabet, rng: random.Random
+) -> tuple[str | None, Edit, int]:
+    """One random edit of *word*, drawn by ``rng.random``, ``randrange`` and ``randint``.
+
+    The reference of ``structures.edit_drawer``: the same results from the
+    same stream. The kind is the first whose cumulative probability, over
+    the total, exceeds ``rng.random()``. A failed edit (nothing to delete,
+    one symbol to mutate with, or a result longer than
+    ``DEFAULT_MAX_LENGTH``) returns ``(None, kind, 0)``.
+    """
+    bounds = list(itertools.accumulate((probs.mutate, probs.insert, probs.delete, probs.duplicate)))
+    r = rng.random()
+    kind = next(kind for kind, bound in zip(Edit, bounds) if r < bound / bounds[-1])
+    symbols, n = alphabet.symbols, len(word)
+    if kind is Edit.MUTATE:
+        if len(symbols) < 2:
+            return None, kind, 0
+        i = rng.randrange(n)
+        others = [symbol for symbol in symbols if symbol != word[i]]
+        return word[:i] + others[rng.randrange(len(others))] + word[i + 1 :], kind, i
+    if kind is Edit.INSERT:
+        if n + 1 > structures.DEFAULT_MAX_LENGTH:
+            return None, kind, 0
+        i = rng.randrange(n + 1)
+        return word[:i] + symbols[rng.randrange(len(symbols))] + word[i:], kind, i
+    if kind is Edit.DELETE:
+        if n < 2:
+            return None, kind, 0
+        i = rng.randrange(n)
+        return word[:i] + word[i + 1 :], kind, i
+    start = rng.randrange(n)
+    end = start + rng.randint(1, n - start)
+    if n + end - start > structures.DEFAULT_MAX_LENGTH:
+        return None, kind, 0
+    return word[:end] + word[start:end] + word[end:], kind, end
+
+
 def replay_growth(instance: Instance) -> tuple[list[str], list[tuple[int, int]], GrowthTrace]:
     """Growth of *instance* replayed by string distance: its structures,
     sorted edges and trace.
 
     The replay draws the random stream growth draws: a template, uniform over
-    the structures so far (batch: over the initial ones), then its edit.
+    the structures so far (batch: over the initial ones), then its edit by
+    ``reference_edit``.
     Duplicates are found in the word list, and a candidate's isolation and
     every edge are decided by ``within_max_distance`` alone. Batch growth
     stops early once every single edit of the initial words has been drawn,
@@ -153,7 +193,7 @@ def replay_growth(instance: Instance) -> tuple[list[str], list[tuple[int, int]],
     while len(words) < instance.target_nodes and trace.attempts < budget and len(words) != space:
         trace.attempts += 1
         pool = initial if batch else words
-        word, _, _ = apply_random_edit(pool[rng.randrange(len(pool))], probs, alphabet, rng)
+        word, _, _ = reference_edit(pool[rng.randrange(len(pool))], probs, alphabet, rng)
         if word is None:
             trace.rejected_edit_failed += 1
         elif word in words:

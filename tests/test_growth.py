@@ -247,8 +247,9 @@ class TestGrowIncremental:
         assert peak < 5_000_000
 
     def test_mutants_are_not_reencoded(self, monkeypatch):
-        # A mutant's ids come from its template's row, and one changed group
-        # never exceeds max_distance 1: no encoding and no neighbour search.
+        # GroupIndex.add copies a mutant's row from its template's row, and one
+        # changed group never exceeds max_distance 1: no encoding and no
+        # neighbour search.
         calls = count_index_calls(monkeypatch)
         instance = small_instance(
             probs=MUTATE_ONLY, initial_structures=("ABCABC", "CCABBA"), target_nodes=150
@@ -548,31 +549,57 @@ class TestGroupIndex:
             if structure_distance(g1, g2, cfg) == 0:
                 assert labels[ids[g1]] == labels[ids[g2]], (g1, g2)
 
+    @staticmethod
+    def assert_rows_are_encodings(index: GroupIndex, words: list[str]):
+        """Every stored row is its word's encoding, padded with -1 ids to the width."""
+        ids, counts = index._matrix()
+        assert ids.shape == (len(words), index._width)
+        for i, word in enumerate(words):
+            encoded = decoded(index.encode(word))
+            assert ids[i, : counts[i]].tolist() == encoded
+            assert (ids[i, counts[i] :] == -1).all()
+
     @given(
-        st.lists(st.text(alphabet="ABC", min_size=1, max_size=14), min_size=1, max_size=6),
-        st.integers(0, 5),
-        st.sampled_from(list(Edit)),
-        st.integers(0, 2**32 - 1),
+        st.lists(st.text(alphabet="ABC", min_size=1, max_size=8), min_size=1, max_size=4),
+        st.lists(st.tuples(st.sampled_from(list(Edit)), st.booleans()), min_size=1, max_size=30),
         st.integers(1, 3),
         st.sampled_from([None, "linking", "order-only"]),
+        st.integers(0, 2**32 - 1),
     )
+    # "AB" duplicated widens the store from 2 to at least 4 groups, and the
+    # new row is taken back at once; then rows copy and extend the wide ones.
+    @example(["AB"], [(Edit.DUPLICATE, True), (Edit.MUTATE, False), (Edit.INSERT, False)], 1, None, 0)
+    @example(["AB", "AC"], [(Edit.DUPLICATE, True)] * 3 + [(Edit.DELETE, False)], 1, "linking", 1)
     @settings(max_examples=300, deadline=None)
-    def test_derived_ids_equal_encoding(self, words, template, kind, seed, unit, table):
+    def test_rows_added_in_place_equal_their_encoding(self, words, steps, unit, table, seed):
+        # Each step draws one edit of a random stored word and adds its row
+        # in place; a step may take the new row back at once, as growth does
+        # with a candidate it searches for a neighbour.
         cfg = self.config(unit, 1, table)
         index = GroupIndex(cfg, words)
-        template %= len(words)
-        template_word = words[template]
-        probs = EditProbabilities(**{kind.value: 1.0})
-        word, _, at = apply_random_edit(template_word, probs, ABC, random.Random(seed))
-        if word is None:  # nothing to delete
-            return
-        derived, distance = index.derive(template, word, at, len(word) == len(template_word))
-        assert decoded(derived) == decoded(index.encode(word))
-        if kind is Edit.MUTATE:
-            # The one group a mutation may change bounds its distance.
-            assert 1 >= distance >= structure_distance(word, template_word, cfg)
-        else:
-            assert distance == structure_distance(word, template_word, cfg)
+        words = list(words)
+        rng = random.Random(seed)
+        for kind, take_back in steps:
+            template = rng.randrange(len(words))
+            word, _, at = apply_random_edit(
+                words[template], EditProbabilities(**{kind.value: 1.0}), ABC, rng
+            )
+            if word is None:  # nothing to delete
+                continue
+            distance = index.add(template, word, at, kind is Edit.MUTATE)
+            if kind is Edit.MUTATE:
+                # The one group a mutation may change: none in the trailing
+                # partial group. It bounds the distance.
+                assert distance == (at // unit < len(word) // unit)
+                assert distance >= structure_distance(word, words[template], cfg)
+            else:
+                assert distance == structure_distance(word, words[template], cfg)
+            words.append(word)
+            self.assert_rows_are_encodings(index, words)
+            if take_back:
+                assert decoded(index.pop()) == decoded(index.encode(words.pop()))
+                self.assert_rows_are_encodings(index, words)
+        self.assert_join_is_brute_force(index, words, cfg)
 
     @given(
         st.lists(st.text(alphabet="ABC", min_size=1, max_size=9), min_size=1, max_size=25),

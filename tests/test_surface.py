@@ -45,8 +45,8 @@ SURFACE = {
         "triangle_count",
     },
     "snmodel.growth": {"grow", "prune_low_degree"},
-    "snmodel.structures": {"apply_random_edit", "below", "edit_space_size"},
-    "GroupIndex": {"append", "derive", "distances", "encode", "join"},
+    "snmodel.structures": {"apply_random_edit", "below", "edit_drawer", "edit_space_size"},
+    "GroupIndex": {"add", "append", "distances", "encode", "join", "pop"},
     "Network": {
         "degrees",
         "from_edges",
