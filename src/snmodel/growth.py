@@ -10,9 +10,9 @@ most one id replaced; any other edit keeps the template's prefix and appends
 the suffix encoded from the group it starts in, compared with the template's.
 So the distance to the template is known: exact, or at most 1 for a mutant. A
 candidate within max_distance of its template has a neighbour already; only
-one further away is taken back by ``pop`` and searched for a neighbour, by a
-scan over every structure, the template included, and stored again if it has
-one. A row is plain bytes, so an attempt allocates no numpy array. The index
+one further away is searched for a neighbour, by a scan over every structure,
+the template included, and taken back by ``pop`` if it has none. A row is
+plain bytes, so an attempt allocates no numpy array. The index
 keeps every row once, in one padded buffer that the scan and the join read in
 place through numpy views; no view outlives its call, since the buffer cannot
 grow while one lives. Distances are static, so the edge relation depends on
@@ -271,12 +271,10 @@ class GroupIndex:
         self._counts.append(groups)
         return misses
 
-    def pop(self) -> bytes:
-        """Remove the last row; return its packed ids."""
-        row = bytes(self._row(len(self._counts) - 1))
+    def pop(self) -> None:
+        """Remove the last row."""
         del self._store[-4 * self._width :]
         self._counts.pop()
-        return row
 
     def _fit(self, groups: int) -> None:
         """Widen every row, to at least twice the width, if *groups* exceed it."""
@@ -467,14 +465,14 @@ def grow(instance: Instance) -> tuple[Network, GrowthTrace]:
             continue
         distance = index.add(template, word, at, kind is mutate)
         # A candidate within reach of its template has a neighbour already;
-        # one further away is taken back and searched for one, over every
-        # structure so far, its template included.
+        # one further away is searched for one over every structure so far,
+        # its template included, and taken back if it has none. The scan
+        # reads the stored candidate too; its own last entry is left out.
         if not batch and distance > max_distance:
-            encoded = index.pop()
-            if not (index.distances(encoded) <= max_distance).any():
+            if not (index.distances(index._row(n))[:-1] <= max_distance).any():
+                index.pop()
                 isolated += 1
                 continue
-            index.append(encoded)
         seen.add(word)
         structures.append(word)
         n += 1

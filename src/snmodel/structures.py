@@ -54,6 +54,12 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.symbols)
 
+    def position(self, symbol: str) -> int:
+        try:
+            return self._index[symbol]  # type: ignore[attr-defined]
+        except KeyError:
+            raise ValueError(f"Symbol {symbol!r} is not in the alphabet") from None
+
     def validate_word(self, word: str) -> None:
         """Raise ValueError unless *word* is a non-empty string over this alphabet."""
         if not word:
@@ -108,10 +114,9 @@ def edit_drawer(
     """The edit draw of one run: ``draw(word) -> (new_word, kind, at)``.
 
     The one implementation of the edit draw. It binds the generator's
-    methods, the kinds' probability bounds and the alphabet once, so a
-    draw calls no Python function but the generator's methods. ``draw``
-    draws one edit kind from *probs* and applies it to *word* with uniform
-    random parameters.
+    methods, the kinds' probability bounds and the alphabet once per run.
+    ``draw`` draws one edit kind from *probs* and applies it to *word* with
+    uniform random parameters.
 
     ``new_word`` is None when the attempt fails: a delete drawn on a
     length-1 structure, a mutation over a 1-symbol alphabet, or a result
@@ -119,8 +124,8 @@ def edit_drawer(
     ``new_word[:at] == word[:at]``: ``at`` is the mutated, inserted or
     deleted position, or the end of a duplicated segment, where its copy
     begins. A mutation changes position ``at`` alone. The kind is drawn by
-    ``rng.random()``, and every parameter by the rule of ``below``, which
-    gives what ``rng.randrange`` and ``rng.randint`` would. Parameter draws:
+    ``rng.random()``, and every parameter by ``below``, which gives what
+    ``rng.randrange`` and ``rng.randint`` would. Parameter draws:
 
     - mutate: position uniform over the word, new symbol uniform over the
       alphabet minus the current symbol (the edit always changes the word);
@@ -133,26 +138,16 @@ def edit_drawer(
     # Kind i is drawn below bound i and at or above the bounds before it.
     to_mutate, to_insert, to_delete = probs._bounds[:3]  # type: ignore[attr-defined]
     symbols, position = alphabet.symbols, alphabet._index  # type: ignore[attr-defined]
-    n_symbols, n_others = len(symbols), len(symbols) - 1
-    k_symbols, k_others = n_symbols.bit_length(), n_others.bit_length()
-    max_length = DEFAULT_MAX_LENGTH
+    n_symbols, max_length = len(symbols), DEFAULT_MAX_LENGTH
 
-    # Each `while` below redraws ``bits(m.bit_length())`` until it is below m:
-    # ``below(bits, m)`` written out, since a call per parameter would cost
-    # more than the draw itself.
     def draw(word: str) -> tuple[str | None, Edit, int]:
         r = random_()
         n = len(word)
         if r < to_mutate:
-            if not n_others:
+            if n_symbols < 2:
                 return None, _MUTATE, 0
-            k = n.bit_length()
-            index = bits(k)
-            while index >= n:
-                index = bits(k)
-            pick = bits(k_others)
-            while pick >= n_others:
-                pick = bits(k_others)
+            index = below(bits, n)
+            pick = below(bits, n_symbols - 1)
             if pick >= position[word[index]]:
                 pick += 1
             return word[:index] + symbols[pick] + word[index + 1 :], _MUTATE, index
@@ -160,33 +155,18 @@ def edit_drawer(
         if r < to_insert:
             if n + 1 > max_length:
                 return None, _INSERT, 0
-            k = (n + 1).bit_length()
-            index = bits(k)
-            while index > n:
-                index = bits(k)
-            pick = bits(k_symbols)
-            while pick >= n_symbols:
-                pick = bits(k_symbols)
-            return word[:index] + symbols[pick] + word[index:], _INSERT, index
+            index = below(bits, n + 1)
+            symbol = symbols[below(bits, n_symbols)]
+            return word[:index] + symbol + word[index:], _INSERT, index
 
-        k = n.bit_length()
         if r < to_delete:
             if n < 2:
                 return None, _DELETE, 0
-            index = bits(k)
-            while index >= n:
-                index = bits(k)
+            index = below(bits, n)
             return word[:index] + word[index + 1 :], _DELETE, index
 
-        start = bits(k)
-        while start >= n:
-            start = bits(k)
-        rest = n - start
-        k = rest.bit_length()
-        length = bits(k)
-        while length >= rest:
-            length = bits(k)
-        length += 1
+        start = below(bits, n)
+        length = 1 + below(bits, n - start)
         if n + length > max_length:
             return None, _DUPLICATE, 0
         end = start + length

@@ -597,7 +597,8 @@ class TestGroupIndex:
             words.append(word)
             self.assert_rows_are_encodings(index, words)
             if take_back:
-                assert decoded(index.pop()) == decoded(index.encode(words.pop()))
+                index.pop()
+                words.pop()
                 self.assert_rows_are_encodings(index, words)
         self.assert_join_is_brute_force(index, words, cfg)
 

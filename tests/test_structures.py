@@ -55,9 +55,12 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet.from_string("")
 
-    def test_membership(self):
+    def test_membership_and_position(self):
         assert "B" in ABC
         assert "X" not in ABC
+        assert ABC.position("C") == 2
+        with pytest.raises(ValueError):
+            ABC.position("X")
 
     def test_validate_word(self):
         ABC.validate_word("ABCCBA")
@@ -220,7 +223,7 @@ class TestApplyRandomEdit:
 
 
 class TestBelow:
-    """``below``, and the edit draw that spells out its rule, must draw what
+    """``below``, and the edit draw that draws through it, must draw what
     CPython's ``randrange`` and ``randint`` draw."""
 
     #: 1, 2, 3, each 2^k - 1, 2^k and 2^k + 1 up to k = 40, and the draw
@@ -247,7 +250,7 @@ class TestBelow:
         ],
     )
     def test_edit_draws_follow_randrange_and_randint(self, probs, symbols, max_length, monkeypatch):
-        # The drawer spells out below's rule for every parameter; the reference
+        # The drawer draws every parameter through below; the reference
         # draws with randrange and randint. At max length 12 some inserts and
         # duplications of the 7- and 11-symbol words fail after their draws.
         monkeypatch.setattr(structures, "DEFAULT_MAX_LENGTH", max_length)
