@@ -1,19 +1,26 @@
 """Text formats: edge lists, structure lists, plot data, comparison curves, JSON reports.
 
 Every writer emits a version header comment and fully sorted content so that
-identical inputs produce byte-identical files.
+identical inputs produce byte-identical files. ``network_writer`` hands a
+run's networks to one forked child that writes them while the caller goes on.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
+import struct
+import threading
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Iterator, Mapping, NoReturn
 
 import numpy as np
 
-from .metrics import MetricsReport
+from .metrics import _WORKERS, MetricsReport
 from .network import Network
 
 EDGE_HEADER = "# snm edge-list v1"
@@ -172,3 +179,91 @@ def write_network(directory: str | Path, net: Network, report: MetricsReport) ->
         "path_length",
         "fraction",
     )
+
+
+#: Each record on the writer's pipe is its pickle's byte length, then the pickle.
+_LENGTH = struct.Struct("<Q")
+#: The most bytes of a failed writer's message that it sends back, one atomic pipe write.
+_MESSAGE_BYTES = 4096
+
+
+@contextmanager
+def network_writer(
+    n_networks: int,
+) -> Iterator[Callable[[Path, Network, MetricsReport], None]]:
+    """``write_network`` for *n_networks* networks, run beside the caller when it can be.
+
+    Where fork exists, at least two CPUs are usable, *n_networks* is at least
+    2 and no other thread is alive, one child is forked: each call pickles the
+    directory, the network's structures and edges (not its cached views) and
+    the report down a pipe, and the child rebuilds the network and calls
+    ``write_network``. Leaving the block closes the pipe and reaps the child,
+    which writes everything sent before it ends; a child that failed raises
+    one OSError with its message, in place of any error the caller met.
+    Otherwise each call is ``write_network`` in-process. The bytes are the
+    same either way.
+    """
+    if not (
+        hasattr(os, "fork")
+        and _WORKERS >= 2
+        and n_networks >= 2
+        and threading.active_count() == 1
+    ):
+        yield write_network
+        return
+    data_r, data_w = os.pipe()
+    error_r, error_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _serve(data_r, error_w, (data_w, error_r))
+    os.close(data_r)
+    os.close(error_w)
+
+    def write(directory: Path, net: Network, report: MetricsReport) -> None:
+        record = pickle.dumps(
+            (directory, net.structures, net.edge_u, net.edge_v, report), pickle.HIGHEST_PROTOCOL
+        )
+        view = memoryview(_LENGTH.pack(len(record)) + record)
+        while view:
+            view = view[os.write(data_w, view) :]
+
+    try:
+        yield write
+    finally:
+        os.close(data_w)
+        with open(error_r, "rb") as errors:
+            # The child's one message fits the pipe, so it can exit before this reads it.
+            _, status, _ = os.wait4(pid, 0)
+            message = errors.read().decode(errors="replace")
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise OSError(message or f"the artifact writer ended with exit code {code}")
+
+
+def _serve(data_r: int, error_w: int, parent_ends: tuple[int, int]) -> NoReturn:
+    """The forked writer: write each record until the pipe ends, then exit.
+
+    It closes its copies of the caller's pipe ends, or it would never see the
+    end of the data. It ignores SIGINT, so an interrupted caller still gets
+    what it sent written, and it ends by ``os._exit``: never back into the
+    caller's stack. A record cut short means the caller stopped while sending
+    it; it is dropped.
+    """
+    status = 0
+    try:
+        for fd in parent_ends:
+            os.close(fd)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        with open(data_r, "rb") as records:
+            while len(header := records.read(_LENGTH.size)) == _LENGTH.size:
+                (size,) = _LENGTH.unpack(header)
+                record = records.read(size)
+                if len(record) < size:
+                    break
+                directory, structures, edge_u, edge_v, report = pickle.loads(record)
+                write_network(directory, Network(structures, edge_u, edge_v), report)
+    except BaseException as exc:
+        status = 1
+        os.write(error_w, (str(exc) or type(exc).__name__).encode()[:_MESSAGE_BYTES])
+    finally:
+        os._exit(status)

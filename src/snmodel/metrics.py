@@ -240,8 +240,8 @@ def motif_census_3(net: Network) -> dict[int, int]:
 
 def _census_from_triangles(net: Network, triangles: int) -> dict[int, int]:
     n = net.n_nodes
-    degrees = [int(d) for d in net.degrees()]
-    wedges = sum(d * (d - 1) // 2 for d in degrees)
+    d = net.degrees()
+    wedges = int((d * (d - 1) // 2).sum())
     m = net.n_edges
     n3 = triangles
     n2 = wedges - 3 * triangles
@@ -333,7 +333,8 @@ def compute_metrics(net: Network, fit_k_min: int | None = None) -> MetricsReport
     # the other sources add the rest of the full network's.
     in_giant = labels == np.argmax(sizes)
     giant_counts = _pair_counts(adj, np.flatnonzero(in_giant))
-    rest_counts = _pair_counts(adj, np.flatnonzero(~in_giant))
+    rest = np.flatnonzero(~in_giant)
+    rest_counts = _pair_counts(adj, rest) if rest.size else [0]
     hist = _unordered([a + b for a, b in zip_longest(giant_counts, rest_counts, fillvalue=0)])
     apl = _mean_length(hist)
     total_pairs = sum(hist.values())

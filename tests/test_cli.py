@@ -8,14 +8,16 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import snmodel
-from snmodel import cli, fileio, instances_dir
+from snmodel import cli, experiments, fileio, instances_dir, metrics
 from snmodel.cli import _config_from_args, build_parser, main
 from snmodel.experiments import INSTANCE_KEYS
+from snmodel.network import Network
 
 INSTANCE = """\
 alphabet = ABC
@@ -404,6 +406,146 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert len(err.strip().splitlines()) == 1
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    """Every file under *root*, by its path relative to *root*."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and at least two usable CPUs",
+)
+def test_experiment_is_byte_identical_on_one_cpu(tmp_path):
+    # With two CPUs a multi-seed experiment forks one artifact writer; on one
+    # it writes in-process. The script counts the forks and checks after each
+    # experiment that no child is left.
+    script = """
+import os, sys
+from snmodel import instances_dir, metrics
+from snmodel.cli import main
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(None) or fork()
+for name, n_seeds in (("celegans", "3"), ("ecoli", "3"), ("batch", "2")):
+    instance = str(instances_dir() / f"{name}.instance")
+    argv = ["experiment", "--instance", instance, "--n-seeds", n_seeds, "--out", f"{sys.argv[1]}/{name}"]
+    assert main(argv) == 0
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        sys.exit("a child is left")
+    except ChildProcessError:
+        pass
+print(metrics._WORKERS, len(forks))
+"""
+    cpu = min(os.sched_getaffinity(0))
+    src = str(Path(snmodel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    trees = {}
+    for name, pin in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / name)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            preexec_fn=pin,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        workers, forks = map(int, result.stdout.splitlines()[-1].split())
+        assert (workers == 1) == (name == "one")
+        assert forks == (0 if name == "one" else 3)
+        trees[name] = _tree(tmp_path / name)
+    assert "ecoli/seed_00003/edges.tsv" in trees["all"]
+    assert "batch/summary.json" in trees["all"]
+    assert trees["one"] == trees["all"]
+    _assert_no_child_left()
+
+
+class TestExperimentWriter:
+    """The forked artifact writer: its failures, the caller's, and no child left behind."""
+
+    @pytest.fixture()
+    def forks(self, monkeypatch) -> list[None]:
+        calls: list[None] = []
+        fork = os.fork if hasattr(os, "fork") else None
+        if fork is not None:
+            monkeypatch.setattr(os, "fork", lambda: calls.append(None) or fork())
+        return calls
+
+    @staticmethod
+    def forked(n_seeds: int) -> int:
+        return int(
+            hasattr(os, "fork")
+            and metrics._WORKERS >= 2
+            and n_seeds >= 2
+            and threading.active_count() == 1
+        )
+
+    @staticmethod
+    def experiment(out: Path, n_seeds: int) -> list[str]:
+        return [
+            "experiment", "--instance", str(instances_dir() / "celegans.instance"),
+            "--n-seeds", str(n_seeds), "--seed", "1", "--out", str(out),
+        ]
+
+    @pytest.mark.parametrize("blocked, n_seeds", [(2, 3), (1, 20)])
+    def test_unwritable_seed_is_one_error_line(self, tmp_path, capsys, forks, blocked, n_seeds):
+        # A regular file where a seed's directory goes fails the writer. With
+        # 20 seeds the caller goes on sending after the writer has exited.
+        out = tmp_path / "exp"
+        out.mkdir()
+        (out / f"seed_{blocked:05d}").write_text("")
+        expected = len(forks) + self.forked(n_seeds)
+        assert main(self.experiment(out, n_seeds)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno 17] File exists: '{out / f'seed_{blocked:05d}'}'\n"
+        assert "Traceback" not in captured.out + captured.err
+        assert not (out / "summary.json").exists()
+        assert not (out / f"seed_{blocked + 1:05d}").exists()
+        assert len(forks) == expected
+        _assert_no_child_left()
+
+    def test_writer_failure_is_one_oserror_after_a_broken_pipe(self, tmp_path, forks):
+        blocked = tmp_path / "blocked"
+        blocked.write_text("")
+        net = Network(["AT", "TT"], [0], [1])
+        report = metrics.compute_metrics(net)
+        forked = self.forked(2)
+        with pytest.raises(OSError, match="File exists") as info:
+            with fileio.network_writer(2) as write:
+                while True:  # until the exited writer's pipe breaks
+                    write(blocked, net, report)
+        assert isinstance(info.value.__context__, BrokenPipeError) == bool(forked)
+        assert len(forks) == forked
+        _assert_no_child_left()
+
+    def test_caller_error_leaves_earlier_seeds_written(self, tmp_path, capsys, monkeypatch, forks):
+        clean, failed = tmp_path / "clean", tmp_path / "failed"
+        assert main(self.experiment(clean, 2)) == 0
+        compute = experiments.compute_metrics
+        calls = []
+
+        def fail_third(net, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ValueError("metrics failed at seed 3")
+            return compute(net, **kwargs)
+
+        monkeypatch.setattr(experiments, "compute_metrics", fail_third)
+        capsys.readouterr()
+        assert main(self.experiment(failed, 4)) == 1
+        assert capsys.readouterr().err == "error: metrics failed at seed 3\n"
+        written = _tree(failed)
+        assert written == {k: v for k, v in _tree(clean).items() if k != "summary.json"}
+        assert {k.split("/")[0] for k in written} == {"seed_00001", "seed_00002"}
+        assert len(forks) == 2 * self.forked(4)
+        _assert_no_child_left()
 
 
 class TestCompareBA:
