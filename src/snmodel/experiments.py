@@ -20,13 +20,11 @@ from . import fileio
 from .ba import BAParams, grow_ba
 from .distance import DistanceConfig, parse_match_file
 from .growth import BATCH, INCREMENTAL, GrowthTrace, Instance, grow, prune_low_degree
-from .metrics import (
-    MetricsReport,
-    average_clustering,
-    average_degree,
-    average_path_length,
-    compute_metrics,
-)
+from .metrics import MetricsReport, compute_metrics
+
+# Every metric comes from compute_metrics; these names are kept for the
+# benchmark's tracer (perfbench/tracer.py), which wraps experiments.<name>.
+from .metrics import average_clustering, average_path_length  # noqa: F401
 from .network import Network
 from .structures import Alphabet, EditProbabilities
 
@@ -67,14 +65,9 @@ INSTANCE_KEYS: dict[str, tuple[Callable[[str], object], str | None]] = {
 }
 
 
-def _evaluators() -> dict[str, Callable[[Network], float]]:
-    """The comparison-curve metrics by name, resolved when called."""
-    return {f.__name__: f for f in (average_degree, average_path_length, average_clustering)}
-
-
 #: Metrics of the discrepancy fractions and of the comparison curves unless
 #: the caller overrides.
-DEFAULT_REFERENCED_METRICS = tuple(_evaluators())
+DEFAULT_REFERENCED_METRICS = ("average_degree", "average_path_length", "average_clustering")
 
 
 @dataclass(frozen=True)
@@ -209,14 +202,14 @@ def _scalars(report: MetricsReport) -> dict[str, float | None]:
     return {name: getattr(report, name) for name in _SCALAR_FIELDS}
 
 
-def _metric_list(names: Sequence[str], known: Sequence[str]) -> tuple[str, ...]:
-    """*names* in their order, each once; ValueError when empty or naming an unknown one."""
+def _metric_list(names: Sequence[str]) -> tuple[str, ...]:
+    """*names* in their order, each once; ValueError when empty or naming no scalar field."""
     distinct = tuple(dict.fromkeys(names))
     if not distinct:
         raise ValueError("the metric list names no metric")
     for name in distinct:
-        if name not in known:
-            raise ValueError(f"unknown metric {name!r}; known metrics: {', '.join(known)}")
+        if name not in _SCALAR_FIELDS:
+            raise ValueError(f"unknown metric {name!r}; known metrics: {', '.join(_SCALAR_FIELDS)}")
     return distinct
 
 
@@ -229,7 +222,7 @@ def _checked_reference(
     that is not a mapping of metric names to finite numbers or that names none
     of the referenced metrics: every seed would match it, as it would a NaN.
     """
-    referenced_metrics = _metric_list(referenced_metrics, _SCALAR_FIELDS)
+    referenced_metrics = _metric_list(referenced_metrics)
     if reference is None:
         return referenced_metrics, None
     if not isinstance(reference, Mapping):
@@ -356,10 +349,11 @@ def run_growth_comparison(
 
     Incremental growth makes the subgraph on the first n nodes equal to the
     intermediate network at size n, so each run is grown once and sliced.
-    Batch growth drops isolated nodes, so a batch instance is rejected.
-    A checkpoint or metric given twice counts once. Returns {metric: {"sn" |
-    "ba": {checkpoint: mean}}} and, when an output directory is given, writes
-    one "n_nodes sn ba" file per metric.
+    Batch growth drops isolated nodes, so a batch instance is rejected. Each
+    value is read from one ``compute_metrics`` report per prefix; one that is
+    undefined there is an error. A checkpoint or metric given twice counts
+    once. Returns {metric: {"sn" | "ba": {checkpoint: mean}}} and, when an
+    output directory is given, writes one "n_nodes sn ba" file per metric.
     """
     if sn_instance.mode == BATCH:
         raise ValueError("compare-ba needs mode = incremental, not batch")
@@ -372,11 +366,9 @@ def run_growth_comparison(
         raise ValueError("n_seeds must be >= 1")
     if checkpoints[-1] > sn_instance.target_nodes or checkpoints[-1] > ba_params.target_nodes:
         raise ValueError("checkpoints exceed the configured target size")
+    metric_names = _metric_list(metric_names)
 
-    evaluators = _evaluators()
-    metric_names = _metric_list(metric_names, tuple(evaluators))
-
-    sums: dict[str, dict[str, dict[int, float]]] = {
+    curves: dict[str, dict[str, dict[int, float]]] = {
         name: {"sn": {c: 0.0 for c in checkpoints}, "ba": {c: 0.0 for c in checkpoints}}
         for name in metric_names
     }
@@ -389,17 +381,17 @@ def run_growth_comparison(
         ba_net = grow_ba(replace(ba_params, seed=ba_params.seed + i))
         for label, net in (("sn", sn_net), ("ba", ba_net)):
             for c in checkpoints:
-                prefix = net.induced_prefix(c)
+                row = _scalars(compute_metrics(net.induced_prefix(c)))
                 for name in metric_names:
-                    sums[name][label][c] += evaluators[name](prefix)
-
-    curves = {
-        name: {
-            label: {c: total / n_seeds for c, total in per_label.items()}
-            for label, per_label in per_name.items()
-        }
-        for name, per_name in sums.items()
-    }
+                    if row[name] is None:
+                        raise ValueError(
+                            f"{name} is undefined on the {label} network at checkpoint {c}"
+                        )
+                    curves[name][label][c] += row[name]
+    for per_name in curves.values():  # the seed sums become means
+        for per_label in per_name.values():
+            for c, total in per_label.items():
+                per_label[c] = total / n_seeds
 
     if output_directory is not None:
         out = Path(output_directory)

@@ -54,12 +54,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def position(self, symbol: str) -> int:
-        try:
-            return self._index[symbol]  # type: ignore[attr-defined]
-        except KeyError:
-            raise ValueError(f"Symbol {symbol!r} is not in the alphabet") from None
-
     def validate_word(self, word: str) -> None:
         """Raise ValueError unless *word* is a non-empty string over this alphabet."""
         if not word:

@@ -548,6 +548,15 @@ class TestExperimentWriter:
         _assert_no_child_left()
 
 
+#: Incremental growth that saturates at its 1 initial node, short of its
+#: checkpoint 6: every mutant of ABAB differs from it in one group, beyond
+#: max_distance 0, so it is isolated.
+SATURATING = [
+    "--alphabet", "AB", "--initial", "ABAB", "--p-mutate", "1", "--unit-distance", "2",
+    "--max-distance", "0", "--target-nodes", "6", "--max-attempts", "25", "--checkpoints", "6",
+]
+
+
 class TestCompareBA:
     def test_curve_files(self, tmp_path, instance_file, capsys):
         out = tmp_path / "cmp"
@@ -566,13 +575,43 @@ class TestCompareBA:
         # A repeated checkpoint counts once.
         assert "curves for 2 checkpoints" in capsys.readouterr().out
 
-    def test_saturating_growth_is_an_error(self, tmp_path, capsys):
-        # Growth saturates at its 1 initial node, short of a 6-node checkpoint.
-        code = main(["compare-ba", *SATURATING, "--n-seeds", "1", "--out", str(tmp_path / "cmp")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: growth saturated at 1 nodes before checkpoint 6")
-        assert len(err.strip().splitlines()) == 1
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # Growth saturates at its 1 initial node, short of a 6-node checkpoint.
+            (SATURATING, "growth saturated at 1 nodes before checkpoint 6"),
+            # A 1-node prefix has no connected pair, and a 2-node one no heterogeneity.
+            (
+                ["--instance", "{instance}", "--checkpoints", "1"],
+                "average_path_length is undefined on the sn network at checkpoint 1",
+            ),
+            (
+                ["--instance", "{instance}", "--metrics", "heterogeneity", "--checkpoints", "2"],
+                "heterogeneity is undefined on the sn network at checkpoint 2",
+            ),
+        ],
+        ids=["saturating-growth", "path-length-of-one-node", "heterogeneity-of-two-nodes"],
+    )
+    def test_missing_curve_value_is_one_error_line(
+        self, tmp_path, instance_file, capsys, argv, message
+    ):
+        out = tmp_path / "cmp"
+        argv = [token.format(instance=instance_file) for token in argv]
+        assert main(["compare-ba", *argv, "--n-seeds", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "Traceback" not in captured.out
+        assert not out.exists()
+
+    def test_metric_flags_share_one_table(self, tmp_path, instance_file, capsys):
+        errors = []
+        for command, flag in (("compare-ba", "--metrics"), ("experiment", "--referenced-metrics")):
+            out = tmp_path / command
+            argv = [command, "--instance", str(instance_file), flag, "bogus", "--out", str(out)]
+            assert main(argv) == 1
+            errors.append(capsys.readouterr().err)
+        known = ", ".join(experiments._SCALAR_FIELDS)
+        assert errors == [f"error: unknown metric 'bogus'; known metrics: {known}\n"] * 2
 
     def test_batch_instance_is_an_error(self, tmp_path, capsys):
         # Batch growth drops the nodes it leaves isolated, so a prefix of a
@@ -657,14 +696,6 @@ GOOD_ARGS = {
     "compare-ba": ["--instance", "{good}", "--out", "{out}"],
     "prune": ["--edges", "{good_edges}", "--min-degree", "1", "--out", "{out}"],
 }
-
-#: Incremental growth that saturates at its 1 initial node, short of its
-#: checkpoint 6: every mutant of ABAB differs from it in one group, beyond
-#: max_distance 0, so it is isolated.
-SATURATING = [
-    "--alphabet", "AB", "--initial", "ABAB", "--p-mutate", "1", "--unit-distance", "2",
-    "--max-distance", "0", "--target-nodes", "6", "--max-attempts", "25", "--checkpoints", "6",
-]
 
 #: Batch growth over a 5-word edit space at distance 0 and unit 1: it
 #: saturates, and every node is isolated, so the network is empty.

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from snmodel.ba import BAParams
+from snmodel.ba import BAParams, grow_ba
 from snmodel.experiments import (
+    _SCALAR_FIELDS,
     DEFAULT_REFERENCED_METRICS,
     ExperimentConfig,
     config_from_mapping,
@@ -20,7 +21,7 @@ from snmodel.experiments import (
     run_growth_comparison,
     summarize,
 )
-from snmodel.growth import BATCH, INCREMENTAL
+from snmodel.growth import BATCH, INCREMENTAL, grow
 from snmodel.metrics import compute_metrics
 from snmodel.network import Network
 
@@ -292,6 +293,19 @@ class TestRunGrowthComparison:
         for n, value in curves["average_degree"]["ba"].items():
             expected = 2 * (6 + 4 * (n - 4)) / n
             assert value == pytest.approx(expected)
+
+    def test_every_scalar_curve_is_the_prefix_report(self):
+        config = parse_instance_file(MINIMAL)
+        ba = BAParams(target_nodes=40, initial_clique=4, edges_per_node=4, seed=1)
+        checkpoints = [10, 25, 40]
+        curves = run_growth_comparison(
+            config.instance, ba, checkpoints, n_seeds=1, metric_names=_SCALAR_FIELDS
+        )
+        for label, net in (("sn", grow(config.instance)[0]), ("ba", grow_ba(ba))):
+            for c in checkpoints:
+                report = compute_metrics(net.induced_prefix(c))
+                for name in _SCALAR_FIELDS:
+                    assert curves[name][label][c] == getattr(report, name), (label, c, name)
 
     def test_repeated_checkpoint_counts_once(self, tmp_path):
         config = parse_instance_file(MINIMAL.replace("target_nodes = 40", "target_nodes = 60"))

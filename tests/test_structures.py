@@ -55,12 +55,9 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet.from_string("")
 
-    def test_membership_and_position(self):
+    def test_membership(self):
         assert "B" in ABC
         assert "X" not in ABC
-        assert ABC.position("C") == 2
-        with pytest.raises(ValueError):
-            ABC.position("X")
 
     def test_validate_word(self):
         ABC.validate_word("ABCCBA")

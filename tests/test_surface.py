@@ -1,12 +1,12 @@
-"""Public surface guard for ``snmodel.distance``, ``snmodel.metrics``,
-``snmodel.growth``, ``snmodel.structures``, ``GroupIndex`` and ``Network``.
+"""Public surface guard for ``snmodel.distance``, ``snmodel.experiments``,
+``snmodel.metrics``, ``snmodel.growth``, ``snmodel.structures``,
+``GroupIndex`` and ``Network``.
 
 Their public functions and methods, and the public attributes a ``Network``
-instance holds, must equal the explicit list below, and
-each listed name must have a user: the package's ``__all__``, the compare-ba
-evaluators, the benchmark's tracer, or a call elsewhere in ``src/``. A helper
-that only tests use cannot return unnoticed, and a name whose last user is
-gone shows up too.
+instance holds, must equal the explicit list below, and each listed name
+must have a user: the package's ``__all__``, the benchmark's tracer, or a
+call elsewhere in ``src/``. A helper that only tests use cannot return
+unnoticed, and a name whose last user is gone shows up too.
 """
 
 from __future__ import annotations
@@ -22,13 +22,24 @@ from snmodel.network import Network
 
 ROOT = Path(__file__).resolve().parents[1]
 HINT = (
-    "the public surface of distance, metrics, growth, structures, GroupIndex or Network (its "
-    "methods or the attributes an instance holds) changed: update SURFACE in "
+    "the public surface of distance, experiments, metrics, growth, structures, GroupIndex or "
+    "Network (its methods or the attributes an instance holds) changed: update SURFACE in "
     "tests/test_surface.py, the README's lower-level entry points and ROADMAP item 5"
 )
 
 SURFACE = {
     "snmodel.distance": {"parse_match_file", "structure_distance", "within_max_distance"},
+    "snmodel.experiments": {
+        "config_from_mapping",
+        "convert_value",
+        "load_instance_file",
+        "parse_instance_file",
+        "parse_key_values",
+        "run_experiment",
+        "run_growth_comparison",
+        "run_single",
+        "summarize",
+    },
     "snmodel.metrics": {
         "average_clustering",
         "average_degree",
@@ -106,7 +117,7 @@ def _called_in_src() -> set[str]:
 
 
 def test_public_surface_is_the_listed_one():
-    for owner in (distance, metrics, growth, structures, growth.GroupIndex, Network):
+    for owner in (distance, experiments, metrics, growth, structures, growth.GroupIndex, Network):
         name = owner.__name__ if not inspect.isclass(owner) else owner.__qualname__
         assert _public(owner) == SURFACE[name], HINT
     held = {name for name in vars(Network(["A", "B"], [0], [1])) if not name.startswith("_")}
@@ -114,11 +125,6 @@ def test_public_surface_is_the_listed_one():
 
 
 def test_every_listed_name_has_a_user():
-    users = (
-        set(snmodel.__all__)
-        | set(experiments._evaluators())
-        | _traced()
-        | _called_in_src()
-    )
+    users = set(snmodel.__all__) | _traced() | _called_in_src()
     listed = set().union(*SURFACE.values())
     assert listed <= users, f"{sorted(listed - users)} have no user; {HINT}"
