@@ -30,6 +30,8 @@ class BAParams:
             raise ValueError("edges_per_node must be in [1, initial_clique]")
         if self.target_nodes < self.initial_clique:
             raise ValueError("target_nodes must be >= initial_clique")
+        if self.seed < 0:  # random.Random(-s) is Random(s): it would repeat a network
+            raise ValueError("seed must be >= 0")
 
 
 def grow_ba(params: BAParams) -> Network:

@@ -315,23 +315,22 @@ def run_experiment(
     """Run n_seeds generations with seeds seed, seed+1, ... and write artifacts.
 
     Each seed gets its own directory with the edge list, the structure list,
-    the metrics report, and the degree/path-length distributions, written
-    through ``fileio.network_writer`` (a forked child, where it can run beside
-    growth). The aggregate lands in summary.json once every seed's artifacts
-    are written.
+    the metrics report, and the degree/path-length distributions. Seeds are
+    grown, measured and written through ``fileio.write_networks``: where it
+    can fork, the caller and one child each take the next seed whenever they
+    are free, and the child writes every seed in order. The aggregate lands
+    in summary.json once every seed's artifacts are written.
     """
     _checked_reference(referenced_metrics, reference)  # fail before any growth
     out = Path(output_directory)
     out.mkdir(parents=True, exist_ok=True)
-    reports: list[MetricsReport] = []
-    with fileio.network_writer(config.n_seeds) as write:
-        for i in range(config.n_seeds):
-            instance = replace(config.instance, seed=config.instance.seed + i)
-            net, _ = run_single(instance)
-            report = compute_metrics(net, fit_k_min=fit_k_min)
-            reports.append(report)
-            write(out / f"seed_{instance.seed:05d}", net, report)
 
+    def make(i: int) -> tuple[Path, Network, MetricsReport]:
+        instance = replace(config.instance, seed=config.instance.seed + i)
+        net, _ = run_single(instance)
+        return out / f"seed_{instance.seed:05d}", net, compute_metrics(net, fit_k_min=fit_k_min)
+
+    reports = fileio.write_networks(config.n_seeds, make)
     summary = summarize(reports, referenced_metrics, reference)
     fileio.write_json(out / "summary.json", fileio.report_to_dict(summary, fileio.SUMMARY_FORMAT))
     return summary

@@ -1,22 +1,24 @@
 """Text formats: edge lists, structure lists, plot data, comparison curves, JSON reports.
 
 Every writer emits a version header comment and fully sorted content so that
-identical inputs produce byte-identical files. ``network_writer`` hands a
-run's networks to one forked child that writes them while the caller goes on.
+identical inputs produce byte-identical files. ``write_networks`` makes and
+writes a run's networks, in one forked child beside the caller where it can:
+both make networks, and the child writes them all.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import pickle
+import select
 import signal
 import struct
 import threading
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NoReturn
+from typing import Callable, Mapping, NoReturn
 
 import numpy as np
 
@@ -181,89 +183,133 @@ def write_network(directory: str | Path, net: Network, report: MetricsReport) ->
     )
 
 
-#: Each record on the writer's pipe is its pickle's byte length, then the pickle.
-_LENGTH = struct.Struct("<Q")
-#: The most bytes of a failed writer's message that it sends back, one atomic pipe write.
+#: The next unclaimed index, in memory that the caller and its child share.
+_COUNTER = struct.Struct("<q")
+#: The most bytes of a failed child's message that it sends back: they fit the empty pipe.
 _MESSAGE_BYTES = 4096
 
+Make = Callable[[int], tuple[Path, Network, MetricsReport]]
 
-@contextmanager
-def network_writer(
-    n_networks: int,
-) -> Iterator[Callable[[Path, Network, MetricsReport], None]]:
-    """``write_network`` for *n_networks* networks, run beside the caller when it can be.
 
-    Where fork exists, at least two CPUs are usable, *n_networks* is at least
-    2 and no other thread is alive, one child is forked: each call pickles the
-    directory, the network's structures and edges (not its cached views) and
-    the report down a pipe, and the child rebuilds the network and calls
-    ``write_network``. Leaving the block closes the pipe and reaps the child,
-    which writes everything sent before it ends; a child that failed raises
-    one OSError with its message, in place of any error the caller met.
-    Otherwise each call is ``write_network`` in-process. The bytes are the
-    same either way.
+def write_networks(n_networks: int, make: Make) -> list[MetricsReport]:
+    """``write_network`` of ``make(i)`` for each i below *n_networks*; the reports in order.
+
+    Where fork exists, at least two CPUs are usable and no other thread is
+    alive, 2 or more networks fork one child, and each process makes the next
+    unclaimed index whenever it is free. The caller pickles each network it
+    makes (structures and edges, not cached views) and its report down a pipe;
+    the child writes every network in index order and sends back its own
+    reports. An error at index k leaves exactly the networks below k written;
+    a child that failed raises one OSError with its message, in place of any
+    error the caller met. The bytes are the same as in-process.
     """
-    if not (
-        hasattr(os, "fork")
-        and _WORKERS >= 2
-        and n_networks >= 2
-        and threading.active_count() == 1
-    ):
-        yield write_network
-        return
+    forkable = hasattr(os, "fork") and _WORKERS >= 2 and threading.active_count() == 1
+    if n_networks < 2 or not forkable:
+        reports = []
+        for i in range(n_networks):
+            directory, net, report = make(i)
+            write_network(directory, net, report)
+            reports.append(report)
+        return reports
+    counter = mmap.mmap(-1, _COUNTER.size)  # anonymous, so shared with the child
+    _COUNTER.pack_into(counter, 0, 1)
+    token = os.pipe()
+    os.write(token[1], b"\0")
     data_r, data_w = os.pipe()
-    error_r, error_w = os.pipe()
+    result_r, result_w = os.pipe()
     pid = os.fork()
     if pid == 0:
-        _serve(data_r, error_w, (data_w, error_r))
+        os.close(data_w)  # or the child would never see the end of the data
+        os.close(result_r)
+        _serve(n_networks, make, counter, token, data_r, result_w)
     os.close(data_r)
-    os.close(error_w)
-
-    def write(directory: Path, net: Network, report: MetricsReport) -> None:
-        record = pickle.dumps(
-            (directory, net.structures, net.edge_u, net.edge_v, report), pickle.HIGHEST_PROTOCOL
-        )
-        view = memoryview(_LENGTH.pack(len(record)) + record)
-        while view:
-            view = view[os.write(data_w, view) :]
-
+    os.close(result_w)
+    reports: dict[int, MetricsReport] = {}
     try:
-        yield write
+        i = 0
+        while i < n_networks:
+            directory, net, report = make(i)
+            reports[i] = report
+            record = (i, directory, net.structures, net.edge_u, net.edge_v, report)
+            _write_all(data_w, pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
+            i = _claim(counter, token)
     finally:
-        os.close(data_w)
-        with open(error_r, "rb") as errors:
-            # The child's one message fits the pipe, so it can exit before this reads it.
-            _, status, _ = os.wait4(pid, 0)
-            message = errors.read().decode(errors="replace")
+        _claim(counter, token, past=n_networks)  # the child claims no more
+        for fd in (data_w, *token):
+            os.close(fd)
+        counter.close()
+        with open(result_r, "rb") as results:
+            result = results.read()  # before reaping: the reports may exceed the pipe
+        _, status, _ = os.wait4(pid, 0)
         if status:
             code = os.waitstatus_to_exitcode(status)
-            raise OSError(message or f"the artifact writer ended with exit code {code}")
+            raise OSError(result.decode(errors="replace") or f"the child ended with exit code {code}")
+    reports.update(pickle.loads(result))
+    return [reports[i] for i in range(n_networks)]
 
 
-def _serve(data_r: int, error_w: int, parent_ends: tuple[int, int]) -> NoReturn:
-    """The forked writer: write each record until the pipe ends, then exit.
-
-    It closes its copies of the caller's pipe ends, or it would never see the
-    end of the data. It ignores SIGINT, so an interrupted caller still gets
-    what it sent written, and it ends by ``os._exit``: never back into the
-    caller's stack. A record cut short means the caller stopped while sending
-    it; it is dropped.
-    """
-    status = 0
+def _claim(counter: mmap.mmap, token: tuple[int, int], past: int | None = None) -> int:
+    """The next unclaimed index, counted past; with *past*, the count moves at least to it."""
+    # SIGINT waits while the token is out of its pipe: a Ctrl-C then would lose it.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        for fd in parent_ends:
-            os.close(fd)
+        os.read(token[0], 1)
+        (i,) = _COUNTER.unpack_from(counter)
+        _COUNTER.pack_into(counter, 0, i + 1 if past is None else max(i, past))
+        os.write(token[1], b"\0")
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    return i
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _serve(
+    n_networks: int, make: Make, counter: mmap.mmap, token: tuple[int, int], data_r: int, result_w: int
+) -> NoReturn:
+    """The forked child: write every network in index order, making one whenever no record waits.
+
+    At the end of the data, or in a record cut short, only the contiguous run
+    of indexes is written: a gap is an index the caller failed at. An index
+    that fails here ends the claims, and its error goes back once every lower
+    index is written. It ignores SIGINT, so an interrupted caller still gets
+    what it sent written, and ends by ``os._exit``, never in the caller's stack.
+    """
+    status = 1
+    try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        with open(data_r, "rb") as records:
-            while len(header := records.read(_LENGTH.size)) == _LENGTH.size:
-                (size,) = _LENGTH.unpack(header)
-                record = records.read(size)
-                if len(record) < size:
+        records = open(data_r, "rb")
+        held: dict[int, tuple[Path, Network, MetricsReport]] = {}
+        own: dict[int, MetricsReport] = {}
+        written, end, claiming, failure = 0, n_networks, True, None
+        while written < end:
+            if claiming and not select.select([data_r], [], [], 0)[0]:
+                i = _claim(counter, token)
+                claiming = i < n_networks
+                if claiming:
+                    try:
+                        held[i] = make(i)
+                        own[i] = held[i][2]
+                    except Exception as exc:
+                        end, claiming, failure = i, False, exc
+            else:
+                try:
+                    i, directory, structures, edge_u, edge_v, report = pickle.load(records)
+                except (EOFError, pickle.UnpicklingError):  # the end, or a record cut short
                     break
-                directory, structures, edge_u, edge_v, report = pickle.loads(record)
-                write_network(directory, Network(structures, edge_u, edge_v), report)
+                held[i] = (directory, Network(structures, edge_u, edge_v), report)
+            while written in held:
+                write_network(*held.pop(written))
+                written += 1
+        if failure is not None and written == end:
+            raise failure
+        _write_all(result_w, pickle.dumps(own, pickle.HIGHEST_PROTOCOL))
+        status = 0
     except BaseException as exc:
-        status = 1
-        os.write(error_w, (str(exc) or type(exc).__name__).encode()[:_MESSAGE_BYTES])
+        os.write(result_w, (str(exc) or type(exc).__name__).encode()[:_MESSAGE_BYTES])
     finally:
         os._exit(status)

@@ -75,6 +75,8 @@ class Instance:
             raise ValueError(f"mode must be '{INCREMENTAL}' or '{BATCH}', got {self.mode!r}")
         if self.prune_min_degree < 0:
             raise ValueError("prune_min_degree must be >= 0")
+        if self.seed < 0:  # random.Random(-s) is Random(s): it would repeat a network
+            raise ValueError("seed must be >= 0")
         if self.probs.mutate > 0 and len(self.alphabet) < 2:
             raise ValueError("mutation requires an alphabet of size >= 2")
         for group in self.distance.match_table or {}:

@@ -23,6 +23,11 @@ class TestParams:
         with pytest.raises(ValueError):
             BAParams(target_nodes=10, initial_clique=1, edges_per_node=1)
 
+    def test_seed_at_least_zero(self):
+        BAParams(target_nodes=10, seed=0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            BAParams(target_nodes=10, seed=-1)
+
 
 class TestGrowth:
     def test_exact_edge_count(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -423,16 +425,17 @@ def _assert_no_child_left() -> None:
     reason="needs sched_setaffinity and at least two usable CPUs",
 )
 def test_experiment_is_byte_identical_on_one_cpu(tmp_path):
-    # With two CPUs a multi-seed experiment forks one artifact writer; on one
-    # it writes in-process. The script counts the forks and checks after each
-    # experiment that no child is left.
+    # With two CPUs a multi-seed experiment forks one child that grows seeds
+    # beside the caller and writes them all; on one it runs in-process. Twelve
+    # celegans seeds let the child grow some. The script counts the forks and
+    # checks after each experiment that no child is left.
     script = """
 import os, sys
 from snmodel import instances_dir, metrics
 from snmodel.cli import main
 fork, forks = os.fork, []
 os.fork = lambda: forks.append(None) or fork()
-for name, n_seeds in (("celegans", "3"), ("ecoli", "3"), ("batch", "2")):
+for name, n_seeds in (("celegans", "12"), ("ecoli", "3"), ("batch", "2")):
     instance = str(instances_dir() / f"{name}.instance")
     argv = ["experiment", "--instance", instance, "--n-seeds", n_seeds, "--out", f"{sys.argv[1]}/{name}"]
     assert main(argv) == 0
@@ -468,7 +471,8 @@ print(metrics._WORKERS, len(forks))
 
 
 class TestExperimentWriter:
-    """The forked artifact writer: its failures, the caller's, and no child left behind."""
+    """The child that grows seeds beside the caller and writes them all: its failures,
+    the caller's, and no child left behind."""
 
     @pytest.fixture()
     def forks(self, monkeypatch) -> list[None]:
@@ -518,9 +522,8 @@ class TestExperimentWriter:
         report = metrics.compute_metrics(net)
         forked = self.forked(2)
         with pytest.raises(OSError, match="File exists") as info:
-            with fileio.network_writer(2) as write:
-                while True:  # until the exited writer's pipe breaks
-                    write(blocked, net, report)
+            # So many networks that the caller sends until the exited child's pipe breaks.
+            fileio.write_networks(1 << 30, lambda i: (blocked, net, report))
         assert isinstance(info.value.__context__, BrokenPipeError) == bool(forked)
         assert len(forks) == forked
         _assert_no_child_left()
@@ -528,16 +531,20 @@ class TestExperimentWriter:
     def test_caller_error_leaves_earlier_seeds_written(self, tmp_path, capsys, monkeypatch, forks):
         clean, failed = tmp_path / "clean", tmp_path / "failed"
         assert main(self.experiment(clean, 2)) == 0
-        compute = experiments.compute_metrics
-        calls = []
+        grow, compute = experiments.run_single, experiments.compute_metrics
+        seeds = []  # in each process, the seeds it grew
 
-        def fail_third(net, **kwargs):
-            calls.append(None)
-            if len(calls) == 3:
+        def grow_noting_seed(instance):
+            seeds.append(instance.seed)
+            return grow(instance)
+
+        def fail_at_seed_3(net, **kwargs):
+            if seeds[-1] == 3:
                 raise ValueError("metrics failed at seed 3")
             return compute(net, **kwargs)
 
-        monkeypatch.setattr(experiments, "compute_metrics", fail_third)
+        monkeypatch.setattr(experiments, "run_single", grow_noting_seed)
+        monkeypatch.setattr(experiments, "compute_metrics", fail_at_seed_3)
         capsys.readouterr()
         assert main(self.experiment(failed, 4)) == 1
         assert capsys.readouterr().err == "error: metrics failed at seed 3\n"
@@ -545,6 +552,143 @@ class TestExperimentWriter:
         assert written == {k: v for k, v in _tree(clean).items() if k != "summary.json"}
         assert {k.split("/")[0] for k in written} == {"seed_00001", "seed_00002"}
         assert len(forks) == 2 * self.forked(4)
+        _assert_no_child_left()
+
+    @staticmethod
+    def needs_the_child(monkeypatch) -> None:
+        """Fork the child on one CPU too; skip where fork is missing or a thread is alive."""
+        if not (hasattr(os, "fork") and threading.active_count() == 1):
+            pytest.skip("the child is forked only where fork exists and no other thread is alive")
+        monkeypatch.setattr(fileio, "_WORKERS", max(2, fileio._WORKERS))
+
+    @staticmethod
+    def in_each_process(monkeypatch, in_caller, in_child) -> None:
+        """Run ``in_caller(instance)`` or ``in_child(instance)`` before each seed grows."""
+        caller, grow = os.getpid(), experiments.run_single
+
+        def run_single(instance):
+            (in_caller if os.getpid() == caller else in_child)(instance)
+            return grow(instance)
+
+        monkeypatch.setattr(experiments, "run_single", run_single)
+
+    @staticmethod
+    def seeds_below(tree: dict[str, bytes], seed: int) -> dict[str, bytes]:
+        return {k: v for k, v in tree.items() if k.startswith("seed_") and int(k[5:10]) < seed}
+
+    def test_slow_caller_leaves_seeds_to_the_child(self, tmp_path, monkeypatch, forks):
+        self.needs_the_child(monkeypatch)
+        one_cpu, marks = tmp_path / "one", tmp_path / "marks"
+        with monkeypatch.context() as m:
+            m.setattr(fileio, "_WORKERS", 1)
+            assert main(self.experiment(one_cpu, 6)) == 0
+        assert not forks
+        marks.mkdir()
+        self.in_each_process(
+            monkeypatch,
+            lambda instance: time.sleep(0.05),
+            lambda instance: (marks / str(instance.seed)).touch(),
+        )
+        assert main(self.experiment(tmp_path / "two", 6)) == 0
+        assert len(forks) == 1
+        assert list(marks.iterdir()), "the child grew no seed"
+        assert _tree(tmp_path / "two") == _tree(one_cpu)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", ["caller", "child"])
+    def test_failure_in_either_process_leaves_earlier_seeds_written(
+        self, tmp_path, capsys, monkeypatch, forks, failing
+    ):
+        # The failing process fails at its first seed >= 3, late enough that
+        # the other has grown later seeds. The other is slowed, more so when
+        # it is the caller, so that the failing one gets a seed >= 3.
+        self.needs_the_child(monkeypatch)
+        clean, failed = tmp_path / "clean", tmp_path / "failed"
+        assert main(self.experiment(clean, 6)) == 0
+
+        def fail_from_seed_3(instance):
+            if instance.seed >= 3:
+                time.sleep(0.1)
+                raise ValueError(f"growth failed at seed {instance.seed}")
+
+        def slowed(instance):
+            time.sleep(0.01 if failing == "caller" else 0.05)
+
+        if failing == "caller":
+            self.in_each_process(monkeypatch, fail_from_seed_3, slowed)
+        else:
+            self.in_each_process(monkeypatch, slowed, fail_from_seed_3)
+        capsys.readouterr()
+        assert main(self.experiment(failed, 6)) == 1
+        captured = capsys.readouterr()
+        seed = int(re.fullmatch(r"error: growth failed at seed (\d+)\n", captured.err)[1])
+        assert "Traceback" not in captured.out + captured.err
+        assert _tree(failed) == self.seeds_below(_tree(clean), seed)
+        assert not (failed / "summary.json").exists()
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_interrupted_caller_leaves_a_written_prefix(self, tmp_path, monkeypatch, forks):
+        self.needs_the_child(monkeypatch)
+        clean, interrupted = tmp_path / "clean", tmp_path / "interrupted"
+        assert main(self.experiment(clean, 6)) == 0
+
+        def interrupt_from_seed_3(instance):
+            if instance.seed >= 3:
+                raise KeyboardInterrupt
+
+        self.in_each_process(monkeypatch, interrupt_from_seed_3, lambda instance: None)
+        with pytest.raises(KeyboardInterrupt):
+            main(self.experiment(interrupted, 6))
+        written = _tree(interrupted)
+        n_written = len({k.split("/")[0] for k in written})
+        assert n_written >= 1
+        assert written == self.seeds_below(_tree(clean), 1 + n_written)
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_every_index_is_made_once_and_written_in_order(self, tmp_path, monkeypatch, forks):
+        # Writes cost nothing and the caller's makes 0.2 ms, so the child finds
+        # its pipe empty and claims as fast as it can beside the caller: a
+        # lost update of the shared counter would make an index twice or never.
+        self.needs_the_child(monkeypatch)
+        net = Network(["AT", "TT"], [0], [1])
+        report = metrics.compute_metrics(net)
+        log, caller = tmp_path / "log", os.getpid()
+
+        def note(line):
+            with open(log, "a") as f:
+                f.write(line + "\n")
+
+        def make(i):
+            if os.getpid() == caller:
+                time.sleep(0.0002)
+            note(f"made {i} {os.getpid()}")
+            return tmp_path, net, dataclasses.replace(report, n_nodes=i)
+
+        monkeypatch.setattr(fileio, "write_network", lambda d, n, r: note(f"wrote {r.n_nodes}"))
+        n = 2000
+        reports = fileio.write_networks(n, make)
+        assert [r.n_nodes for r in reports] == list(range(n))
+        lines = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(w[1]) for w in lines if w[0] == "made") == list(range(n))
+        assert [int(w[1]) for w in lines if w[0] == "wrote"] == list(range(n))
+        assert len({w[2] for w in lines if w[0] == "made"}) == 2, "one process made every index"
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    def test_fit_failure_is_one_error_line_on_one_cpu_and_on_two(
+        self, tmp_path, capsys, monkeypatch, forks
+    ):
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(fileio, "_WORKERS", workers)
+            out = tmp_path / str(workers)
+            assert main([*self.experiment(out, 4), "--fit-k-min", "1000"]) == 1
+            errors.append(capsys.readouterr().err)
+            assert not (out / "summary.json").exists()
+        assert errors == ["error: power-law fit requires at least 2 usable degree bins\n"] * 2
+        assert len(forks) == int(hasattr(os, "fork") and threading.active_count() == 1)
         _assert_no_child_left()
 
 
@@ -751,6 +895,18 @@ def _bad_input_cases() -> list:
         pytest.param(argv, kind, name, id=f"{argv[0] if argv else 'snm'}-{kind}-{name}")
         for argv, kind, name in cases
     ]
+
+
+@pytest.mark.parametrize("command", ["generate", "experiment", "compare-ba"])
+@pytest.mark.parametrize("source", ["flag", "key"])
+def test_negative_seed_is_one_error_line(tmp_path, capsys, command, source):
+    # random.Random(-1) is Random(1): seeds -1 and 1 would grow the same network.
+    instance = tmp_path / "negative.instance"
+    instance.write_text(INSTANCE.replace("seed = 5", "seed = -1") if source == "key" else INSTANCE)
+    argv = [command, "--instance", str(instance), "--out", str(tmp_path / "out")]
+    assert main(argv + (["--seed", "-1"] if source == "flag" else [])) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestBadInput:

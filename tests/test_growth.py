@@ -102,6 +102,11 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="mode"):
             small_instance(mode="sideways")
 
+    def test_seed_at_least_zero(self):
+        small_instance(seed=0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            small_instance(seed=-1)
+
     def test_mutation_needs_two_symbols(self):
         with pytest.raises(ValueError, match="alphabet"):
             small_instance(
