@@ -20,7 +20,7 @@ from . import fileio
 from .ba import BAParams, grow_ba
 from .distance import DistanceConfig, parse_match_file
 from .growth import BATCH, INCREMENTAL, GrowthTrace, Instance, grow, prune_low_degree
-from .metrics import MetricsReport, compute_metrics
+from .metrics import MetricsReport, _each_on_cpus, compute_metrics
 
 # Every metric comes from compute_metrics; these names are kept for the
 # benchmark's tracer (perfbench/tracer.py), which wraps experiments.<name>.
@@ -349,10 +349,12 @@ def run_growth_comparison(
     Incremental growth makes the subgraph on the first n nodes equal to the
     intermediate network at size n, so each run is grown once and sliced.
     Batch growth drops isolated nodes, so a batch instance is rejected. Each
-    value is read from one ``compute_metrics`` report per prefix; one that is
-    undefined there is an error. A checkpoint or metric given twice counts
-    once. Returns {metric: {"sn" | "ba": {checkpoint: mean}}} and, when an
-    output directory is given, writes one "n_nodes sn ba" file per metric.
+    value is read from one ``compute_metrics`` report per prefix. A seed's
+    reports run side by side on every usable CPU and are read sn first,
+    checkpoints ascending, so the sums and the error for the first undefined
+    value do not depend on the CPU count. A checkpoint or metric given twice
+    counts once. Returns {metric: {"sn" | "ba": {checkpoint: mean}}} and, when
+    an output directory is given, writes one "n_nodes sn ba" file per metric.
     """
     if sn_instance.mode == BATCH:
         raise ValueError("compare-ba needs mode = incremental, not batch")
@@ -378,15 +380,18 @@ def run_growth_comparison(
                 f"growth saturated at {sn_net.n_nodes} nodes before checkpoint {checkpoints[-1]}"
             )
         ba_net = grow_ba(replace(ba_params, seed=ba_params.seed + i))
-        for label, net in (("sn", sn_net), ("ba", ba_net)):
-            for c in checkpoints:
-                row = _scalars(compute_metrics(net.induced_prefix(c)))
-                for name in metric_names:
-                    if row[name] is None:
-                        raise ValueError(
-                            f"{name} is undefined on the {label} network at checkpoint {c}"
-                        )
-                    curves[name][label][c] += row[name]
+        nets = {"sn": sn_net, "ba": ba_net}
+        prefixes = [(label, c) for label in nets for c in checkpoints]
+        rows = _each_on_cpus(
+            lambda p: _scalars(compute_metrics(nets[p[0]].induced_prefix(p[1]))), prefixes
+        )
+        for (label, c), row in zip(prefixes, rows):
+            for name in metric_names:
+                if row[name] is None:
+                    raise ValueError(
+                        f"{name} is undefined on the {label} network at checkpoint {c}"
+                    )
+                curves[name][label][c] += row[name]
     for per_name in curves.values():  # the seed sums become means
         for per_label in per_name.values():
             for c, total in per_label.items():

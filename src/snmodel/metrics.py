@@ -4,12 +4,12 @@ Path lengths come from one bit-parallel multi-source BFS (Then et al., "The
 More the Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014):
 each 64-source word of a 512-source chunk is one row of node bits (words-major), a BFS level
 is one flat gather and OR-reduce over the CSR adjacency, and a word that reaches nothing retires.
-A sweep of more than one chunk runs on every usable CPU, as Then et al. run
-independent source batches: the calling thread and one plain thread per
-further CPU take slices of whole words ``_CHUNK // _WORKERS`` sources wide,
-so one chunk's words are in flight, and add exact integer level totals.
-A sweep of one chunk, or one on a one-CPU host, starts no thread. No flag
-sets the thread count.
+Independent work runs on every usable CPU, as Then et al. run independent source
+batches: in ``_each_on_cpus`` the calling thread and one plain thread per further CPU
+take items in turn, and a call made inside an item runs inline. A sweep of more than one
+chunk hands it slices ``_CHUNK // _WORKERS`` sources wide, so one chunk's words are in
+flight; compare-ba hands it whole prefix reports, whose sweeps then run serially. A
+sweep of one chunk, or one on a one-CPU host, starts no thread. No flag sets the count.
 Triangles use the same bits with neighbours in place of sources. Components
 come from min-label hooking with pointer jumping (Shiloach & Vishkin, 1982).
 ``compute_metrics`` sweeps and counts triangles once per report. Tests check
@@ -23,7 +23,7 @@ import os
 import threading
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +37,8 @@ _WORKERS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
     _CHUNK // 64,
 )
+#: Set on a thread while it runs an item of ``_each_on_cpus``.
+_in_item = threading.local()
 
 
 def average_degree(net: Network) -> float:
@@ -60,13 +62,53 @@ def degree_distribution(net: Network) -> dict[int, float]:
     return {k: c / n for k, c in degree_histogram(net).items()}
 
 
+def _each_on_cpus(fn: Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]`` in input order, computed on every usable CPU.
+
+    The calling thread and ``min(_WORKERS, len(items)) - 1`` plain threads take
+    items in turn. A call made inside an item runs inline and starts no thread.
+    The first exception stops the claims and is re-raised once all are joined.
+    """
+    if getattr(_in_item, "active", False):
+        return [fn(x) for x in items]
+    results: list = [None] * len(items)
+    claims = iter(range(len(items)))
+    failed: list[BaseException] = []
+    lock = threading.Lock()
+
+    def work() -> None:
+        _in_item.active = True
+        try:
+            while True:
+                with lock:
+                    i = None if failed else next(claims, None)
+                if i is None:
+                    return
+                results[i] = fn(items[i])
+        except BaseException as exc:  # re-raised by the caller once all threads are joined
+            with lock:
+                failed.append(exc)
+        finally:
+            _in_item.active = False
+
+    threads = [threading.Thread(target=work) for _ in range(min(_WORKERS, len(items)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
+    return results
+
+
 def _pair_counts(adj: tuple[np.ndarray, np.ndarray], sources: np.ndarray) -> list[int]:
     """Ordered (source, target) pairs at each distance >= 1; entry 0 is 0.
 
     More than one chunk of sources is split into slices of whole words,
-    ``_CHUNK // _WORKERS`` sources wide, that the calling thread and
-    ``_WORKERS - 1`` threads take in turn, so one chunk's words are in flight.
-    Level totals are Python ints, so the sum is the same for any split.
+    ``_CHUNK // _WORKERS`` sources wide, that ``_each_on_cpus`` sweeps, so
+    one chunk's words are in flight. Level totals are Python ints, so the
+    sum is the same for any split.
     """
     indptr, indices = adj
     # A node without neighbours reaches nothing and nothing reaches it, so
@@ -76,38 +118,10 @@ def _pair_counts(adj: tuple[np.ndarray, np.ndarray], sources: np.ndarray) -> lis
     renumber = np.cumsum(linked) - 1
     sources, indices = renumber[sources[linked[sources]]], renumber[indices]
     starts = indptr[:-1][linked]
-    workers = _WORKERS if len(sources) > _CHUNK else 1
-    width = _CHUNK // workers // 64 * 64
-    slices = iter(range(0, len(sources), width))
-    totals = [0]
-    failed: list[BaseException] = []
-    lock = threading.Lock()
-
-    def work() -> None:
-        try:
-            while True:
-                with lock:
-                    first = None if failed else next(slices, None)
-                if first is None:
-                    return
-                counts = _sweep(sources[first : first + width], starts, indices)
-                with lock:
-                    totals.extend([0] * (len(counts) - len(totals)))
-                    for level, c in enumerate(counts):
-                        totals[level] += c
-        except BaseException as exc:  # re-raised by the caller once all threads are joined
-            with lock:
-                failed.append(exc)
-
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    work()
-    for thread in threads:
-        thread.join()
-    if failed:
-        raise failed[0]
-    return totals
+    width = _CHUNK // (_WORKERS if len(sources) > _CHUNK else 1) // 64 * 64
+    slices = [sources[first : first + width] for first in range(0, len(sources), width)]
+    per_slice = _each_on_cpus(lambda chunk: _sweep(chunk, starts, indices), slices)
+    return [sum(level) for level in zip_longest(*per_slice, fillvalue=0)] or [0]
 
 
 def _sweep(chunk: np.ndarray, starts: np.ndarray, indices: np.ndarray) -> list[int]:
@@ -190,7 +204,8 @@ def _triangles_per_node(net: Network) -> np.ndarray:
         touched = np.zeros(n, dtype=bool)
         touched[indices[lo:hi]] = True
         pairs = np.flatnonzero(touched[u] & touched[v])
-        both = np.take(words, u[pairs], axis=1) & np.take(words, v[pairs], axis=1)
+        both = np.take(words, u[pairs], axis=1)
+        both &= np.take(words, v[pairs], axis=1)
         common[pairs] += np.bitwise_count(both).sum(axis=0, dtype=np.int64)
         words[bits] = 0
     # A node's triangles close over two of its edges each.

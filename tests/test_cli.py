@@ -330,6 +330,41 @@ sys.exit(main(["generate", "--instance", str(instances_dir() / "comparison.insta
     assert files["one"] == files["all"]
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and at least two usable CPUs",
+)
+def test_compare_ba_is_byte_identical_on_one_cpu(tmp_path):
+    # A seed's prefix reports run side by side on as many threads as the process has CPUs.
+    script = """
+import sys
+from snmodel import instances_dir, metrics
+from snmodel.cli import main
+print(metrics._WORKERS)
+sys.exit(main(["compare-ba", "--instance", str(instances_dir() / "comparison.instance"),
+               "--n-seeds", "1", "--out", sys.argv[1]]))
+"""
+    cpu = min(os.sched_getaffinity(0))
+    src = str(Path(snmodel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    trees = {}
+    for name, pin in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / name)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            preexec_fn=pin,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        workers = int(result.stdout.splitlines()[0])
+        assert (workers == 1) == (name == "one")
+        trees[name] = _tree(tmp_path / name)
+    assert len(trees["all"]) == 3
+    assert trees["one"] == trees["all"]
+
+
 class TestExperiment:
     def test_summary_written(self, tmp_path, instance_file, capsys):
         out = tmp_path / "exp"
@@ -677,6 +712,19 @@ class TestExperimentWriter:
         assert len(forks) == 1
         _assert_no_child_left()
 
+    @pytest.mark.skipif(
+        not hasattr(os, "fork") or metrics._WORKERS < 2,
+        reason="the child is forked only where fork exists and two CPUs are usable",
+    )
+    def test_compare_ba_leaves_no_thread_to_stop_the_fork(self, tmp_path, forks):
+        if threading.active_count() != 1:
+            pytest.skip("a thread outside the test is alive")
+        assert main(_compare_600(tmp_path / "cmp", "300,600")) == 0
+        assert threading.active_count() == 1
+        assert main(self.experiment(tmp_path / "exp", 3)) == 0
+        assert len(forks) == 1
+        _assert_no_child_left()
+
     def test_fit_failure_is_one_error_line_on_one_cpu_and_on_two(
         self, tmp_path, capsys, monkeypatch, forks
     ):
@@ -699,6 +747,15 @@ SATURATING = [
     "--alphabet", "AB", "--initial", "ABAB", "--p-mutate", "1", "--unit-distance", "2",
     "--max-distance", "0", "--target-nodes", "6", "--max-attempts", "25", "--checkpoints", "6",
 ]
+
+
+def _compare_600(out: Path, checkpoints: str) -> list[str]:
+    """compare-ba on comparison.instance grown to 600 nodes, one seed."""
+    return [
+        "compare-ba", "--instance", str(instances_dir() / "comparison.instance"),
+        "--target-nodes", "600", "--checkpoints", checkpoints, "--n-seeds", "1",
+        "--out", str(out),
+    ]
 
 
 class TestCompareBA:
@@ -746,6 +803,49 @@ class TestCompareBA:
         assert captured.err == f"error: {message}\n"
         assert "Traceback" not in captured.out
         assert not out.exists()
+
+    def test_first_undefined_value_is_reported_however_reports_finish(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Both 1-node prefixes lack a path length. The sn one is slowed, so
+        # the ba one, claimed once sn's 600-node report is done, fails first;
+        # the error still names sn.
+        compute = experiments.compute_metrics
+
+        def slow_sn(net, **kwargs):
+            if net.structures[0] is not None and net.n_nodes == 1:
+                time.sleep(0.3)
+            return compute(net, **kwargs)
+
+        monkeypatch.setattr(metrics, "_WORKERS", max(2, metrics._WORKERS))
+        monkeypatch.setattr(experiments, "compute_metrics", slow_sn)
+        before = threading.active_count()
+        assert main(_compare_600(tmp_path / "cmp", "1,600")) == 1
+        assert capsys.readouterr().err == (
+            "error: average_path_length is undefined on the sn network at checkpoint 1\n"
+        )
+        assert threading.active_count() == before
+
+    def test_failing_report_is_one_error_line_and_leaves_no_thread(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        compute = experiments.compute_metrics
+
+        def fail_ba_at_600(net, **kwargs):
+            if net.structures[0] is None and net.n_nodes == 600:
+                raise ValueError("report failed")
+            return compute(net, **kwargs)
+
+        monkeypatch.setattr(metrics, "_WORKERS", max(2, metrics._WORKERS))
+        monkeypatch.setattr(experiments, "compute_metrics", fail_ba_at_600)
+        before = threading.active_count()
+        out = tmp_path / "cmp"
+        assert main(_compare_600(out, "300,600")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: report failed\n"
+        assert "Traceback" not in captured.out
+        assert not out.exists()
+        assert threading.active_count() == before
 
     def test_metric_flags_share_one_table(self, tmp_path, instance_file, capsys):
         errors = []

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import filecmp
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from snmodel import instances_dir, metrics
 from snmodel.ba import BAParams, grow_ba
 from snmodel.experiments import (
     _SCALAR_FIELDS,
@@ -306,6 +308,24 @@ class TestRunGrowthComparison:
                 report = compute_metrics(net.induced_prefix(c))
                 for name in _SCALAR_FIELDS:
                     assert curves[name][label][c] == getattr(report, name), (label, c, name)
+
+    def test_curves_are_the_same_on_any_worker_count(self, tmp_path, monkeypatch):
+        # Prefixes of 600 and 700 nodes sweep in slices, the 100-node one in
+        # one chunk; the seed sums are added in one order whatever finishes first.
+        instance = replace(load_instance_file(instances_dir() / "comparison.instance").instance,
+                           target_nodes=700)
+        ba = BAParams(target_nodes=700, initial_clique=4, edges_per_node=4, seed=1)
+        curves, files = [], []
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(metrics, "_WORKERS", workers)
+            out = tmp_path / str(workers)
+            curves.append(run_growth_comparison(
+                instance, ba, [100, 600, 700], n_seeds=2, output_directory=out,
+                metric_names=_SCALAR_FIELDS,
+            ))
+            files.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert all(c == curves[0] for c in curves)
+        assert all(f == files[0] for f in files)
 
     def test_repeated_checkpoint_counts_once(self, tmp_path):
         config = parse_instance_file(MINIMAL.replace("target_nodes = 40", "target_nodes = 60"))

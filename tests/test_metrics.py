@@ -7,6 +7,7 @@ import math
 import random
 import sys
 import threading
+import time
 import tracemalloc
 
 import networkx as nx
@@ -226,6 +227,20 @@ class TestDegreeAndPaths:
             tracemalloc.stop()
         assert peak < 5.5e6
 
+    def test_triangle_count_ands_end_words_in_place(self):
+        # About 4.3 MB on the 3000-node comparison network; a third array for
+        # the ANDed end words takes it to about 5.6 MB.
+        config = load_instance_file(instances_dir() / "comparison.instance")
+        net, _ = run_single(config.instance)
+        net.to_csr()
+        tracemalloc.start()
+        try:
+            metrics._triangles_per_node(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.8e6
+
     def test_average_matches_networkx_on_connected_graph(self):
         rng = random.Random(3)
         net = random_network(rng, 40, 0.2)
@@ -236,20 +251,22 @@ class TestDegreeAndPaths:
             )
 
 
+@pytest.fixture
+def started(monkeypatch) -> list[threading.Thread]:
+    """Every thread started while the test runs."""
+    threads: list[threading.Thread] = []
+
+    class Recorded(threading.Thread):
+        def start(self) -> None:
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return threads
+
+
 class TestSweepThreads:
     """More than one chunk of sources is swept in slices on ``_WORKERS`` threads."""
-
-    @pytest.fixture
-    def started(self, monkeypatch) -> list[threading.Thread]:
-        threads: list[threading.Thread] = []
-
-        class Recorded(threading.Thread):
-            def start(self) -> None:
-                threads.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Recorded)
-        return threads
 
     @pytest.mark.parametrize("graph", [511, 512, 513, 1100, 1600, "words"])
     def test_counts_are_exact_for_any_worker_count(self, graph, monkeypatch, started):
@@ -301,6 +318,69 @@ class TestSweepThreads:
         assert threading.active_count() == before
         assert len(started) == workers - 1
         assert not any(thread.is_alive() for thread in started)
+
+
+class TestEachOnCpus:
+    """``_each_on_cpus`` shares items among the caller and ``_WORKERS - 1`` threads."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_results_come_back_in_input_order(self, monkeypatch, started, workers):
+        # Later items finish first, so completion order is the reverse of input
+        # order. A short switch interval would expose an item claimed twice.
+        monkeypatch.setattr(metrics, "_WORKERS", workers)
+        before = threading.active_count()
+
+        def square_late_first(x):
+            time.sleep(0.001 * (10 - x))
+            return x * x
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            squares = metrics._each_on_cpus(square_late_first, range(10))
+        finally:
+            sys.setswitchinterval(interval)
+        assert squares == [x * x for x in range(10)]
+        assert len(started) == workers - 1
+        assert metrics._each_on_cpus(square_late_first, []) == []
+        assert len(started) == workers - 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_nested_call_starts_no_thread(self, monkeypatch, started, workers):
+        monkeypatch.setattr(metrics, "_WORKERS", workers)
+        before = threading.active_count()
+
+        def inner_threads(x):
+            outer = threading.get_ident()
+            idents = metrics._each_on_cpus(lambda y: threading.get_ident(), range(8))
+            return x, set(idents) == {outer}
+
+        result = metrics._each_on_cpus(inner_threads, range(4))
+        assert result == [(x, True) for x in range(4)]
+        assert len(started) == min(workers, 4) - 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_failing_item_reaches_the_caller_after_every_join(self, monkeypatch, started, workers):
+        # Item 0 is claimed before item 1 fails and is still running when it
+        # does, unless it runs on the caller, which then finishes it first.
+        monkeypatch.setattr(metrics, "_WORKERS", workers)
+        before = threading.active_count()
+        finished: list[int] = []
+
+        def fail_item_1(x):
+            if x == 1:
+                raise RuntimeError("item 1 failed")
+            time.sleep(0.05)
+            finished.append(x)
+
+        with pytest.raises(RuntimeError, match="item 1 failed"):
+            metrics._each_on_cpus(fail_item_1, range(4))
+        assert 0 in finished
+        assert not any(thread.is_alive() for thread in started)
+        assert len(started) == min(workers, 4) - 1
+        assert threading.active_count() == before
 
 
 class TestClustering:
