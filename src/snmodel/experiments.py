@@ -350,11 +350,11 @@ def run_growth_comparison(
     intermediate network at size n, so each run is grown once and sliced.
     Batch growth drops isolated nodes, so a batch instance is rejected. Each
     value is read from one ``compute_metrics`` report per prefix. A seed's
-    reports run side by side on every usable CPU and are read sn first,
-    checkpoints ascending, so the sums and the error for the first undefined
-    value do not depend on the CPU count. A checkpoint or metric given twice
-    counts once. Returns {metric: {"sn" | "ba": {checkpoint: mean}}} and, when
-    an output directory is given, writes one "n_nodes sn ba" file per metric.
+    reports share the CPUs (``metrics._each_on_cpus``) and are read sn first,
+    checkpoints ascending, so sums and errors do not depend on the CPU count.
+    A checkpoint or metric given twice counts once. Returns {metric: {"sn" |
+    "ba": {checkpoint: mean}}} and, when an output directory is given, writes
+    one "n_nodes sn ba" file per metric.
     """
     if sn_instance.mode == BATCH:
         raise ValueError("compare-ba needs mode = incremental, not batch")

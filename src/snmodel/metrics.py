@@ -5,11 +5,11 @@ More the Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014):
 each 64-source word of a 512-source chunk is one row of node bits (words-major), a BFS level
 is one flat gather and OR-reduce over the CSR adjacency, and a word that reaches nothing retires.
 Independent work runs on every usable CPU, as Then et al. run independent source
-batches: in ``_each_on_cpus`` the calling thread and one plain thread per further CPU
-take items in turn, and a call made inside an item runs inline. A sweep of more than one
-chunk hands it slices ``_CHUNK // _WORKERS`` sources wide, so one chunk's words are in
-flight; compare-ba hands it whole prefix reports, whose sweeps then run serially. A
-sweep of one chunk, or one on a one-CPU host, starts no thread. No flag sets the count.
+batches: ``_each_on_cpus`` shares more items than CPUs among the calling thread and one
+plain thread per further CPU, and runs fewer, or a call made inside an item, on the caller.
+A sweep of more than one chunk hands it slices ``_CHUNK // _WORKERS`` sources wide, so
+one chunk's words are in flight; compare-ba hands it whole prefix reports. A sweep of
+one chunk, or one on a one-CPU host, starts no thread. No flag sets the count.
 Triangles use the same bits with neighbours in place of sources. Components
 come from min-label hooking with pointer jumping (Shiloach & Vishkin, 1982).
 ``compute_metrics`` sweeps and counts triangles once per report. Tests check
@@ -65,18 +65,21 @@ def degree_distribution(net: Network) -> dict[int, float]:
 def _each_on_cpus(fn: Callable, items: Sequence) -> list:
     """``[fn(x) for x in items]`` in input order, computed on every usable CPU.
 
-    The calling thread and ``min(_WORKERS, len(items)) - 1`` plain threads take
-    items in turn. A call made inside an item runs inline and starts no thread.
-    The first exception stops the claims and is re-raised once all are joined.
+    More items than ``_WORKERS`` are taken in turn by the calling thread and
+    ``_WORKERS - 1`` plain threads, and a call made inside one runs inline;
+    fewer run on the caller, each free to share its own. The first exception
+    or a Ctrl-C in the caller stops the claims and is raised once no item runs.
     """
-    if getattr(_in_item, "active", False):
+    if len(items) <= _WORKERS or getattr(_in_item, "active", False):
         return [fn(x) for x in items]
     results: list = [None] * len(items)
     claims = iter(range(len(items)))
     failed: list[BaseException] = []
-    lock = threading.Lock()
+    running = _WORKERS  # calls of work() not yet ended
+    lock = threading.Condition()
 
     def work() -> None:
+        nonlocal running
         _in_item.active = True
         try:
             while True:
@@ -85,18 +88,28 @@ def _each_on_cpus(fn: Callable, items: Sequence) -> list:
                 if i is None:
                     return
                 results[i] = fn(items[i])
-        except BaseException as exc:  # re-raised by the caller once all threads are joined
+        except BaseException as exc:  # re-raised by the caller once no item runs
             with lock:
                 failed.append(exc)
         finally:
             _in_item.active = False
+            with lock:
+                running -= 1
+                lock.notify()
 
-    threads = [threading.Thread(target=work) for _ in range(min(_WORKERS, len(items)) - 1)]
+    threads = [threading.Thread(target=work) for _ in range(_WORKERS - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+        with lock:  # not Thread.join: one interrupted by a Ctrl-C marks its thread ended
+            lock.wait_for(lambda: not running)
+    except BaseException as exc:  # a Ctrl-C in the caller: no new claims; running items end
+        with lock:
+            failed.insert(0, exc)
     for thread in threads:
-        thread.start()
-    work()
-    for thread in threads:
-        thread.join()
+        if thread.is_alive():
+            thread.join()
     if failed:
         raise failed[0]
     return results

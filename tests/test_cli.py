@@ -817,7 +817,7 @@ class TestCompareBA:
                 time.sleep(0.3)
             return compute(net, **kwargs)
 
-        monkeypatch.setattr(metrics, "_WORKERS", max(2, metrics._WORKERS))
+        monkeypatch.setattr(metrics, "_WORKERS", 2)
         monkeypatch.setattr(experiments, "compute_metrics", slow_sn)
         before = threading.active_count()
         assert main(_compare_600(tmp_path / "cmp", "1,600")) == 1
@@ -836,7 +836,7 @@ class TestCompareBA:
                 raise ValueError("report failed")
             return compute(net, **kwargs)
 
-        monkeypatch.setattr(metrics, "_WORKERS", max(2, metrics._WORKERS))
+        monkeypatch.setattr(metrics, "_WORKERS", 2)
         monkeypatch.setattr(experiments, "compute_metrics", fail_ba_at_600)
         before = threading.active_count()
         out = tmp_path / "cmp"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import signal
 import sys
 import threading
 import time
@@ -321,7 +322,8 @@ class TestSweepThreads:
 
 
 class TestEachOnCpus:
-    """``_each_on_cpus`` shares items among the caller and ``_WORKERS - 1`` threads."""
+    """``_each_on_cpus`` shares more than ``_WORKERS`` items among the caller and
+    ``_WORKERS - 1`` threads; fewer run on the caller."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_results_come_back_in_input_order(self, monkeypatch, started, workers):
@@ -353,12 +355,28 @@ class TestEachOnCpus:
 
         def inner_threads(x):
             outer = threading.get_ident()
-            idents = metrics._each_on_cpus(lambda y: threading.get_ident(), range(8))
+            idents = metrics._each_on_cpus(lambda y: threading.get_ident(), range(10))
             return x, set(idents) == {outer}
 
-        result = metrics._each_on_cpus(inner_threads, range(4))
-        assert result == [(x, True) for x in range(4)]
-        assert len(started) == min(workers, 4) - 1
+        result = metrics._each_on_cpus(inner_threads, range(10))
+        assert result == [(x, True) for x in range(10)]
+        assert len(started) == workers - 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_few_items_run_on_the_caller_and_share_their_own(self, monkeypatch, started, workers):
+        # As many items as workers would leave threads idle once the shorter
+        # ones end, so the caller runs them and each shares its own items.
+        monkeypatch.setattr(metrics, "_WORKERS", workers)
+        before = threading.active_count()
+
+        def inner_threads(x):
+            metrics._each_on_cpus(lambda y: y, range(workers + 1))
+            return threading.get_ident()
+
+        idents = metrics._each_on_cpus(inner_threads, range(workers))
+        assert idents == [threading.get_ident()] * workers
+        assert len(started) == workers * (workers - 1)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
@@ -376,10 +394,54 @@ class TestEachOnCpus:
             finished.append(x)
 
         with pytest.raises(RuntimeError, match="item 1 failed"):
-            metrics._each_on_cpus(fail_item_1, range(4))
+            metrics._each_on_cpus(fail_item_1, range(10))
         assert 0 in finished
         assert not any(thread.is_alive() for thread in started)
-        assert len(started) == min(workers, 4) - 1
+        assert len(started) == workers - 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["item", "wait"])
+    def test_ctrl_c_in_the_caller_stops_the_claims_and_waits_for_running_items(
+        self, monkeypatch, started, where
+    ):
+        # "item": Ctrl-C lands in an item the caller runs. "wait": the caller
+        # has run its items and waits for the thread, which is still in its own.
+        monkeypatch.setattr(metrics, "_WORKERS", 2)
+        before = threading.active_count()
+        caller = threading.get_ident()
+        events: list[tuple[str, int]] = []
+        thread_in = threading.Event()
+
+        def item(x):
+            events.append(("claim", x))
+            if threading.get_ident() != caller:
+                thread_in.set()
+                if where == "wait":
+                    while sum(event == "done" for event, _ in events) < 2:
+                        time.sleep(0.001)
+                    time.sleep(0.05)
+                    signal.pthread_kill(caller, signal.SIGINT)
+                time.sleep(0.1)
+            else:
+                thread_in.wait(5)
+                if where == "item":
+                    events.append(("ctrl-c", x))
+                    raise KeyboardInterrupt
+            events.append(("done", x))
+
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                metrics._each_on_cpus(item, range(6 if where == "item" else 3))
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        claimed = [x for event, x in events if event == "claim"]
+        assert sorted(x for event, x in events if event == "done") == [
+            x for x in sorted(claimed) if ("ctrl-c", x) not in events
+        ]
+        if where == "item":
+            assert claimed == [0, 1] and events[-1][0] == "done"
+        assert not any(thread.is_alive() for thread in started)
         assert threading.active_count() == before
 
 
