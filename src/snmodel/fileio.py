@@ -3,18 +3,16 @@
 Every writer emits a version header comment and fully sorted content so that
 identical inputs produce byte-identical files. ``write_networks`` makes and
 writes a run's networks, in one forked child beside the caller where it can:
-both make networks, and the child writes them all.
+both make networks, claimed through a pipe, and the child writes them all.
 """
 
 from __future__ import annotations
 
 import json
-import mmap
 import os
 import pickle
 import select
 import signal
-import struct
 import threading
 import warnings
 from pathlib import Path
@@ -183,8 +181,6 @@ def write_network(directory: str | Path, net: Network, report: MetricsReport) ->
     )
 
 
-#: The next unclaimed index, in memory that the caller and its child share.
-_COUNTER = struct.Struct("<q")
 #: The most bytes of a failed child's message that it sends back: they fit the empty pipe.
 _MESSAGE_BYTES = 4096
 
@@ -195,13 +191,13 @@ def write_networks(n_networks: int, make: Make) -> list[MetricsReport]:
     """``write_network`` of ``make(i)`` for each i below *n_networks*; the reports in order.
 
     Where fork exists, at least two CPUs are usable and no other thread is
-    alive, 2 or more networks fork one child, and each process makes the next
-    unclaimed index whenever it is free. The caller pickles each network it
-    makes (structures and edges, not cached views) and its report down a pipe;
-    the child writes every network in index order and sends back its own
-    reports. An error at index k leaves exactly the networks below k written;
-    a child that failed raises one OSError with its message, in place of any
-    error the caller met. The bytes are the same as in-process.
+    alive, 2 or more networks fork one child. Each process, when free, makes
+    the index that a token in a pipe carries. The caller pickles each network
+    it makes (structures and edges, not cached views) and its report down a
+    pipe; the child writes every network in index order and sends back its
+    own reports. An error at index k leaves exactly the networks below k
+    written; a child that failed raises one OSError with its message, in
+    place of any error the caller met. The bytes are the same as in-process.
     """
     forkable = hasattr(os, "fork") and _WORKERS >= 2 and threading.active_count() == 1
     if n_networks < 2 or not forkable:
@@ -211,17 +207,15 @@ def write_networks(n_networks: int, make: Make) -> list[MetricsReport]:
             write_network(directory, net, report)
             reports.append(report)
         return reports
-    counter = mmap.mmap(-1, _COUNTER.size)  # anonymous, so shared with the child
-    _COUNTER.pack_into(counter, 0, 1)
     token = os.pipe()
-    os.write(token[1], b"\0")
+    os.write(token[1], (1).to_bytes(8, "little"))  # index 0 is the caller's
     data_r, data_w = os.pipe()
     result_r, result_w = os.pipe()
     pid = os.fork()
     if pid == 0:
         os.close(data_w)  # or the child would never see the end of the data
         os.close(result_r)
-        _serve(n_networks, make, counter, token, data_r, result_w)
+        _serve(n_networks, make, token, data_r, result_w)
     os.close(data_r)
     os.close(result_w)
     reports: dict[int, MetricsReport] = {}
@@ -232,12 +226,10 @@ def write_networks(n_networks: int, make: Make) -> list[MetricsReport]:
             reports[i] = report
             record = (i, directory, net.structures, net.edge_u, net.edge_v, report)
             _write_all(data_w, pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
-            i = _claim(counter, token)
+            i = _claim(token)
     finally:
-        _claim(counter, token, past=n_networks)  # the child claims no more
-        for fd in (data_w, *token):
+        for fd in (data_w, *token):  # the end of the data ends the child's claims
             os.close(fd)
-        counter.close()
         with open(result_r, "rb") as results:
             result = results.read()  # before reaping: the reports may exceed the pipe
         _, status, _ = os.wait4(pid, 0)
@@ -248,15 +240,13 @@ def write_networks(n_networks: int, make: Make) -> list[MetricsReport]:
     return [reports[i] for i in range(n_networks)]
 
 
-def _claim(counter: mmap.mmap, token: tuple[int, int], past: int | None = None) -> int:
-    """The next unclaimed index, counted past; with *past*, the count moves at least to it."""
+def _claim(token: tuple[int, int]) -> int:
+    """The next unclaimed index: the token's 8-byte count, which goes back one higher."""
     # SIGINT waits while the token is out of its pipe: a Ctrl-C then would lose it.
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        os.read(token[0], 1)
-        (i,) = _COUNTER.unpack_from(counter)
-        _COUNTER.pack_into(counter, 0, i + 1 if past is None else max(i, past))
-        os.write(token[1], b"\0")
+        i = int.from_bytes(os.read(token[0], 8), "little")
+        os.write(token[1], (i + 1).to_bytes(8, "little"))
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     return i
@@ -269,7 +259,7 @@ def _write_all(fd: int, data: bytes) -> None:
 
 
 def _serve(
-    n_networks: int, make: Make, counter: mmap.mmap, token: tuple[int, int], data_r: int, result_w: int
+    n_networks: int, make: Make, token: tuple[int, int], data_r: int, result_w: int
 ) -> NoReturn:
     """The forked child: write every network in index order, making one whenever no record waits.
 
@@ -288,7 +278,7 @@ def _serve(
         written, end, claiming, failure = 0, n_networks, True, None
         while written < end:
             if claiming and not select.select([data_r], [], [], 0)[0]:
-                i = _claim(counter, token)
+                i = _claim(token)
                 claiming = i < n_networks
                 if claiming:
                     try:

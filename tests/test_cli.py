@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import threading
@@ -682,10 +683,71 @@ class TestExperimentWriter:
         assert len(forks) == 2
         _assert_no_child_left()
 
+    def test_child_killed_by_a_signal_is_one_error_line(self, tmp_path, capsys, monkeypatch, forks):
+        # The child kills itself at its first seed from 4 on, and sends nothing
+        # back: its exit status is all the caller learns. The caller is slowed
+        # so that the child gets such a seed.
+        self.needs_the_child(monkeypatch)
+        clean, killed = tmp_path / "clean", tmp_path / "killed"
+        assert main(self.experiment(clean, 12)) == 0
+
+        def kill_from_seed_4(instance):
+            if instance.seed >= 4:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        self.in_each_process(monkeypatch, lambda instance: time.sleep(0.02), kill_from_seed_4)
+        capsys.readouterr()
+        assert main(self.experiment(killed, 12)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: the child ended with exit code -9\n"
+        assert "Traceback" not in captured.out + captured.err
+        assert not (killed / "summary.json").exists()
+        written = _tree(killed)
+        n_written = len({k.split("/")[0] for k in written})
+        assert n_written < 12
+        assert written == self.seeds_below(_tree(clean), 1 + n_written)
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_end_of_the_data_ends_the_childs_claims(self, tmp_path, monkeypatch, forks):
+        # The caller holds index 0 until the child has claimed index 1, then
+        # fails at index 2 while the child still makes 1. The child claims only
+        # while its data pipe is empty, and the caller's failure closes that
+        # pipe: at most the one make that the child was about to start follows.
+        self.needs_the_child(monkeypatch)
+        net = Network(["AT", "TT"], [0], [1])
+        report = metrics.compute_metrics(net)
+        out, log, caller = tmp_path / "out", tmp_path / "log", os.getpid()
+        failed_at = []
+
+        def make(i):
+            if os.getpid() != caller:
+                with open(log, "a") as f:
+                    f.write(f"{i} {time.monotonic()}\n")
+                time.sleep(0.02)
+            elif i == 0:
+                deadline = time.monotonic() + 10
+                while not (log.exists() and log.read_text()):
+                    assert time.monotonic() < deadline, "the child made nothing"
+                    time.sleep(0.001)
+            elif i == 2:
+                failed_at.append(time.monotonic())
+                raise ValueError("make failed at index 2")
+            return out / str(i), net, report
+
+        with pytest.raises(ValueError, match="make failed at index 2"):
+            fileio.write_networks(20, make)
+        assert sorted(p.name for p in out.iterdir()) == ["0", "1"]
+        child_makes = [line.split() for line in log.read_text().splitlines()]
+        assert child_makes[0][0] == "1"
+        assert sum(float(t) > failed_at[0] for _, t in child_makes) <= 1
+        assert len(forks) == 1
+        _assert_no_child_left()
+
     def test_every_index_is_made_once_and_written_in_order(self, tmp_path, monkeypatch, forks):
         # Writes cost nothing and the caller's makes 0.2 ms, so the child finds
         # its pipe empty and claims as fast as it can beside the caller: a
-        # lost update of the shared counter would make an index twice or never.
+        # lost update of the token's count would make an index twice or never.
         self.needs_the_child(monkeypatch)
         net = Network(["AT", "TT"], [0], [1])
         report = metrics.compute_metrics(net)

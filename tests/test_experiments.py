@@ -114,6 +114,22 @@ class TestConfigFromMapping:
         with pytest.raises(ValueError, match="n_seeds"):
             parse_instance_file(MINIMAL + "n_seeds = 0\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (MINIMAL.replace("ABCABC", ";"), r"key 'initial': .*\(needs at least one structure"),
+            (MINIMAL + "checkpoint_interval = -1\n", "checkpoint_interval must be >= 0"),
+        ],
+        ids=["no-initial-structure", "negative-checkpoint-interval"],
+    )
+    def test_bad_value_names_the_rule(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_instance_file(text)
+
+    def test_unknown_key_in_the_mapping(self):
+        with pytest.raises(ValueError, match="unknown key 'speed'"):
+            config_from_mapping({**parse_key_values(MINIMAL), "speed": "4"})
+
     def test_shipped_instances_parse(self):
         from snmodel import instances_dir
 
@@ -213,6 +229,34 @@ class TestSummarize:
     def test_reference_must_map_names_to_numbers(self, reference):
         with pytest.raises(ValueError, match="reference"):
             summarize(self.make_reports(), ("average_degree",), reference)
+
+    def test_no_report_is_an_error(self):
+        with pytest.raises(ValueError, match="at least one report"):
+            summarize([])
+
+    def test_metric_missing_from_every_report_has_no_mean(self):
+        # Two nodes without an edge have no connected pair, so no path length.
+        reports = [compute_metrics(Network.from_edges(2, []))] * 2
+        summary = summarize(reports, ("average_degree",))
+        assert summary.means["average_path_length"] is None
+        assert summary.stds["average_path_length"] is None
+        assert summary.means["average_degree"] == 0.0
+
+    @pytest.mark.parametrize(
+        "other, metric, value",
+        [
+            # The isolated pair has no path length; the path's 4/3 is the reference.
+            (Network.from_edges(2, []), "average_path_length", 4 / 3),
+            # A reference of 0 takes only an exact 0: the path's, not the triangle's 1.
+            (Network.from_edges(3, [(0, 1), (1, 2), (0, 2)]), "average_clustering", 0.0),
+        ],
+        ids=["missing-value", "zero-reference"],
+    )
+    def test_seed_qualifies_only_with_a_value_near_the_reference(self, other, metric, value):
+        path = Network.from_edges(3, [(0, 1), (1, 2)])
+        reports = [compute_metrics(path), compute_metrics(other)]
+        summary = summarize(reports, (metric,), {metric: value})
+        assert (summary.within_10, summary.within_20) == (0.5, 0.5)
 
     def test_reference_values_of_unreferenced_metrics_are_ignored(self):
         reference = {"average_degree": 2, "average_path_length": None}
@@ -367,6 +411,17 @@ class TestRunGrowthComparison:
         ba = BAParams(target_nodes=40, initial_clique=4, edges_per_node=4)
         with pytest.raises(ValueError, match="checkpoint 0 is below 1"):
             run_growth_comparison(config.instance, ba, [0, 20], n_seeds=1)
+
+    @pytest.mark.parametrize(
+        "checkpoints, n_seeds, message",
+        [([], 1, "at least one checkpoint"), ([20], 0, "n_seeds must be >= 1")],
+        ids=["no-checkpoint", "no-seed"],
+    )
+    def test_nothing_to_compare_rejected(self, checkpoints, n_seeds, message):
+        config = parse_instance_file(MINIMAL)
+        ba = BAParams(target_nodes=40, initial_clique=4, edges_per_node=4)
+        with pytest.raises(ValueError, match=message):
+            run_growth_comparison(config.instance, ba, checkpoints, n_seeds=n_seeds)
 
     def test_checkpoint_beyond_target_rejected(self):
         config = parse_instance_file(MINIMAL)

@@ -98,6 +98,18 @@ class TestInstanceValidation:
         assert small_instance(target_nodes=10).attempt_budget == 500
         assert small_instance(max_attempts=17, target_nodes=10).attempt_budget == 17
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"initial_structures": ()}, "at least one initial structure"),
+            ({"prune_min_degree": -1}, "prune_min_degree must be >= 0"),
+        ],
+        ids=["no-initial-structure", "negative-prune-degree"],
+    )
+    def test_rejects_out_of_range_fields(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_instance(**overrides)
+
     def test_mode_checked(self):
         with pytest.raises(ValueError, match="mode"):
             small_instance(mode="sideways")

@@ -174,6 +174,15 @@ class TestDegreeAndPaths:
         assert path_length_histogram(net) == {1: 2}
         assert compute_metrics(net).path_length_distribution == {1: 1.0}
 
+    @pytest.mark.parametrize(
+        "metric",
+        [average_degree, degree_distribution, largest_component, average_clustering],
+        ids=lambda metric: metric.__name__,
+    )
+    def test_empty_network_is_undefined(self, metric):
+        with pytest.raises(ValueError, match="empty network"):
+            metric(Network.from_edges(0, []))
+
     def test_no_connected_pairs_is_undefined(self):
         with pytest.raises(ValueError):
             average_path_length(Network.from_edges(2, []))
@@ -561,6 +570,11 @@ class TestPowerLawFit:
         dist = {1: 0.5, 2: 0.0, 4: 0.5**4}
         slope, _ = fit_power_law_slope(dist, 1)
         assert slope == pytest.approx(math.log10(0.5**4 / 0.5) / math.log10(4))
+
+    def test_flat_distribution_fits_exactly(self):
+        slope, r2 = fit_power_law_slope({1: 0.5, 2: 0.5}, 1)
+        assert slope == pytest.approx(0.0, abs=1e-12)
+        assert r2 == 1.0
 
     def test_needs_two_bins(self):
         with pytest.raises(ValueError):

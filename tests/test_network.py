@@ -43,6 +43,7 @@ class TestConstruction:
             ([0], [5], r"outside the node ids \[0, 3\)"),
             ([0], [3], r"outside the node ids \[0, 3\)"),
             ([-1], [2], r"outside the node ids \[0, 3\)"),
+            ([0, 1], [2], "edge endpoint arrays must have the same length"),
         ],
     )
     def test_rejects_self_loops_and_unknown_endpoints(self, u, v, message):

@@ -138,6 +138,12 @@ class TestApplyRandomEdit:
         assert word is None
         assert kind is Edit.DELETE
 
+    def test_mutation_over_one_symbol_fails(self):
+        probs = EditProbabilities(mutate=1.0)
+        assert apply_random_edit("AAA", probs, Alphabet.from_string("A"), random.Random(0)) == (
+            None, Edit.MUTATE, 0,
+        )
+
     def test_duplicate_on_single_symbol(self):
         rng = random.Random(0)
         probs = EditProbabilities(duplicate=1.0)
