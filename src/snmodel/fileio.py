@@ -225,7 +225,8 @@ def write_networks(n_networks: int, make: Make) -> list[MetricsReport]:
             directory, net, report = make(i)
             reports[i] = report
             record = (i, directory, net.structures, net.edge_u, net.edge_v, report)
-            _write_all(data_w, pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
+            body = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
+            _write_all(data_w, len(body).to_bytes(8, "little") + body)
             i = _claim(token)
     finally:
         for fd in (data_w, *token):  # the end of the data ends the child's claims
@@ -258,13 +259,27 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view) :]
 
 
+def _read_exactly(fd: int, size: int) -> bytes:
+    """*size* bytes from *fd*; EOFError if the data ends first."""
+    parts = []
+    while size:
+        part = os.read(fd, size)
+        if not part:
+            raise EOFError
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
 def _serve(
     n_networks: int, make: Make, token: tuple[int, int], data_r: int, result_w: int
 ) -> NoReturn:
     """The forked child: write every network in index order, making one whenever no record waits.
 
-    At the end of the data, or in a record cut short, only the contiguous run
-    of indexes is written: a gap is an index the caller failed at. An index
+    Each record is its 8-byte length and its pickle, read straight from the
+    pipe, so ``select`` sees every record that waits. At the end of the data,
+    or in a record cut short, only the contiguous run of indexes is written:
+    a gap is an index the caller failed at. An index
     that fails here ends the claims, and its error goes back once every lower
     index is written. It ignores SIGINT, so an interrupted caller still gets
     what it sent written, and ends by ``os._exit``, never in the caller's stack.
@@ -272,7 +287,6 @@ def _serve(
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        records = open(data_r, "rb")
         held: dict[int, tuple[Path, Network, MetricsReport]] = {}
         own: dict[int, MetricsReport] = {}
         written, end, claiming, failure = 0, n_networks, True, None
@@ -288,9 +302,11 @@ def _serve(
                         end, claiming, failure = i, False, exc
             else:
                 try:
-                    i, directory, structures, edge_u, edge_v, report = pickle.load(records)
-                except (EOFError, pickle.UnpicklingError):  # the end, or a record cut short
+                    size = int.from_bytes(_read_exactly(data_r, 8), "little")
+                    record = pickle.loads(_read_exactly(data_r, size))
+                except EOFError:  # the end, or a record cut short
                     break
+                i, directory, structures, edge_u, edge_v, report = record
                 held[i] = (directory, Network(structures, edge_u, edge_v), report)
             while written in held:
                 write_network(*held.pop(written))

@@ -4,12 +4,21 @@ Path lengths come from one bit-parallel multi-source BFS (Then et al., "The
 More the Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014):
 each 64-source word of a 512-source chunk is one row of node bits (words-major), a BFS level
 is one flat gather and OR-reduce over the CSR adjacency, and a word that reaches nothing retires.
+Where such a level would gather at least ``_SPARSE_WORDS`` (2^16) words, level 1 is
+instead scattered from the sources' own rows, and the tail reads only the nodes that some
+live source has not reached: after the level that finds the most pairs, once those open
+nodes hold under half of the edges, a level gathers and reduces only their rows, as the
+bottom-up step of Beamer, Asanović & Patterson (SC 2012) pulls only into unvisited
+vertices. The sweep ends when no node is open, without the closing level that finds
+nothing. Smaller sweeps, such as those of celegans and ecoli networks, keep a level over
+every edge. No flag or key sets the rule.
 Independent work runs on every usable CPU, as Then et al. run independent source
 batches: ``_each_on_cpus`` shares more items than CPUs among the calling thread and one
 plain thread per further CPU, and runs fewer, or a call made inside an item, on the caller.
 A sweep of more than one chunk hands it slices ``_CHUNK // _WORKERS`` sources wide, so
-one chunk's words are in flight; compare-ba hands it whole prefix reports. A sweep of
-one chunk, or one on a one-CPU host, starts no thread. No flag sets the count.
+one chunk's words are in flight; compare-ba hands it whole prefix reports, whose sweeps
+run whole chunks inline. A sweep of one chunk, or one on a one-CPU host, starts no
+thread. No flag sets the count.
 Triangles use the same bits with neighbours in place of sources. Components
 come from min-label hooking with pointer jumping (Shiloach & Vishkin, 1982).
 ``compute_metrics`` sweeps and counts triangles once per report. Tests check
@@ -31,6 +40,11 @@ from .network import Network, component_labels
 
 #: Sources per BFS chunk or neighbours per triangle chunk: 8 uint64 words per node.
 _CHUNK = 512
+#: Gathered words of one level over every edge (64-source words x directed
+#: edges) from which a sweep scatters its level 1 and reads only the rows of
+#: nodes still open at its tail; below it their extra numpy calls cost more
+#: than the edges they skip.
+_SPARSE_WORDS = 1 << 16
 #: Threads that sweep slices of one chunk, the caller included: one per
 #: usable CPU, at most one per 64-source word of a chunk.
 _WORKERS = min(
@@ -120,8 +134,9 @@ def _pair_counts(adj: tuple[np.ndarray, np.ndarray], sources: np.ndarray) -> lis
 
     More than one chunk of sources is split into slices of whole words,
     ``_CHUNK // _WORKERS`` sources wide, that ``_each_on_cpus`` sweeps, so
-    one chunk's words are in flight. Level totals are Python ints, so the
-    sum is the same for any split.
+    one chunk's words are in flight; inside an item of ``_each_on_cpus``,
+    where the slices would run inline, into whole chunks. Level totals are
+    Python ints, so the sum is the same for any split.
     """
     indptr, indices = adj
     # A node without neighbours reaches nothing and nothing reaches it, so
@@ -131,7 +146,8 @@ def _pair_counts(adj: tuple[np.ndarray, np.ndarray], sources: np.ndarray) -> lis
     renumber = np.cumsum(linked) - 1
     sources, indices = renumber[sources[linked[sources]]], renumber[indices]
     starts = indptr[:-1][linked]
-    width = _CHUNK // (_WORKERS if len(sources) > _CHUNK else 1) // 64 * 64
+    shared = len(sources) > _CHUNK and not getattr(_in_item, "active", False)
+    width = _CHUNK // (_WORKERS if shared else 1) // 64 * 64
     slices = [sources[first : first + width] for first in range(0, len(sources), width)]
     per_slice = _each_on_cpus(lambda chunk: _sweep(chunk, starts, indices), slices)
     return [sum(level) for level in zip_longest(*per_slice, fillvalue=0)] or [0]
@@ -141,31 +157,95 @@ def _sweep(chunk: np.ndarray, starts: np.ndarray, indices: np.ndarray) -> list[i
     """Ordered pairs at each distance from a slice of at most ``_CHUNK`` sources.
 
     One BFS runs from the slice at once: bit i % 64 of word i // 64 at a
-    node says that source i has reached it. A level ORs each node's
-    neighbour frontiers and keeps the new bits; a word with none is done.
+    node stands for source i. A level ORs each node's neighbour frontiers
+    and keeps the bits of sources that had not reached it; a word with none
+    is done. Where a level over every edge would gather ``_SPARSE_WORDS``
+    words or more, level 1 is scattered from the sources' own rows, and
+    after the level that finds the most pairs a node is open while a live
+    word's source has not reached it: once the open nodes hold under half
+    of the edges, a level reads only their rows, and the sweep ends when
+    none is open.
     """
-    n = starts.size
-    totals = [0]
+    n, m = starts.size, indices.size
     bit = np.arange(chunk.size, dtype=np.uint64)
-    seen = np.zeros(((chunk.size + 63) // 64, n), dtype=np.uint64)
-    seen[bit // 64, chunk] = np.uint64(1) << (bit % 64)
-    frontier = seen.copy()
-    # Word w's gathered neighbour frontiers start at w * indices.size.
-    offsets = (starts + indices.size * np.arange(len(seen))[:, None]).ravel()
+    ones = np.uint64(1) << (bit % 64)
+    frontier = np.zeros(((chunk.size + 63) // 64, n), dtype=np.uint64)
+    frontier[bit // 64, chunk] = ones
+    # Each word's source bits, less those of the sources at a node.
+    unseen = np.bitwise_or.reduce(frontier, axis=1)[:, None] ^ frontier
+    sparse = len(frontier) * m >= _SPARSE_WORDS
+    totals = [0]
+    if sparse:
+        degree = np.diff(starts, append=m)
+        frontier = _first_level(chunk, ones, starts, degree, indices)
+        unseen ^= frontier
+        totals.append(int(degree[chunk].sum()))
+    # A level gathers the neighbour frontiers of each node in rows (every
+    # node while rows is None), targets[firsts[j]:] onward for row j; word
+    # w's start at w * targets.size. A flat reduceat, unlike one along an
+    # axis, lets go of the GIL.
+    rows, targets = None, indices
+    offsets = (starts + m * np.arange(len(frontier))[:, None]).ravel()
     while True:
         reached = np.bitwise_or.reduceat(
-            np.take(frontier, indices, axis=1).ravel(), offsets
-        ).reshape(len(seen), n)
-        reached &= ~seen
+            np.take(frontier, targets, axis=1).ravel(), offsets
+        ).reshape(unseen.shape)
+        reached &= unseen
         counts = np.bitwise_count(reached).sum(axis=1)
         if not counts.any():
             return totals
         totals.append(int(counts.sum()))
-        seen |= reached
-        frontier = reached
+        unseen ^= reached
+        if rows is None:
+            frontier = reached
+        else:
+            frontier = np.zeros_like(frontier)
+            frontier[:, rows] = reached
         if not counts.all():
-            seen, frontier = seen[counts > 0], frontier[counts > 0]
-            offsets = offsets[: len(seen) * n]
+            unseen, frontier = unseen[counts > 0], frontier[counts > 0]
+            offsets = offsets[: unseen.size]
+        # Up to the level that finds the most pairs nearly every node is open.
+        if not sparse or rows is None and totals[-1] == max(totals):
+            continue
+        is_open = unseen.any(axis=0)
+        if not is_open.any():
+            return totals
+        if rows is None:
+            if 2 * int(degree[is_open].sum()) >= m:
+                continue
+            rows = np.flatnonzero(is_open)
+            targets = indices[_row_edges(starts, degree, rows)]
+        elif not is_open.all():
+            targets = targets[np.repeat(is_open, degree[rows])]
+            rows = rows[is_open]
+        else:
+            continue
+        unseen = unseen[:, is_open]
+        firsts = np.cumsum(degree[rows]) - degree[rows]
+        offsets = (firsts + targets.size * np.arange(len(unseen))[:, None]).ravel()
+
+
+def _first_level(
+    chunk: np.ndarray, ones: np.ndarray, starts: np.ndarray, degree: np.ndarray, indices: np.ndarray
+) -> np.ndarray:
+    """Level 1's frontier: each source's bit at its neighbours, one pair per edge.
+
+    A node's bits come from distinct sources, so adding them ORs them.
+    """
+    n = starts.size
+    frontier = np.zeros(((chunk.size + 63) // 64, n), dtype=np.uint64)
+    flat = indices[_row_edges(starts, degree, chunk)]
+    flat += np.repeat(np.arange(chunk.size) // 64 * n, degree[chunk])
+    np.add.at(frontier.reshape(-1), flat, np.repeat(ones, degree[chunk]))
+    return frontier
+
+
+def _row_edges(starts: np.ndarray, degree: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Positions in the adjacency of the rows of *nodes*, one row after another."""
+    reach = degree[nodes]
+    edges = np.repeat(starts[nodes] - (np.cumsum(reach) - reach), reach)
+    edges += np.arange(edges.size)
+    return edges
 
 
 def _unordered(pair_counts: list[int]) -> dict[int, int]:
@@ -247,7 +327,15 @@ def average_clustering(net: Network) -> float:
 
 
 def _mean_by_degree(degrees: np.ndarray, coeff: np.ndarray) -> dict[int, float]:
-    return {int(k): float(coeff[degrees == k].mean()) for k in np.flatnonzero(np.bincount(degrees))}
+    # A stable sort keeps each degree's coefficients in node order, the order
+    # coeff[degrees == k].mean() sums them in, so the means are the same floats.
+    grouped = coeff[np.argsort(degrees, kind="stable")]
+    sizes = np.bincount(degrees)
+    ends = np.cumsum(sizes).tolist()
+    return {
+        k: float(np.add.reduce(grouped[ends[k] - sizes[k] : ends[k]])) / int(sizes[k])
+        for k in np.flatnonzero(sizes).tolist()
+    }
 
 
 def triangle_count(net: Network) -> int:

@@ -82,6 +82,36 @@ def shortest_path_lengths_bfs(net: Network, source: int) -> dict[int, int]:
     return dist
 
 
+def every_edge_sweep(chunk: np.ndarray, starts: np.ndarray, indices: np.ndarray) -> list[int]:
+    """``metrics._sweep``'s per-level totals, with every level over every edge.
+
+    The level oracle: each level, level 1 and the closing level that finds
+    nothing included, gathers every node's neighbour frontiers for every
+    live word; a word that finds nothing retires.
+    """
+    n = starts.size
+    totals = [0]
+    bit = np.arange(chunk.size, dtype=np.uint64)
+    seen = np.zeros(((chunk.size + 63) // 64, n), dtype=np.uint64)
+    seen[bit // 64, chunk] = np.uint64(1) << (bit % 64)
+    frontier = seen.copy()
+    offsets = (starts + indices.size * np.arange(len(seen))[:, None]).ravel()
+    while True:
+        reached = np.bitwise_or.reduceat(
+            np.take(frontier, indices, axis=1).ravel(), offsets
+        ).reshape(len(seen), n)
+        reached &= ~seen
+        counts = np.bitwise_count(reached).sum(axis=1)
+        if not counts.any():
+            return totals
+        totals.append(int(counts.sum()))
+        seen |= reached
+        frontier = reached
+        if not counts.all():
+            seen, frontier = seen[counts > 0], frontier[counts > 0]
+            offsets = offsets[: len(seen) * n]
+
+
 def validate(net: Network) -> None:
     """Check the simple-graph and distinct-structure invariants of *net*."""
     if net.n_edges:

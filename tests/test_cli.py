@@ -631,6 +631,43 @@ class TestExperimentWriter:
         assert _tree(tmp_path / "two") == _tree(one_cpu)
         _assert_no_child_left()
 
+    def test_child_claims_no_index_while_a_record_waits(self, tmp_path, monkeypatch, forks):
+        # The caller sends records 0 and 2 while the child makes index 1, then
+        # holds index 3. Records of 2-node networks are small: a reader that
+        # buffers the pipe takes record 2 in with record 0, where select cannot
+        # see it, and claims index 4 with seed 2 unwritten.
+        self.needs_the_child(monkeypatch)
+        net = Network(["AT", "TT"], [0], [1])
+        report = metrics.compute_metrics(net)
+        caller, marks = os.getpid(), tmp_path / "marks"
+        marks.mkdir()
+
+        def wait_for(name: str) -> None:
+            deadline = time.monotonic() + 10
+            while not (marks / name).exists():
+                assert time.monotonic() < deadline, f"{name} never came"
+                time.sleep(0.002)
+
+        def make(i: int) -> tuple[Path, Network, metrics.MetricsReport]:
+            if os.getpid() == caller:
+                if i == 0:
+                    wait_for("child_1")
+                elif i == 3:
+                    (marks / "caller_3").touch()
+                    wait_for("child_4")
+            else:
+                written = sorted(p.name for p in tmp_path.glob("seed_*"))
+                (marks / f"child_{i}").write_text(" ".join(written))
+                if i == 1:
+                    wait_for("caller_3")
+            return tmp_path / f"seed_{i}", net, report
+
+        assert fileio.write_networks(5, make) == [report] * 5
+        assert (marks / "child_4").read_text() == "seed_0 seed_1 seed_2"
+        assert sorted(p.name for p in tmp_path.glob("seed_*")) == [f"seed_{i}" for i in range(5)]
+        assert len(forks) == 1
+        _assert_no_child_left()
+
     @pytest.mark.parametrize("failing", ["caller", "child"])
     def test_failure_in_either_process_leaves_earlier_seeds_written(
         self, tmp_path, capsys, monkeypatch, forks, failing

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 
 import networkx as nx
 import numpy as np
@@ -34,11 +35,12 @@ from snmodel.metrics import (
     path_length_histogram,
     triangle_count,
 )
-from snmodel.network import Network
+from snmodel.network import Network, component_labels
 
 from oracles import (
     census_3_brute_force,
     edge_pairs,
+    every_edge_sweep,
     floyd_warshall,
     random_network,
     shortest_path_lengths_bfs,
@@ -330,6 +332,110 @@ class TestSweepThreads:
         assert not any(thread.is_alive() for thread in started)
 
 
+def clique_with_path(first: int, clique: int, path: int) -> list[tuple[int, int]]:
+    """A clique on ``clique`` nodes from *first*, with a ``path``-node path hung off its last."""
+    edges = [(u, v) for u in range(first, first + clique) for v in range(u + 1, first + clique)]
+    end = first + clique - 1
+    return edges + [(u, u + 1) for u in range(end, end + path)]
+
+
+@st.composite
+def component_graphs(draw) -> Network:
+    """Cliques with a path attached, stars, two-node components and random trees
+    with chords, among isolated nodes, on shuffled ids."""
+    edges: list[tuple[int, int]] = []
+    n = draw(st.integers(0, 8))  # isolated nodes
+    for kind in draw(st.lists(st.sampled_from(["clique", "star", "pair", "tree"]), min_size=1, max_size=6)):
+        if kind == "clique":
+            clique, path = draw(st.integers(3, 40)), draw(st.integers(1, 90))
+            edges += clique_with_path(n, clique, path)
+            n += clique + path
+        elif kind == "star":
+            leaves = draw(st.integers(1, 150))
+            edges += [(n, n + leaf) for leaf in range(1, leaves + 1)]
+            n += 1 + leaves
+        elif kind == "pair":
+            edges.append((n, n + 1))
+            n += 2
+        else:
+            size = draw(st.integers(3, 150))
+            parents = draw(st.lists(st.integers(0, size), min_size=size - 1, max_size=size - 1))
+            edges += [(n + parent % v, n + v) for v, parent in zip(range(1, size), parents)]
+            chords = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=size))
+            edges += [(n + min(c), n + max(c)) for c in chords if c[0] != c[1]]
+            n += size
+    perm = list(range(n))
+    draw(st.randoms(use_true_random=False)).shuffle(perm)
+    return Network.from_edges(n, sorted({(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}))
+
+
+def assert_levels_match_oracle(net: Network) -> None:
+    """``_pair_counts`` gives the every-edge sweep's level totals for every
+    node, the giant's and the rest's sources, on both routes and 1, 2, 3 and 8 workers."""
+    adj = net.to_csr()
+    labels = component_labels(net.n_nodes, net.edge_u, net.edge_v)
+    giant = labels == np.argmax(np.bincount(labels))
+    subsets = [np.arange(net.n_nodes), np.flatnonzero(giant), np.flatnonzero(~giant)]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(metrics, "_sweep", every_edge_sweep)
+        m.setattr(metrics, "_WORKERS", 1)
+        expected = [metrics._pair_counts(adj, sources) for sources in subsets]
+    for sparse_words in (0, 1 << 62):
+        for workers in (1, 2, 3, 8):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(metrics, "_SPARSE_WORDS", sparse_words)
+                m.setattr(metrics, "_WORKERS", workers)
+                assert [metrics._pair_counts(adj, sources) for sources in subsets] == expected
+
+
+class TestSweepLevels:
+    """The sweep's level totals equal the every-edge oracle's on both of its
+    routes: level 1 scattered and the open nodes' rows at the tail, or every
+    edge at every level."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(component_graphs())
+    def test_levels_match_the_every_edge_oracle(self, net):
+        assert_levels_match_oracle(net)
+
+    @pytest.mark.parametrize("graph", [511, 513, 1100, "words", "path"])
+    def test_levels_match_the_oracle_with_partial_last_words(self, graph):
+        if graph == "words":
+            net = words_of_different_depths(random.Random(3))
+        elif graph == "path":
+            net = Network.from_edges(700, [(u, u + 1) for u in range(699)])
+        else:
+            net = linked_sources(graph)
+        assert_levels_match_oracle(net)
+
+    def test_no_level_gathers_for_level_1_or_finds_nothing(self, monkeypatch):
+        # Sources on a 200-clique with a 300-node path: 4 words x 40 400
+        # directed edges is over _SPARSE_WORDS, and from level 2 on only the
+        # path's nodes are open.
+        net = Network.from_edges(500, clique_with_path(0, 200, 300))
+        indptr, indices = net.to_csr()
+        chunk = np.arange(200)
+        levels = every_edge_sweep(chunk, indptr[:-1], indices)
+        assert 4 * indices.size >= metrics._SPARSE_WORDS and 0 not in levels[1:]
+        gathered: list[int] = []
+
+        def reduceat(values, *args, **kwargs):
+            gathered.append(values.size)
+            return np.bitwise_or.reduceat(values, *args, **kwargs)
+
+        counted = types.SimpleNamespace(**vars(np))
+        counted.bitwise_or = types.SimpleNamespace(
+            at=np.bitwise_or.at, reduce=np.bitwise_or.reduce, reduceat=reduceat
+        )
+        monkeypatch.setattr(metrics, "np", counted)
+        assert metrics._sweep(chunk, indptr[:-1], indices) == levels
+        # One gather per level from level 2 to the last that finds pairs; after
+        # level 2 each reads only the open path nodes' rows.
+        assert len(gathered) == len(levels) - 2
+        assert gathered[0] == 4 * indices.size
+        assert max(gathered[1:]) <= 4 * 2 * 300
+
+
 class TestEachOnCpus:
     """``_each_on_cpus`` shares more than ``_WORKERS`` items among the caller and
     ``_WORKERS - 1`` threads; fewer run on the caller."""
@@ -492,6 +598,25 @@ class TestClustering:
         assert by_degree[3] == pytest.approx(1 / 3)
         assert by_degree[2] == 1.0
         assert by_degree[1] == 0.0
+
+    @staticmethod
+    def assert_means_are_masked_means(net: Network) -> None:
+        degrees, coeff = net.degrees(), local_clustering(net)
+        expected = {int(k): float(coeff[degrees == k].mean()) for k in np.unique(degrees)}
+        got = metrics._mean_by_degree(degrees, coeff)
+        assert list(got.items()) == list(expected.items())
+        assert all(type(k) is int and type(v) is float for k, v in got.items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs())
+    def test_clustering_by_degree_is_each_degree_s_masked_mean(self, net):
+        self.assert_means_are_masked_means(net)
+
+    @pytest.mark.parametrize("n", [300, 600])
+    def test_clustering_by_degree_sums_in_node_order(self, n):
+        # Enough nodes share a degree that summing them in another order,
+        # as an unstable sort would, changes the last bits of some means.
+        self.assert_means_are_masked_means(random_network(random.Random(n), n, 0.05))
 
     def test_triangle_count(self):
         net = Network.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
