@@ -4,14 +4,13 @@ Path lengths come from one bit-parallel multi-source BFS (Then et al., "The
 More the Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014):
 each 64-source word of a 512-source chunk is one row of node bits (words-major), a BFS level
 is one flat gather and OR-reduce over the CSR adjacency, and a word that reaches nothing retires.
-Where such a level would gather at least ``_SPARSE_WORDS`` (2^16) words, level 1 is
-instead scattered from the sources' own rows, and the tail reads only the nodes that some
+Level 1 is scattered from the sources' own rows, and the tail reads only the nodes that some
 live source has not reached: after the level that finds the most pairs, once those open
 nodes hold under half of the edges, a level gathers and reduces only their rows, as the
 bottom-up step of Beamer, Asanović & Patterson (SC 2012) pulls only into unvisited
 vertices. The sweep ends when no node is open, without the closing level that finds
-nothing. Smaller sweeps, such as those of celegans and ecoli networks, keep a level over
-every edge. No flag or key sets the rule.
+nothing. ``compute_metrics`` sweeps the giant and the rest each over its own induced
+subgraph, so the giant's nodes all close.
 Independent work runs on every usable CPU, as Then et al. run independent source
 batches: ``_each_on_cpus`` shares more items than CPUs among the calling thread and one
 plain thread per further CPU, and runs fewer, or a call made inside an item, on the caller.
@@ -40,11 +39,6 @@ from .network import Network, component_labels
 
 #: Sources per BFS chunk or neighbours per triangle chunk: 8 uint64 words per node.
 _CHUNK = 512
-#: Gathered words of one level over every edge (64-source words x directed
-#: edges) from which a sweep scatters its level 1 and reads only the rows of
-#: nodes still open at its tail; below it their extra numpy calls cost more
-#: than the edges they skip.
-_SPARSE_WORDS = 1 << 16
 #: Threads that sweep slices of one chunk, the caller included: one per
 #: usable CPU, at most one per 64-source word of a chunk.
 _WORKERS = min(
@@ -129,8 +123,9 @@ def _each_on_cpus(fn: Callable, items: Sequence) -> list:
     return results
 
 
-def _pair_counts(adj: tuple[np.ndarray, np.ndarray], sources: np.ndarray) -> list[int]:
-    """Ordered (source, target) pairs at each distance >= 1; entry 0 is 0.
+def _pair_counts(adj: tuple[np.ndarray, np.ndarray]) -> list[int]:
+    """Ordered (source, target) pairs at each distance >= 1 over the CSR
+    *adj*, from every node with a neighbour; entry 0 is 0.
 
     More than one chunk of sources is split into slices of whole words,
     ``_CHUNK // _WORKERS`` sources wide, that ``_each_on_cpus`` sweeps, so
@@ -144,11 +139,12 @@ def _pair_counts(adj: tuple[np.ndarray, np.ndarray], sources: np.ndarray) -> lis
     # empty segment, for which it would return the first element, not 0.
     linked = np.diff(indptr) > 0
     renumber = np.cumsum(linked) - 1
-    sources, indices = renumber[sources[linked[sources]]], renumber[indices]
+    indices = renumber[indices]
     starts = indptr[:-1][linked]
-    shared = len(sources) > _CHUNK and not getattr(_in_item, "active", False)
+    sources = np.arange(starts.size)
+    shared = sources.size > _CHUNK and not getattr(_in_item, "active", False)
     width = _CHUNK // (_WORKERS if shared else 1) // 64 * 64
-    slices = [sources[first : first + width] for first in range(0, len(sources), width)]
+    slices = [sources[first : first + width] for first in range(0, sources.size, width)]
     per_slice = _each_on_cpus(lambda chunk: _sweep(chunk, starts, indices), slices)
     return [sum(level) for level in zip_longest(*per_slice, fillvalue=0)] or [0]
 
@@ -157,11 +153,10 @@ def _sweep(chunk: np.ndarray, starts: np.ndarray, indices: np.ndarray) -> list[i
     """Ordered pairs at each distance from a slice of at most ``_CHUNK`` sources.
 
     One BFS runs from the slice at once: bit i % 64 of word i // 64 at a
-    node stands for source i. A level ORs each node's neighbour frontiers
-    and keeps the bits of sources that had not reached it; a word with none
-    is done. Where a level over every edge would gather ``_SPARSE_WORDS``
-    words or more, level 1 is scattered from the sources' own rows, and
-    after the level that finds the most pairs a node is open while a live
+    node stands for source i. Level 1 is scattered from the sources' own
+    rows. A later level ORs each node's neighbour frontiers and keeps the
+    bits of sources that had not reached it; a word with none is done.
+    After the level that finds the most pairs a node is open while a live
     word's source has not reached it: once the open nodes hold under half
     of the edges, a level reads only their rows, and the sweep ends when
     none is open.
@@ -173,13 +168,10 @@ def _sweep(chunk: np.ndarray, starts: np.ndarray, indices: np.ndarray) -> list[i
     frontier[bit // 64, chunk] = ones
     # Each word's source bits, less those of the sources at a node.
     unseen = np.bitwise_or.reduce(frontier, axis=1)[:, None] ^ frontier
-    sparse = len(frontier) * m >= _SPARSE_WORDS
-    totals = [0]
-    if sparse:
-        degree = np.diff(starts, append=m)
-        frontier = _first_level(chunk, ones, starts, degree, indices)
-        unseen ^= frontier
-        totals.append(int(degree[chunk].sum()))
+    degree = np.diff(starts, append=m)
+    frontier = _first_level(chunk, ones, starts, degree, indices)
+    unseen ^= frontier
+    totals = [0, int(degree[chunk].sum())]
     # A level gathers the neighbour frontiers of each node in rows (every
     # node while rows is None), targets[firsts[j]:] onward for row j; word
     # w's start at w * targets.size. A flat reduceat, unlike one along an
@@ -205,7 +197,7 @@ def _sweep(chunk: np.ndarray, starts: np.ndarray, indices: np.ndarray) -> list[i
             unseen, frontier = unseen[counts > 0], frontier[counts > 0]
             offsets = offsets[: unseen.size]
         # Up to the level that finds the most pairs nearly every node is open.
-        if not sparse or rows is None and totals[-1] == max(totals):
+        if rows is None and totals[-1] == max(totals):
             continue
         is_open = unseen.any(axis=0)
         if not is_open.any():
@@ -262,7 +254,7 @@ def _mean_length(hist: dict[int, int]) -> float | None:
 
 def path_length_histogram(net: Network) -> dict[int, int]:
     """Number of connected unordered node pairs at each distance >= 1."""
-    return _unordered(_pair_counts(net.to_csr(), np.arange(net.n_nodes)))
+    return _unordered(_pair_counts(net.to_csr()))
 
 
 def average_path_length(net: Network) -> float:
@@ -441,16 +433,17 @@ def compute_metrics(net: Network, fit_k_min: int | None = None) -> MetricsReport
     """
     if net.n_nodes == 0:
         raise ValueError("metrics are undefined for an empty network")
-    adj = net.to_csr()
     labels = component_labels(net.n_nodes, net.edge_u, net.edge_v)
     sizes = np.bincount(labels)
     # Same giant as largest_component. Components are closed under
-    # shortest paths, so the giant's sources alone give its histogram, and
-    # the other sources add the rest of the full network's.
+    # shortest paths, so the giant's subgraph gives its histogram, and the
+    # rest's adds the rest of the full network's.
     in_giant = labels == np.argmax(sizes)
-    giant_counts = _pair_counts(adj, np.flatnonzero(in_giant))
-    rest = np.flatnonzero(~in_giant)
-    rest_counts = _pair_counts(adj, rest) if rest.size else [0]
+    if in_giant.all():
+        giant_counts, rest_counts = _pair_counts(net.to_csr()), [0]
+    else:
+        giant_counts = _pair_counts(net.subgraph(in_giant).to_csr())
+        rest_counts = _pair_counts(net.subgraph(~in_giant).to_csr())
     hist = _unordered([a + b for a, b in zip_longest(giant_counts, rest_counts, fillvalue=0)])
     apl = _mean_length(hist)
     total_pairs = sum(hist.values())

@@ -370,28 +370,24 @@ def component_graphs(draw) -> Network:
 
 
 def assert_levels_match_oracle(net: Network) -> None:
-    """``_pair_counts`` gives the every-edge sweep's level totals for every
-    node, the giant's and the rest's sources, on both routes and 1, 2, 3 and 8 workers."""
-    adj = net.to_csr()
+    """``_pair_counts`` gives the every-edge sweep's level totals on the
+    network, its giant's subgraph and its rest's, at 1, 2, 3 and 8 workers."""
     labels = component_labels(net.n_nodes, net.edge_u, net.edge_v)
     giant = labels == np.argmax(np.bincount(labels))
-    subsets = [np.arange(net.n_nodes), np.flatnonzero(giant), np.flatnonzero(~giant)]
+    graphs = [net.to_csr(), net.subgraph(giant).to_csr(), net.subgraph(~giant).to_csr()]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(metrics, "_sweep", every_edge_sweep)
         m.setattr(metrics, "_WORKERS", 1)
-        expected = [metrics._pair_counts(adj, sources) for sources in subsets]
-    for sparse_words in (0, 1 << 62):
-        for workers in (1, 2, 3, 8):
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(metrics, "_SPARSE_WORDS", sparse_words)
-                m.setattr(metrics, "_WORKERS", workers)
-                assert [metrics._pair_counts(adj, sources) for sources in subsets] == expected
+        expected = [metrics._pair_counts(adj) for adj in graphs]
+    for workers in (1, 2, 3, 8):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(metrics, "_WORKERS", workers)
+            assert [metrics._pair_counts(adj) for adj in graphs] == expected
 
 
 class TestSweepLevels:
-    """The sweep's level totals equal the every-edge oracle's on both of its
-    routes: level 1 scattered and the open nodes' rows at the tail, or every
-    edge at every level."""
+    """The sweep's level totals, level 1 scattered and the open nodes' rows
+    at the tail, equal the every-edge oracle's."""
 
     @settings(max_examples=40, deadline=None)
     @given(component_graphs())
@@ -408,15 +404,30 @@ class TestSweepLevels:
             net = linked_sources(graph)
         assert_levels_match_oracle(net)
 
+    @pytest.mark.parametrize(
+        "n, edges, hist",
+        [
+            (5, [(1, 3)], {1: 1}),
+            (3, [(0, 1), (1, 2)], {1: 2, 2: 1}),
+            (6, [(0, leaf) for leaf in range(1, 6)], {1: 5, 2: 10}),
+            (4, [(0, 1), (2, 3)], {1: 2}),
+        ],
+        ids=["edge-among-isolated", "path-3", "star-5", "two-pairs"],
+    )
+    def test_levels_match_the_oracle_on_tiny_graphs(self, n, edges, hist):
+        # Graphs whose level 2 finds nothing or closes every node.
+        net = Network.from_edges(n, edges)
+        assert path_length_histogram(net) == hist
+        assert_levels_match_oracle(net)
+
     def test_no_level_gathers_for_level_1_or_finds_nothing(self, monkeypatch):
-        # Sources on a 200-clique with a 300-node path: 4 words x 40 400
-        # directed edges is over _SPARSE_WORDS, and from level 2 on only the
-        # path's nodes are open.
+        # Sources on a 200-clique with a 300-node path: from level 2 on only
+        # the path's nodes are open.
         net = Network.from_edges(500, clique_with_path(0, 200, 300))
         indptr, indices = net.to_csr()
         chunk = np.arange(200)
         levels = every_edge_sweep(chunk, indptr[:-1], indices)
-        assert 4 * indices.size >= metrics._SPARSE_WORDS and 0 not in levels[1:]
+        assert 0 not in levels[1:]
         gathered: list[int] = []
 
         def reduceat(values, *args, **kwargs):
