@@ -18,7 +18,8 @@ A sweep of more than one chunk hands it slices ``_CHUNK // _WORKERS`` sources wi
 one chunk's words are in flight; compare-ba hands it whole prefix reports, whose sweeps
 run whole chunks inline. A sweep of one chunk, or one on a one-CPU host, starts no
 thread. No flag sets the count.
-Triangles use the same bits with neighbours in place of sources. Components
+Triangles take each chunk's neighbour bits from the sweep's level-1 builder, whose adds
+OR because ``Network`` admits no edge twice. Components
 come from min-label hooking with pointer jumping (Shiloach & Vishkin, 1982).
 ``compute_metrics`` sweeps and counts triangles once per report. Tests check
 these against plain-Python, Floyd-Warshall, networkx and brute-force oracles.
@@ -39,6 +40,8 @@ from .network import Network, component_labels
 
 #: Sources per BFS chunk or neighbours per triangle chunk: 8 uint64 words per node.
 _CHUNK = 512
+#: Bit i % 64 of a word, for the i-th node of a chunk.
+_ONES = np.uint64(1) << (np.arange(_CHUNK, dtype=np.uint64) % 64)
 #: Threads that sweep slices of one chunk, the caller included: one per
 #: usable CPU, at most one per 64-source word of a chunk.
 _WORKERS = min(
@@ -162,14 +165,12 @@ def _sweep(chunk: np.ndarray, starts: np.ndarray, indices: np.ndarray) -> list[i
     none is open.
     """
     n, m = starts.size, indices.size
-    bit = np.arange(chunk.size, dtype=np.uint64)
-    ones = np.uint64(1) << (bit % 64)
     frontier = np.zeros(((chunk.size + 63) // 64, n), dtype=np.uint64)
-    frontier[bit // 64, chunk] = ones
+    frontier[np.arange(chunk.size) // 64, chunk] = _ONES[: chunk.size]
     # Each word's source bits, less those of the sources at a node.
     unseen = np.bitwise_or.reduce(frontier, axis=1)[:, None] ^ frontier
     degree = np.diff(starts, append=m)
-    frontier = _first_level(chunk, ones, starts, degree, indices)
+    frontier = _first_level(chunk, starts, degree, indices)
     unseen ^= frontier
     totals = [0, int(degree[chunk].sum())]
     # A level gathers the neighbour frontiers of each node in rows (every
@@ -218,17 +219,17 @@ def _sweep(chunk: np.ndarray, starts: np.ndarray, indices: np.ndarray) -> list[i
 
 
 def _first_level(
-    chunk: np.ndarray, ones: np.ndarray, starts: np.ndarray, degree: np.ndarray, indices: np.ndarray
+    chunk: np.ndarray, starts: np.ndarray, degree: np.ndarray, indices: np.ndarray
 ) -> np.ndarray:
-    """Level 1's frontier: each source's bit at its neighbours, one pair per edge.
-
-    A node's bits come from distinct sources, so adding them ORs them.
+    """Bit i % 64 of word i // 64 at each neighbour of the chunk's i-th node: the
+    sweep's level 1 and the triangle count's neighbour bits. ``Network`` admits
+    no edge twice, so a node's bits are distinct and adding them ORs them.
     """
     n = starts.size
     frontier = np.zeros(((chunk.size + 63) // 64, n), dtype=np.uint64)
     flat = indices[_row_edges(starts, degree, chunk)]
     flat += np.repeat(np.arange(chunk.size) // 64 * n, degree[chunk])
-    np.add.at(frontier.reshape(-1), flat, np.repeat(ones, degree[chunk]))
+    np.add.at(frontier.reshape(-1), flat, np.repeat(_ONES[: chunk.size], degree[chunk]))
     return frontier
 
 
@@ -278,21 +279,16 @@ def _triangles_per_node(net: Network) -> np.ndarray:
     """
     n, u, v = net.n_nodes, net.edge_u, net.edge_v
     indptr, indices = net.to_csr()
-    owner = np.repeat(np.arange(n, dtype=np.uint64), np.diff(indptr))
-    words = np.zeros(((min(n, _CHUNK) + 63) // 64, n), dtype=np.uint64)
+    starts, degree = indptr[:-1], np.diff(indptr)
     common = np.zeros(net.n_edges, dtype=np.int64)
     for first in range(0, n, _CHUNK):
-        lo, hi = indptr[first], indptr[min(first + _CHUNK, n)]
-        bits = ((owner[lo:hi] - first) // 64, indices[lo:hi])
-        np.bitwise_or.at(words, bits, np.uint64(1) << owner[lo:hi] % 64)
+        words = _first_level(np.arange(first, min(first + _CHUNK, n)), starts, degree, indices)
         # Only an edge whose ends both neighbour the chunk closes a triangle in it.
-        touched = np.zeros(n, dtype=bool)
-        touched[indices[lo:hi]] = True
+        touched = words.any(axis=0)
         pairs = np.flatnonzero(touched[u] & touched[v])
         both = np.take(words, u[pairs], axis=1)
         both &= np.take(words, v[pairs], axis=1)
         common[pairs] += np.bitwise_count(both).sum(axis=0, dtype=np.int64)
-        words[bits] = 0
     # A node's triangles close over two of its edges each.
     return np.bincount(np.concatenate([u, v]), np.tile(common, 2), n).astype(np.int64) // 2
 

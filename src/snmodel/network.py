@@ -30,6 +30,7 @@ class Network:
     the network's first n nodes hold ``np.searchsorted(edge_v, n)`` edges.
     ``structures[i]`` is the symbol word of node ``i`` (None for structureless
     graphs such as the preferential-attachment baseline or loaded edge lists).
+    A self-loop or an edge given twice, in either direction, is a ValueError.
     Instances are treated as immutable once built; metric helpers cache
     derived views on first use: degrees, and the CSR pair ``(indptr, indices)``.
     """
@@ -50,12 +51,17 @@ class Network:
             raise ValueError(f"edge endpoint outside the node ids [0, {len(self.structures)})")
         if np.any(u == v):
             raise ValueError(f"self-loop on node {int(u[u == v][0])}")
-        step = np.diff(v)
+        step, rise = np.diff(v), np.diff(u)
         # Prefixes and subgraphs come ordered: they pay for this check, not a sort.
         # The int64 key v * n + u needs n < 3.04e9: a structures list that long takes 24 GB.
-        if np.any((step < 0) | (step == 0) & (np.diff(u) < 0)):
+        if np.any((step < 0) | (step == 0) & (rise < 0)):
             order = np.argsort(v * len(self.structures) + u)
             u, v = u[order], v[order]
+            step, rise = np.diff(v), np.diff(u)
+        # Sorted, an edge given twice sits next to itself.
+        twice = np.flatnonzero((step == 0) & (rise == 0))
+        if twice.size:
+            raise ValueError(f"edge ({u[twice[0]]}, {v[twice[0]]}) given twice")
         self.edge_u, self.edge_v = u, v
         self._degrees: np.ndarray | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None

@@ -36,6 +36,9 @@ class TestEdgeList:
         rng = np.random.default_rng(4)
         u = rng.integers(0, 999, 5000)
         v = u + rng.integers(1, 1000 - u)
+        # Each pair's first copy: an edge given twice is an error.
+        first = np.sort(np.unique(v * 1000 + u, return_index=True)[1])
+        u, v = u[first], v[first]
         order = np.lexsort((v, u))
         rows = fileio.render_edge_list(Network([None] * 1000, u, v)).splitlines()[2:]
         assert rows == [f"{a}\t{b}" for a, b in zip(u[order], v[order])]

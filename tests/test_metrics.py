@@ -240,8 +240,8 @@ class TestDegreeAndPaths:
         assert peak < 5.5e6
 
     def test_triangle_count_ands_end_words_in_place(self):
-        # About 4.3 MB on the 3000-node comparison network; a third array for
-        # the ANDed end words takes it to about 5.6 MB.
+        # About 3.7 MB on the 3000-node comparison network; a third array for
+        # the ANDed end words takes it to about 5.1 MB.
         config = load_instance_file(instances_dir() / "comparison.instance")
         net, _ = run_single(config.instance)
         net.to_csr()
@@ -590,6 +590,34 @@ class TestClustering:
         # Dense enough that most triangles span two 512-node chunks.
         net = random_network(random.Random(n), n, 0.05)
         assert_clustering_matches_networkx(net)
+
+    def test_chunks_take_their_bits_from_the_sweep_s_first_level(self, monkeypatch):
+        # 1100 nodes are three 512-node chunks, each built by the sweep's
+        # level-1 builder and none by a bit scatter of its own.
+        net = random_network(random.Random(1100), 1100, 0.05)
+        built: list[int] = []
+        ored: list[tuple] = []
+        first_level = metrics._first_level
+
+        def counted_first_level(chunk, *args):
+            built.append(chunk.size)
+            return first_level(chunk, *args)
+
+        def bitwise_or_at(*args):
+            ored.append(args)
+            return np.bitwise_or.at(*args)
+
+        counted = types.SimpleNamespace(**vars(np))
+        counted.bitwise_or = types.SimpleNamespace(
+            at=bitwise_or_at, reduce=np.bitwise_or.reduce, reduceat=np.bitwise_or.reduceat
+        )
+        monkeypatch.setattr(metrics, "np", counted)
+        monkeypatch.setattr(metrics, "_first_level", counted_first_level)
+        triangles = metrics._triangles_per_node(net)
+        assert built == [512, 512, 76]
+        assert ored == []
+        expected = nx.triangles(to_nx(net))
+        assert triangles.tolist() == [expected[node] for node in range(net.n_nodes)]
 
     def test_matches_networkx(self):
         rng = random.Random(11)

@@ -44,6 +44,9 @@ class TestConstruction:
             ([0], [3], r"outside the node ids \[0, 3\)"),
             ([-1], [2], r"outside the node ids \[0, 3\)"),
             ([0, 1], [2], "edge endpoint arrays must have the same length"),
+            # Kept, a repeat would add its bit twice in the sweep's level 1.
+            ([0, 0, 1], [1, 1, 2], r"edge \(0, 1\) given twice"),
+            ([0, 1, 1], [1, 0, 2], r"edge \(0, 1\) given twice"),
         ],
     )
     def test_rejects_self_loops_and_unknown_endpoints(self, u, v, message):
@@ -51,7 +54,9 @@ class TestConstruction:
             Network([None] * 3, u, v)
 
     def test_validate_catches_parallel_edges(self):
-        net = Network(["A", "B"], np.array([0, 1]), np.array([1, 0]))
+        # The constructor rejects them, so they are put in past it.
+        net = Network(["A", "B"], np.array([0]), np.array([1]))
+        net.edge_u, net.edge_v = np.array([0, 0]), np.array([1, 1])
         with pytest.raises(AssertionError):
             validate(net)
 
@@ -85,11 +90,13 @@ class TestSlicing:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_shuffled_edges_sort_like_lexsort(self, seed):
-        # The one int64 sort key orders edges as np.lexsort((u, v)) does,
-        # repeated pairs included.
+        # The one int64 sort key orders edges as np.lexsort((u, v)) does. The
+        # draw keeps each pair's first copy: an edge given twice is an error.
         rng = np.random.default_rng(seed)
         u = rng.integers(0, 2999, 20000)
         v = u + rng.integers(1, 3000 - u)
+        first = np.sort(np.unique(v * 3000 + u, return_index=True)[1])
+        u, v = u[first], v[first]
         order = np.lexsort((u, v))
         flip = rng.random(u.size) < 0.5
         shuffled = rng.permutation(u.size)
