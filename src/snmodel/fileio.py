@@ -3,7 +3,8 @@
 Every writer emits a version header comment and fully sorted content so that
 identical inputs produce byte-identical files. ``write_networks`` makes and
 writes a run's networks, in one forked child beside the caller where it can:
-both make networks, claimed through a pipe, and the child writes them all.
+both make networks, claimed through a pipe, and the child writes them all:
+the caller's come to it down a one-way ``multiprocessing.connection``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import select
 import signal
 import threading
 import warnings
@@ -47,10 +47,11 @@ def write_edge_list(path: str | Path, net: Network) -> None:
 def parse_edge_list(text: str) -> Network:
     """Build a structureless network from edge-list text.
 
-    Comment and blank lines are skipped; a "# nodes N" comment pins the node
-    count (otherwise it is one past the highest id). Duplicate edges produce
-    a warning and are kept once; self-loops, malformed lines and counts or
-    ids past MAX_NODES are errors that name the offending line number.
+    Comment and blank lines are skipped; a "# nodes N" comment sets the node
+    count, which ids past it raise to one past the highest id. Duplicate edges
+    produce a warning and are kept once; self-loops, malformed lines and
+    negative counts or ids, or those past MAX_NODES, are errors that name the
+    offending line number.
     """
     n_nodes = 0
     pairs: list[tuple[int, int]] = []
@@ -63,9 +64,12 @@ def parse_edge_list(text: str) -> Network:
             fields = line[1:].split()
             if len(fields) == 2 and fields[0] == "nodes":
                 try:
-                    n_nodes = max(n_nodes, int(fields[1]))
+                    count = int(fields[1])
                 except ValueError:
                     raise ValueError(f"line {lineno}: malformed node count") from None
+                if count < 0:
+                    raise ValueError(f"line {lineno}: node count must be >= 0")
+                n_nodes = max(n_nodes, count)
                 if n_nodes > MAX_NODES:
                     raise ValueError(f"line {lineno}: node count exceeds {MAX_NODES}")
             continue
@@ -192,10 +196,10 @@ def write_networks(n_networks: int, make: Make) -> list[MetricsReport]:
 
     Where fork exists, at least two CPUs are usable and no other thread is
     alive, 2 or more networks fork one child. Each process, when free, makes
-    the index that a token in a pipe carries. The caller pickles each network
+    the index that a token in a pipe carries. The caller sends each network
     it makes (structures and edges, not cached views) and its report down a
-    pipe; the child writes every network in index order and sends back its
-    own reports. An error at index k leaves exactly the networks below k
+    connection; the child writes every network in index order and sends back
+    its own reports. An error at index k leaves exactly the networks below k
     written; a child that failed raises one OSError with its message, in
     place of any error the caller met. The bytes are the same as in-process.
     """
@@ -207,32 +211,38 @@ def write_networks(n_networks: int, make: Make) -> list[MetricsReport]:
             write_network(directory, net, report)
             reports.append(report)
         return reports
+    # Imported here: it pulls in socket and selectors, milliseconds that every
+    # snm start would pay at the module's top.
+    from multiprocessing.connection import Pipe
+
     token = os.pipe()
     os.write(token[1], (1).to_bytes(8, "little"))  # index 0 is the caller's
-    data_r, data_w = os.pipe()
-    result_r, result_w = os.pipe()
+    data_r, data_w = Pipe(duplex=False)
+    result_r, result_w = Pipe(duplex=False)
     pid = os.fork()
     if pid == 0:
-        os.close(data_w)  # or the child would never see the end of the data
-        os.close(result_r)
+        data_w.close()  # or the child would never see the end of the data
+        result_r.close()
         _serve(n_networks, make, token, data_r, result_w)
-    os.close(data_r)
-    os.close(result_w)
+    data_r.close()
+    result_w.close()
     reports: dict[int, MetricsReport] = {}
     try:
         i = 0
         while i < n_networks:
             directory, net, report = make(i)
             reports[i] = report
-            record = (i, directory, net.structures, net.edge_u, net.edge_v, report)
-            body = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
-            _write_all(data_w, len(body).to_bytes(8, "little") + body)
+            data_w.send((i, directory, net.structures, net.edge_u, net.edge_v, report))
             i = _claim(token)
     finally:
-        for fd in (data_w, *token):  # the end of the data ends the child's claims
+        data_w.close()  # the end of the data ends the child's claims
+        for fd in token:
             os.close(fd)
-        with open(result_r, "rb") as results:
-            result = results.read()  # before reaping: the reports may exceed the pipe
+        try:
+            result = result_r.recv_bytes()  # before reaping: the reports may exceed the pipe
+        except (EOFError, OSError):  # nothing sent, or a result cut short
+            result = b""
+        result_r.close()
         _, status, _ = os.wait4(pid, 0)
         if status:
             code = os.waitstatus_to_exitcode(status)
@@ -253,33 +263,13 @@ def _claim(token: tuple[int, int]) -> int:
     return i
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _read_exactly(fd: int, size: int) -> bytes:
-    """*size* bytes from *fd*; EOFError if the data ends first."""
-    parts = []
-    while size:
-        part = os.read(fd, size)
-        if not part:
-            raise EOFError
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
-
-
-def _serve(
-    n_networks: int, make: Make, token: tuple[int, int], data_r: int, result_w: int
-) -> NoReturn:
+def _serve(n_networks: int, make: Make, token: tuple[int, int], data, result) -> NoReturn:
     """The forked child: write every network in index order, making one whenever no record waits.
 
-    Each record is its 8-byte length and its pickle, read straight from the
-    pipe, so ``select`` sees every record that waits. At the end of the data,
-    or in a record cut short, only the contiguous run of indexes is written:
-    a gap is an index the caller failed at. An index
+    *data* and *result* are one-way connections. A connection reads exactly
+    one record at a time, so ``data.poll()`` sees every record that waits. At
+    the end of the data, or in a record cut short, only the contiguous run of
+    indexes is written: a gap is an index the caller failed at. An index
     that fails here ends the claims, and its error goes back once every lower
     index is written. It ignores SIGINT, so an interrupted caller still gets
     what it sent written, and ends by ``os._exit``, never in the caller's stack.
@@ -291,7 +281,7 @@ def _serve(
         own: dict[int, MetricsReport] = {}
         written, end, claiming, failure = 0, n_networks, True, None
         while written < end:
-            if claiming and not select.select([data_r], [], [], 0)[0]:
+            if claiming and not data.poll():
                 i = _claim(token)
                 claiming = i < n_networks
                 if claiming:
@@ -302,20 +292,18 @@ def _serve(
                         end, claiming, failure = i, False, exc
             else:
                 try:
-                    size = int.from_bytes(_read_exactly(data_r, 8), "little")
-                    record = pickle.loads(_read_exactly(data_r, size))
-                except EOFError:  # the end, or a record cut short
+                    i, directory, structures, edge_u, edge_v, report = data.recv()
+                except (EOFError, OSError):  # the end, or a record cut short
                     break
-                i, directory, structures, edge_u, edge_v, report = record
                 held[i] = (directory, Network(structures, edge_u, edge_v), report)
             while written in held:
                 write_network(*held.pop(written))
                 written += 1
         if failure is not None and written == end:
             raise failure
-        _write_all(result_w, pickle.dumps(own, pickle.HIGHEST_PROTOCOL))
+        result.send_bytes(pickle.dumps(own, pickle.HIGHEST_PROTOCOL))
         status = 0
     except BaseException as exc:
-        os.write(result_w, (str(exc) or type(exc).__name__).encode()[:_MESSAGE_BYTES])
+        result.send_bytes((str(exc) or type(exc).__name__).encode()[:_MESSAGE_BYTES])
     finally:
         os._exit(status)

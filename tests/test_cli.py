@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import pytest
@@ -811,6 +812,94 @@ class TestExperimentWriter:
         assert len(forks) == 1
         _assert_no_child_left()
 
+    def test_long_child_message_is_capped_and_cannot_deadlock(
+        self, tmp_path, capsys, monkeypatch, forks
+    ):
+        # The child fails at index 1 with a 100 000-character message while
+        # the caller goes on sending 320 KB records. Uncapped, the message
+        # would fill the result pipe: the child would block on it while the
+        # caller blocks on the data pipe that the child no longer reads.
+        self.needs_the_child(monkeypatch)
+        big = Network.from_edges(20_001, [(k, k + 1) for k in range(20_000)])
+        report = metrics.compute_metrics(Network(["AT", "TT"], [0], [1]))
+        caller, mark = os.getpid(), tmp_path / "child_claimed"
+
+        def run_single(instance):
+            if os.getpid() != caller:
+                mark.touch()
+                raise ValueError("x" * 100_000)
+            deadline = time.monotonic() + 10
+            while not mark.exists():  # so that the child claims index 1
+                assert time.monotonic() < deadline, "the child claimed nothing"
+                time.sleep(0.002)
+            return big, None
+
+        def timed_out(signum, frame):
+            raise TimeoutError("the caller and the child deadlocked")
+
+        monkeypatch.setattr(experiments, "run_single", run_single)
+        monkeypatch.setattr(experiments, "compute_metrics", lambda net, **kwargs: report)
+        out = tmp_path / "exp"
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        try:
+            assert main(self.experiment(out, 50)) == 1
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        captured = capsys.readouterr()
+        assert captured.err == "error: " + "x" * fileio._MESSAGE_BYTES + "\n"
+        assert "Traceback" not in captured.out + captured.err
+        assert sorted(p.name for p in out.iterdir()) == ["seed_00001"]
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    def test_record_cut_short_leaves_the_contiguous_prefix(self, tmp_path, monkeypatch, forks):
+        # The child makes index 1 while the caller sends record 0, then makes
+        # index 3 while the caller makes index 2. The caller's send of record 2
+        # stops halfway and raises: the child holds 0, 1 and 3, writes 0 and 1,
+        # and exits cleanly, so the caller's own error is the one raised.
+        self.needs_the_child(monkeypatch)
+        net = Network(["AT", "TT"], [0], [1])
+        report = metrics.compute_metrics(net)
+        caller, marks = os.getpid(), tmp_path / "marks"
+        marks.mkdir()
+        send, sends = Connection._send, []
+
+        def cut_send(connection, buf, *args):
+            if os.getpid() == caller:
+                sends.append(len(buf))
+                if len(sends) == 2:
+                    send(connection, buf[: len(buf) // 2])
+                    raise ValueError("the send was cut")
+            return send(connection, buf, *args)
+
+        def wait_for(name: str) -> None:
+            deadline = time.monotonic() + 10
+            while not (marks / name).exists():
+                assert time.monotonic() < deadline, f"{name} never came"
+                time.sleep(0.002)
+
+        def make(i: int) -> tuple[Path, Network, metrics.MetricsReport]:
+            if os.getpid() == caller:
+                (marks / f"caller_{i}").touch()
+                wait_for("child_1" if i == 0 else "child_3")
+            else:
+                (marks / f"child_{i}").touch()
+                if i == 1:
+                    wait_for("caller_2")
+            return tmp_path / f"seed_{i}", net, report
+
+        monkeypatch.setattr(Connection, "_send", cut_send)
+        with pytest.raises(ValueError, match="the send was cut"):
+            fileio.write_networks(4, make)
+        assert sorted(p.name for p in marks.iterdir()) == [
+            "caller_0", "caller_2", "child_1", "child_3"
+        ]
+        assert sorted(p.name for p in tmp_path.glob("seed_*")) == ["seed_0", "seed_1"]
+        assert len(forks) == 1
+        _assert_no_child_left()
+
     @pytest.mark.skipif(
         not hasattr(os, "fork") or metrics._WORKERS < 2,
         reason="the child is forked only where fork exists and two CPUs are usable",
@@ -1021,6 +1110,7 @@ BAD_FILES: dict[str, dict[str, str | bytes | None]] = {
         "non-integer": "0\tx\n",
         "negative": "0\t-1\n",
         "node-count-text": "# nodes x\n",
+        "negative-node-count": "# nodes -4\n",
         "huge-id": "0\t99999999999999999999\n",
         "largest-id": "0\t9223372036854775807\n",
         "huge-node-count": "# nodes 10000000000000000000\n",
