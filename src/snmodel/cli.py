@@ -79,7 +79,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     reference = None
     if args.reference is not None:
-        payload = json.loads(Path(args.reference).read_text(encoding="utf-8"))
+        text = Path(args.reference).read_text(encoding="utf-8")
+        try:
+            payload = json.loads(text)
+        except RecursionError:  # json's decoder recurses once per nested array or object
+            raise ValueError("reference nests too deeply") from None
         # A summary.json serves as a reference through its means.
         reference = payload.get("means", payload) if isinstance(payload, dict) else payload
         if reference is None:  # null would otherwise read as no reference at all

@@ -4,13 +4,13 @@ Path lengths come from one bit-parallel multi-source BFS (Then et al., "The
 More the Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014):
 each 64-source word of a 512-source chunk is one row of node bits (words-major), a BFS level
 is one flat gather and OR-reduce over the CSR adjacency, and a word that reaches nothing retires.
-Level 1 is scattered from the sources' own rows, and the tail reads only the nodes that some
-live source has not reached: after the level that finds the most pairs, once those open
-nodes hold under half of the edges, a level gathers and reduces only their rows, as the
-bottom-up step of Beamer, Asanović & Patterson (SC 2012) pulls only into unvisited
-vertices. The sweep ends when no node is open, without the closing level that finds
-nothing. ``compute_metrics`` sweeps the giant and the rest each over its own induced
-subgraph, so the giant's nodes all close.
+Level 1 is scattered from the sources' rows, one slice of the adjacency. Later levels gather
+over one set of rows, at first every node: after the level that finds the most pairs, once the
+open nodes, those some live source has not reached, hold under half of the edges, the rows
+narrow to them, and again at each level that closes one, as the bottom-up step of Beamer,
+Asanović & Patterson (SC 2012) pulls only into unvisited vertices. The sweep ends when no node
+is open, without the closing level that finds nothing. ``compute_metrics`` sweeps the giant and
+the rest each over its own induced subgraph, so the giant's nodes all close.
 Independent work runs on every usable CPU, as Then et al. run independent source
 batches: ``_each_on_cpus`` shares more items than CPUs among the calling thread and one
 plain thread per further CPU, and runs fewer, or a call made inside an item, on the caller.
@@ -133,8 +133,9 @@ def _pair_counts(adj: tuple[np.ndarray, np.ndarray]) -> list[int]:
     More than one chunk of sources is split into slices of whole words,
     ``_CHUNK // _WORKERS`` sources wide, that ``_each_on_cpus`` sweeps, so
     one chunk's words are in flight; inside an item of ``_each_on_cpus``,
-    where the slices would run inline, into whole chunks. Level totals are
-    Python ints, so the sum is the same for any split.
+    where the slices would run inline, into whole chunks. A slice is a range
+    of the renumbered nodes, so its rows are one slice of *indices*. Level
+    totals are Python ints, so the sum is the same for any split.
     """
     indptr, indices = adj
     # A node without neighbours reaches nothing and nothing reaches it, so
@@ -156,13 +157,13 @@ def _sweep(chunk: np.ndarray, starts: np.ndarray, indices: np.ndarray) -> list[i
     """Ordered pairs at each distance from a slice of at most ``_CHUNK`` sources.
 
     One BFS runs from the slice at once: bit i % 64 of word i // 64 at a
-    node stands for source i. Level 1 is scattered from the sources' own
-    rows. A later level ORs each node's neighbour frontiers and keeps the
-    bits of sources that had not reached it; a word with none is done.
-    After the level that finds the most pairs a node is open while a live
-    word's source has not reached it: once the open nodes hold under half
-    of the edges, a level reads only their rows, and the sweep ends when
-    none is open.
+    node stands for source i. Level 1 is scattered from the sources' rows. A
+    later level ORs the neighbour frontiers of each node in one set of rows,
+    at first every node, and keeps the bits of sources that had not reached
+    it; a word with none is done. After the level that finds the most pairs
+    a node is open while a live word's source has not reached it: once the
+    open nodes hold under half of the edges, the rows narrow to them, and
+    again at each level that closes a row. The sweep ends when none is open.
     """
     n, m = starts.size, indices.size
     frontier = np.zeros(((chunk.size + 63) // 64, n), dtype=np.uint64)
@@ -173,11 +174,10 @@ def _sweep(chunk: np.ndarray, starts: np.ndarray, indices: np.ndarray) -> list[i
     frontier = _first_level(chunk, starts, degree, indices)
     unseen ^= frontier
     totals = [0, int(degree[chunk].sum())]
-    # A level gathers the neighbour frontiers of each node in rows (every
-    # node while rows is None), targets[firsts[j]:] onward for row j; word
-    # w's start at w * targets.size. A flat reduceat, unlike one along an
-    # axis, lets go of the GIL.
-    rows, targets = None, indices
+    # A level gathers the neighbour frontiers of each node in rows,
+    # targets[firsts[j]:] onward for row j; word w's start at w * targets.size.
+    # A flat reduceat, unlike one along an axis, lets go of the GIL.
+    rows, targets = np.arange(n), indices
     offsets = (starts + m * np.arange(len(frontier))[:, None]).ravel()
     while True:
         reached = np.bitwise_or.reduceat(
@@ -189,7 +189,7 @@ def _sweep(chunk: np.ndarray, starts: np.ndarray, indices: np.ndarray) -> list[i
             return totals
         totals.append(int(counts.sum()))
         unseen ^= reached
-        if rows is None:
+        if rows.size == n:
             frontier = reached
         else:
             frontier = np.zeros_like(frontier)
@@ -198,22 +198,15 @@ def _sweep(chunk: np.ndarray, starts: np.ndarray, indices: np.ndarray) -> list[i
             unseen, frontier = unseen[counts > 0], frontier[counts > 0]
             offsets = offsets[: unseen.size]
         # Up to the level that finds the most pairs nearly every node is open.
-        if rows is None and totals[-1] == max(totals):
+        if rows.size == n and totals[-1] == max(totals):
             continue
         is_open = unseen.any(axis=0)
         if not is_open.any():
             return totals
-        if rows is None:
-            if 2 * int(degree[is_open].sum()) >= m:
-                continue
-            rows = np.flatnonzero(is_open)
-            targets = indices[_row_edges(starts, degree, rows)]
-        elif not is_open.all():
-            targets = targets[np.repeat(is_open, degree[rows])]
-            rows = rows[is_open]
-        else:
+        if is_open.all() or rows.size == n and 2 * int(degree[is_open].sum()) >= m:
             continue
-        unseen = unseen[:, is_open]
+        targets = targets[np.repeat(is_open, degree[rows])]
+        rows, unseen = rows[is_open], unseen[:, is_open]
         firsts = np.cumsum(degree[rows]) - degree[rows]
         offsets = (firsts + targets.size * np.arange(len(unseen))[:, None]).ravel()
 
@@ -222,23 +215,16 @@ def _first_level(
     chunk: np.ndarray, starts: np.ndarray, degree: np.ndarray, indices: np.ndarray
 ) -> np.ndarray:
     """Bit i % 64 of word i // 64 at each neighbour of the chunk's i-th node: the
-    sweep's level 1 and the triangle count's neighbour bits. ``Network`` admits
-    no edge twice, so a node's bits are distinct and adding them ORs them.
+    sweep's level 1 and the triangle count's neighbour bits, read from the chunk's
+    rows, one slice of *indices*. ``Network`` admits no edge twice, so a node's
+    bits are distinct and adding them ORs them.
     """
     n = starts.size
     frontier = np.zeros(((chunk.size + 63) // 64, n), dtype=np.uint64)
-    flat = indices[_row_edges(starts, degree, chunk)]
-    flat += np.repeat(np.arange(chunk.size) // 64 * n, degree[chunk])
+    flat = np.repeat(np.arange(chunk.size) // 64 * n, degree[chunk])
+    flat += indices[starts[chunk[0]] : starts[chunk[-1]] + degree[chunk[-1]]]
     np.add.at(frontier.reshape(-1), flat, np.repeat(_ONES[: chunk.size], degree[chunk]))
     return frontier
-
-
-def _row_edges(starts: np.ndarray, degree: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Positions in the adjacency of the rows of *nodes*, one row after another."""
-    reach = degree[nodes]
-    edges = np.repeat(starts[nodes] - (np.cumsum(reach) - reach), reach)
-    edges += np.arange(edges.size)
-    return edges
 
 
 def _unordered(pair_counts: list[int]) -> dict[int, int]:

@@ -425,11 +425,13 @@ class TestExperiment:
             # Naming no referenced metric, the reference would let every seed qualify.
             (["--reference", '{"means": {}}'], "error: reference names none of the metrics"),
             (["--reference", '{"bogus_metric": 3}'], "error: reference names none of the metrics"),
+            # json's decoder recurses once per level and would end in a RecursionError.
+            (["--reference", "[" * 100_000 + "]" * 100_000], "error: reference nests too deeply"),
         ],
         ids=[
             "list", "null", "null-means", "object-value", "null-value", "unknown-metric",
             "nan-value", "infinite-value", "overflowing-value", "overflowing-int", "empty-means",
-            "unreferenced-only",
+            "unreferenced-only", "deep-nesting",
         ],
     )
     def test_bad_reference_is_one_error_line(self, tmp_path, instance_file, capsys, argv, message):

@@ -226,7 +226,7 @@ class TestDegreeAndPaths:
         assert snmodel_sweep(net) == expected
 
     def test_sweep_frees_each_level_before_the_next(self):
-        # About 4.2 MB on the 3000-node comparison network; a level's
+        # About 4.5 MB on the 3000-node comparison network; a level's
         # gathered words still held at the next gather take it to about 7 MB.
         config = load_instance_file(instances_dir() / "comparison.instance")
         net, _ = run_single(config.instance)
@@ -446,6 +446,84 @@ class TestSweepLevels:
         assert gathered[0] == 4 * indices.size
         assert max(gathered[1:]) <= 4 * 2 * 300
 
+    def test_rows_narrow_again_at_each_level_that_closes_one(self, monkeypatch):
+        # Sources on a 200-clique with a 300-node path off node 199 (nodes
+        # 200-499) and a 100-node path off node 0 (500-599). Each level from
+        # level 2 on closes a node of each path, and level 101 the short path's last.
+        edges = clique_with_path(0, 200, 300) + [(0, 500)] + [(u, u + 1) for u in range(500, 599)]
+        net = Network.from_edges(600, edges)
+        indptr, indices = net.to_csr()
+        chunk = np.arange(200)
+        levels = every_edge_sweep(chunk, indptr[:-1], indices)
+        assert len(levels) == 302
+        gathered: list[int] = []
+        read: list[np.ndarray] = []
+
+        def reduceat(values, *args, **kwargs):
+            gathered.append(values.size)
+            return np.bitwise_or.reduceat(values, *args, **kwargs)
+
+        def take(values, targets, **kwargs):
+            read.append(targets)
+            return np.take(values, targets, **kwargs)
+
+        counted = types.SimpleNamespace(**vars(np))
+        counted.take = take
+        counted.bitwise_or = types.SimpleNamespace(
+            at=np.bitwise_or.at, reduce=np.bitwise_or.reduce, reduceat=reduceat
+        )
+        monkeypatch.setattr(metrics, "np", counted)
+        assert metrics._sweep(chunk, indptr[:-1], indices) == levels
+        # Gather g is level g + 2: level 2 reads every edge, and each later
+        # level fewer words than the one before, as the open rows shrink.
+        assert len(gathered) == len(levels) - 2
+        assert gathered[0] == 4 * indices.size
+        assert all(later < earlier for earlier, later in zip(gathered[1:], gathered[2:]))
+        # From level 102 on only the long path's rows are open: their
+        # neighbours are its nodes and node 199.
+        assert all(targets.min() >= 199 and targets.max() < 500 for targets in read[100:])
+        assert read[99].max() >= 500
+
+
+def isolated_at_chunk_edges() -> Network:
+    """G(1100, 0.05) less every edge at nodes 0, 511, 512 and 1099, the first
+    and last nodes of 512-node chunks."""
+    net = random_network(random.Random(1100), 1100, 0.05)
+    isolated = {0, 511, 512, 1099}
+    return Network.from_edges(
+        1100, [(u, v) for u, v in edge_pairs(net) if u not in isolated and v not in isolated]
+    )
+
+
+class TestFirstLevel:
+    """``_first_level`` reads a contiguous chunk's rows as one slice of the adjacency."""
+
+    @pytest.mark.parametrize(
+        "linked, first, last",
+        [
+            (False, 0, 512),  # first and last node isolated
+            (False, 512, 1024),  # first node isolated, last one with neighbours
+            (False, 1024, 1100),  # partial last word, ends on the last row, isolated
+            (False, 1, 511),  # partial last word inside the CSR
+            (False, 1098, 1099),  # one node, the last with neighbours
+            (True, 0, 512),  # the sweep's CSR: every node has neighbours
+            (True, 1024, 1096),  # partial last word, ends on the last row
+        ],
+    )
+    def test_bits_equal_an_edge_by_edge_or(self, linked, first, last):
+        net = isolated_at_chunk_edges()
+        if linked:
+            net = net.subgraph(net.degrees() > 0)
+        indptr, indices = net.to_csr()
+        assert indptr.size - 1 == (1096 if linked else 1100)
+        chunk = np.arange(first, last)
+        expected = np.zeros(((chunk.size + 63) // 64, net.n_nodes), dtype=np.uint64)
+        for i, node in enumerate(chunk.tolist()):
+            for neighbour in indices[indptr[node] : indptr[node + 1]].tolist():
+                expected[i // 64, neighbour] |= np.uint64(1) << np.uint64(i % 64)
+        bits = metrics._first_level(chunk, indptr[:-1], np.diff(indptr), indices)
+        assert np.array_equal(bits, expected)
+
 
 class TestEachOnCpus:
     """``_each_on_cpus`` shares more than ``_WORKERS`` items among the caller and
@@ -618,6 +696,13 @@ class TestClustering:
         assert ored == []
         expected = nx.triangles(to_nx(net))
         assert triangles.tolist() == [expected[node] for node in range(net.n_nodes)]
+
+    def test_matches_networkx_with_isolated_nodes_at_chunk_edges(self):
+        net = isolated_at_chunk_edges()
+        expected = nx.triangles(to_nx(net))
+        assert metrics._triangles_per_node(net).tolist() == [
+            expected[node] for node in range(net.n_nodes)
+        ]
 
     def test_matches_networkx(self):
         rng = random.Random(11)
