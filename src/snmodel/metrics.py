@@ -9,17 +9,17 @@ over one set of rows, at first every node: after the level that finds the most p
 open nodes, those some live source has not reached, hold under half of the edges, the rows
 narrow to them, and again at each level that closes one, as the bottom-up step of Beamer,
 Asanović & Patterson (SC 2012) pulls only into unvisited vertices. The sweep ends when no node
-is open, without the closing level that finds nothing. ``compute_metrics`` sweeps the giant and
-the rest each over its own induced subgraph, so the giant's nodes all close.
+is open, without the closing level that finds nothing. One plan slices both the sweep and the
+triangle count: the nodes with neighbours in component order, giant first, and each slice's
+rows those of its own whole components, so every node closes and a fragment costs its edges.
 Independent work runs on every usable CPU, as Then et al. run independent source
 batches: ``_each_on_cpus`` shares more items than CPUs among the calling thread and one
 plain thread per further CPU, and runs fewer, or a call made inside an item, on the caller.
-A sweep of more than one chunk hands it slices ``_CHUNK // _WORKERS`` sources wide, so
+A sweep whose giant spans more than one chunk hands it slices ``_CHUNK // _WORKERS`` wide, so
 one chunk's words are in flight; compare-ba hands it whole prefix reports, whose sweeps
 run whole chunks inline. A sweep of one chunk, or one on a one-CPU host, starts no
-thread. No flag sets the count.
-Triangles take each chunk's neighbour bits from the sweep's level-1 builder, whose adds
-OR because ``Network`` admits no edge twice. Components
+thread. No flag sets the count. Triangles take each 512-node chunk's neighbour bits from the
+sweep's level-1 builder, whose adds OR because ``Network`` admits no edge twice. Components
 come from min-label hooking with pointer jumping (Shiloach & Vishkin, 1982).
 ``compute_metrics`` sweeps and counts triangles once per report. Tests check
 these against plain-Python, Floyd-Warshall, networkx and brute-force oracles.
@@ -126,31 +126,55 @@ def _each_on_cpus(fn: Callable, items: Sequence) -> list:
     return results
 
 
-def _pair_counts(adj: tuple[np.ndarray, np.ndarray]) -> list[int]:
-    """Ordered (source, target) pairs at each distance >= 1 over the CSR
-    *adj*, from every node with a neighbour; entry 0 is 0.
-
-    More than one chunk of sources is split into slices of whole words,
-    ``_CHUNK // _WORKERS`` sources wide, that ``_each_on_cpus`` sweeps, so
-    one chunk's words are in flight; inside an item of ``_each_on_cpus``,
-    where the slices would run inline, into whole chunks. A slice is a range
-    of the renumbered nodes, so its rows are one slice of *indices*. Level
-    totals are Python ints, so the sum is the same for any split.
+def _by_component(net: Network) -> tuple[np.ndarray, np.ndarray, Network]:
+    """The nodes with neighbours in component order (the giant, ``largest_component``'s,
+    first, then each other component whole, by smallest id), the row after each
+    component, and *net* on them in that order: itself if already so, as when connected.
     """
-    indptr, indices = adj
-    # A node without neighbours reaches nothing and nothing reaches it, so
-    # only the others are swept, renumbered 0..n-1. reduceat then sees no
-    # empty segment, for which it would return the first element, not 0.
-    linked = np.diff(indptr) > 0
-    renumber = np.cumsum(linked) - 1
-    indices = renumber[indices]
-    starts = indptr[:-1][linked]
-    sources = np.arange(starts.size)
-    shared = sources.size > _CHUNK and not getattr(_in_item, "active", False)
-    width = _CHUNK // (_WORKERS if shared else 1) // 64 * 64
-    slices = [sources[first : first + width] for first in range(0, sources.size, width)]
-    per_slice = _each_on_cpus(lambda chunk: _sweep(chunk, starts, indices), slices)
-    return [sum(level) for level in zip_longest(*per_slice, fillvalue=0)] or [0]
+    labels = component_labels(net.n_nodes, net.edge_u, net.edge_v)
+    linked = np.flatnonzero(net.degrees())
+    key = labels[linked]
+    key[key == np.argmax(np.bincount(labels, minlength=1))] = -1
+    by = np.argsort(key, kind="stable")
+    order, ends = linked[by], np.append(np.flatnonzero(np.diff(key[by])) + 1, linked.size)
+    if order.size == net.n_nodes and np.array_equal(order, np.arange(order.size)):
+        return order, ends, net
+    rows = np.argsort(by)[np.searchsorted(linked, (net.edge_u, net.edge_v))]  # edge ends' rows
+    return order, ends, Network([None] * order.size, *rows)
+
+
+def _slices(net: Network, ends: np.ndarray, width: int) -> list[tuple]:
+    """The plan: ``(lo, chunk, starts, indices)`` per slice of at most *width* of the
+    sources of *net*, in component order with *ends*: the CSR of rows lo.. of the whole
+    components the slice lies in, and its sources among them. The giant, and any other
+    component wider than *width*, is cut apart; the others are packed whole.
+    """
+    indptr, indices = net.to_csr()
+    slices, lo = [], 0
+    while lo < ends[-1]:
+        hi = int(ends[np.searchsorted(ends, lo, side="right")])
+        if lo and hi - lo <= width:
+            hi = int(ends[np.searchsorted(ends, lo + width, side="right") - 1])
+        starts, rows = indptr[lo:hi] - indptr[lo], indices[indptr[lo] : indptr[hi]] - lo
+        cuts = range(0, hi - lo, width)
+        slices += [(lo, np.arange(f, min(f + width, hi - lo)), starts, rows) for f in cuts]
+        lo = hi
+    return slices
+
+
+def _pair_counts(net: Network, ends: np.ndarray) -> tuple[list[int], list[int]]:
+    """Ordered (source, target) pairs at each distance >= 1 in the giant and in the
+    rest of *net*, in component order with *ends*; entry 0 of each is 0. A giant over
+    one chunk is planned in slices ``_CHUNK // _WORKERS`` wide for ``_each_on_cpus``,
+    so one chunk's words are in flight; otherwise, or inside one of its items, in
+    whole chunks. Level totals are Python ints, so the sums are the same for any plan.
+    """
+    shared = ends[0] > _CHUNK and not getattr(_in_item, "active", False)
+    slices = _slices(net, ends, _CHUNK // (_WORKERS if shared else 1) // 64 * 64)
+    per_slice = _each_on_cpus(lambda s: _sweep(*s[1:]), slices)
+    giant = sum(not s[0] for s in slices)  # the giant's slices come first
+    runs = per_slice[:giant], per_slice[giant:]
+    return tuple([sum(level) for level in zip_longest(*r, fillvalue=0)] or [0] for r in runs)
 
 
 def _sweep(chunk: np.ndarray, starts: np.ndarray, indices: np.ndarray) -> list[int]:
@@ -241,7 +265,8 @@ def _mean_length(hist: dict[int, int]) -> float | None:
 
 def path_length_histogram(net: Network) -> dict[int, int]:
     """Number of connected unordered node pairs at each distance >= 1."""
-    return _unordered(_pair_counts(net.to_csr()))
+    _, ends, ordered = _by_component(net)
+    return _unordered([a + b for a, b in zip_longest(*_pair_counts(ordered, ends), fillvalue=0)])
 
 
 def average_path_length(net: Network) -> float:
@@ -259,29 +284,31 @@ def largest_component(net: Network) -> Network:
     return net.subgraph(labels == np.argmax(np.bincount(labels)))
 
 
-def _triangles_per_node(net: Network) -> np.ndarray:
-    """Triangles at each node: bit i of a node's words marks the chunk's node i
-    as a neighbour, so an edge's two ANDed end words hold its common neighbours.
+def _triangles_per_node(
+    net: Network, order: np.ndarray, ends: np.ndarray, ordered: Network
+) -> np.ndarray:
+    """Triangles at each node of *net*, counted in 512-node chunks of the plan of
+    ``_by_component(net)``: bit i of a node's words marks the chunk's node i as a
+    neighbour, so an edge's two ANDed end words hold its common neighbours.
     """
-    n, u, v = net.n_nodes, net.edge_u, net.edge_v
-    indptr, indices = net.to_csr()
-    starts, degree = indptr[:-1], np.diff(indptr)
-    common = np.zeros(net.n_edges, dtype=np.int64)
-    for first in range(0, n, _CHUNK):
-        words = _first_level(np.arange(first, min(first + _CHUNK, n)), starts, degree, indices)
-        # Only an edge whose ends both neighbour the chunk closes a triangle in it.
+    u, v = ordered.edge_u, ordered.edge_v
+    common = np.zeros(ordered.n_edges, dtype=np.int64)
+    for lo, chunk, starts, rows in _slices(ordered, ends, _CHUNK):
+        words = _first_level(chunk, starts, np.diff(starts, append=rows.size), rows)
+        # Of the rows' edges, by v, only one whose ends both neighbour the chunk closes a triangle.
+        first, last = np.searchsorted(v, [lo, lo + starts.size])
         touched = words.any(axis=0)
-        pairs = np.flatnonzero(touched[u] & touched[v])
-        both = np.take(words, u[pairs], axis=1)
-        both &= np.take(words, v[pairs], axis=1)
+        pairs = first + np.flatnonzero(touched[u[first:last] - lo] & touched[v[first:last] - lo])
+        both = np.take(words, u[pairs] - lo, axis=1)
+        both &= np.take(words, v[pairs] - lo, axis=1)
         common[pairs] += np.bitwise_count(both).sum(axis=0, dtype=np.int64)
     # A node's triangles close over two of its edges each.
-    return np.bincount(np.concatenate([u, v]), np.tile(common, 2), n).astype(np.int64) // 2
+    return np.bincount(order[np.append(u, v)], np.tile(common, 2), net.n_nodes).astype(np.int64) // 2
 
 
 def local_clustering(net: Network) -> np.ndarray:
     """Per-node clustering coefficient; degree < 2 yields 0."""
-    return _clustering_coefficients(net.degrees(), _triangles_per_node(net))
+    return _clustering_coefficients(net.degrees(), _triangles_per_node(net, *_by_component(net)))
 
 
 def _clustering_coefficients(degrees: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -313,7 +340,7 @@ def _mean_by_degree(degrees: np.ndarray, coeff: np.ndarray) -> dict[int, float]:
 
 
 def triangle_count(net: Network) -> int:
-    return int(_triangles_per_node(net).sum()) // 3
+    return int(_triangles_per_node(net, *_by_component(net)).sum()) // 3
 
 
 def motif_census_3(net: Network) -> dict[int, int]:
@@ -415,45 +442,28 @@ def compute_metrics(net: Network, fit_k_min: int | None = None) -> MetricsReport
     """
     if net.n_nodes == 0:
         raise ValueError("metrics are undefined for an empty network")
-    labels = component_labels(net.n_nodes, net.edge_u, net.edge_v)
-    sizes = np.bincount(labels)
-    # Same giant as largest_component. Components are closed under
-    # shortest paths, so the giant's subgraph gives its histogram, and the
-    # rest's adds the rest of the full network's.
-    in_giant = labels == np.argmax(sizes)
-    if in_giant.all():
-        giant_counts, rest_counts = _pair_counts(net.to_csr()), [0]
-    else:
-        giant_counts = _pair_counts(net.subgraph(in_giant).to_csr())
-        rest_counts = _pair_counts(net.subgraph(~in_giant).to_csr())
+    order, ends, ordered = _by_component(net)
+    giant_counts, rest_counts = _pair_counts(ordered, ends)
     hist = _unordered([a + b for a, b in zip_longest(giant_counts, rest_counts, fillvalue=0)])
-    apl = _mean_length(hist)
     total_pairs = sum(hist.values())
-    pl_dist = {l: c / total_pairs for l, c in hist.items()}
-    apl_giant = _mean_length(_unordered(giant_counts))
-
     deg_dist = degree_distribution(net)
-    fitted: tuple[float, float] | None = None
-    if fit_k_min is not None:
-        fitted = fit_power_law_slope(deg_dist, fit_k_min)
-
-    triangles = _triangles_per_node(net)
+    triangles = _triangles_per_node(net, order, ends, ordered)
     coeff = _clustering_coefficients(net.degrees(), triangles)
     return MetricsReport(
         n_nodes=net.n_nodes,
         n_edges=net.n_edges,
         average_degree=average_degree(net),
-        average_path_length=apl,
-        average_path_length_largest_component=apl_giant,
-        largest_component_fraction=int(sizes.max()) / net.n_nodes,
+        average_path_length=_mean_length(hist),
+        average_path_length_largest_component=_mean_length(_unordered(giant_counts)),
+        largest_component_fraction=max(int(ends[0]), 1) / net.n_nodes,  # 1 without edges
         average_clustering=float(coeff.mean()),
         heterogeneity=heterogeneity_index(net) if net.n_nodes > 2 else None,
         degree_distribution=deg_dist,
-        path_length_distribution=pl_dist,
+        path_length_distribution={l: c / total_pairs for l, c in hist.items()},
         clustering_by_degree=_mean_by_degree(net.degrees(), coeff),
         motif_census=(
             _census_from_triangles(net, int(triangles.sum()) // 3) if net.n_nodes >= 3 else None
         ),
-        fitted_slope=fitted,
+        fitted_slope=None if fit_k_min is None else fit_power_law_slope(deg_dist, fit_k_min),
         fit_k_min=fit_k_min,
     )

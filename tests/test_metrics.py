@@ -247,7 +247,7 @@ class TestDegreeAndPaths:
         net.to_csr()
         tracemalloc.start()
         try:
-            metrics._triangles_per_node(net)
+            metrics._triangles_per_node(net, *metrics._by_component(net))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -277,14 +277,20 @@ def started(monkeypatch) -> list[threading.Thread]:
     return threads
 
 
+def heap_tree(n: int) -> Network:
+    """A connected tree on n nodes: node i hangs off node i // 2."""
+    return Network.from_edges(n, [(i // 2, i) for i in range(1, n)])
+
+
 class TestSweepThreads:
-    """More than one chunk of sources is swept in slices on ``_WORKERS`` threads."""
+    """A giant of more than one chunk of sources is swept in slices on ``_WORKERS`` threads."""
 
     @pytest.mark.parametrize("graph", [511, 512, 513, 1100, 1600, "words"])
     def test_counts_are_exact_for_any_worker_count(self, graph, monkeypatch, started):
-        # Partial last words, isolated nodes and several components; slices
-        # of 256, 128 and 64 sources. More workers than CPUs and a short
-        # switch interval would expose a lost update to the shared totals.
+        # Partial last words, isolated nodes and several components; giants
+        # of 781 and 979 nodes cut into slices of 256, 128 and 64 sources.
+        # More workers than CPUs and a short switch interval would expose a
+        # lost update to the shared totals.
         if graph == "words":
             net = words_of_different_depths(random.Random(3))
         else:
@@ -305,11 +311,37 @@ class TestSweepThreads:
     )
     def test_threads_start_only_beyond_one_chunk(self, monkeypatch, started, workers, linked, threads):
         monkeypatch.setattr(metrics, "_WORKERS", workers)
-        net = linked_sources(linked)
+        net = heap_tree(linked)
         before = threading.active_count()
         path_length_histogram(net)
         assert len(started) == threads
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "linked, widths",
+        [
+            # A giant of 309 of 513 linked nodes: it and the rest are one whole chunk each.
+            (513, [309, 204]),
+            # A giant of 781 of 1100 is cut at 256; the rest's 122, 123 and 74 are packed.
+            (1100, [256, 256, 256, 13, 245, 74]),
+        ],
+    )
+    def test_only_a_giant_beyond_one_chunk_is_cut_for_threads(
+        self, monkeypatch, started, linked, widths
+    ):
+        # Slices of small components each hold little work: two threads on
+        # them sweep slower than the caller alone.
+        monkeypatch.setattr(metrics, "_WORKERS", 2)
+        sweep, swept = metrics._sweep, []
+
+        def recorded(chunk, *args):
+            swept.append(chunk.size)
+            return sweep(chunk, *args)
+
+        monkeypatch.setattr(metrics, "_sweep", recorded)
+        path_length_histogram(linked_sources(linked))
+        assert sorted(swept) == sorted(widths)
+        assert len(started) == (len(widths) > 2)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_failing_slice_reaches_the_caller_after_every_join(self, monkeypatch, started, workers):
@@ -369,20 +401,39 @@ def component_graphs(draw) -> Network:
     return Network.from_edges(n, sorted({(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}))
 
 
+def every_edge_pair_counts(net: Network) -> list[int]:
+    """Level totals of ``every_edge_sweep`` from every node with a neighbour,
+    in 512-source chunks over the CSR of those nodes alone."""
+    linked = net.subgraph(net.degrees() > 0)
+    indptr, indices = linked.to_csr()
+    runs = [
+        every_edge_sweep(np.arange(first, min(first + 512, linked.n_nodes)), indptr[:-1], indices)
+        for first in range(0, linked.n_nodes, 512)
+    ]
+    return [sum(level) for level in itertools.zip_longest(*runs, fillvalue=0)] or [0]
+
+
+def planned_pair_counts(net: Network) -> tuple[list[int], list[int]]:
+    """The giant's and the rest's level totals through the slice plan."""
+    _, ends, ordered = metrics._by_component(net)
+    return metrics._pair_counts(ordered, ends)
+
+
 def assert_levels_match_oracle(net: Network) -> None:
-    """``_pair_counts`` gives the every-edge sweep's level totals on the
-    network, its giant's subgraph and its rest's, at 1, 2, 3 and 8 workers."""
+    """The planned sweep gives the every-edge sweep's level totals on the
+    network, its giant's subgraph and its rest's, at 1, 2, 3 and 8 workers,
+    and splits the network's into its giant's and its rest's."""
     labels = component_labels(net.n_nodes, net.edge_u, net.edge_v)
     giant = labels == np.argmax(np.bincount(labels))
-    graphs = [net.to_csr(), net.subgraph(giant).to_csr(), net.subgraph(~giant).to_csr()]
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(metrics, "_sweep", every_edge_sweep)
-        m.setattr(metrics, "_WORKERS", 1)
-        expected = [metrics._pair_counts(adj) for adj in graphs]
+    graphs = [net, net.subgraph(giant), net.subgraph(~giant)]
+    expected = [every_edge_pair_counts(graph) for graph in graphs]
     for workers in (1, 2, 3, 8):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(metrics, "_WORKERS", workers)
-            assert [metrics._pair_counts(adj) for adj in graphs] == expected
+            planned = [planned_pair_counts(graph) for graph in graphs]
+        summed = [[a + b for a, b in itertools.zip_longest(*pair, fillvalue=0)] for pair in planned]
+        assert summed == expected
+        assert list(planned[0]) == expected[1:]
 
 
 class TestSweepLevels:
@@ -483,6 +534,141 @@ class TestSweepLevels:
         # neighbours are its nodes and node 199.
         assert all(targets.min() >= 199 and targets.max() < 500 for targets in read[100:])
         assert read[99].max() >= 500
+
+
+def components_of(sizes: list[int], rng: random.Random) -> Network:
+    """One random tree with chords per size, on shuffled ids; size 1 is an isolated node."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for size in sizes:
+        edges += [(n + rng.randrange(v), n + v) for v in range(1, size)]
+        if size > 2:
+            edges += [tuple(n + x for x in rng.sample(range(size), 2)) for _ in range(size // 2)]
+        n += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Network.from_edges(n, sorted({(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}))
+
+
+@st.composite
+def fragmented_graphs(draw) -> Network:
+    """Components at word and chunk boundaries among single nodes and pairs."""
+    sizes = draw(
+        st.lists(st.sampled_from([63, 64, 65, 255, 256, 257, 511, 512, 513]), max_size=5).filter(
+            lambda sizes: sum(sizes) <= 1300
+        )
+    )
+    sizes += [1] * draw(st.integers(0, 30)) + [2] * draw(st.integers(1, 60))
+    draw(st.randoms(use_true_random=False)).shuffle(sizes)
+    return components_of(sizes or [1], draw(st.randoms(use_true_random=False)))
+
+
+def assert_plan_matches_oracles(net: Network) -> None:
+    """Histogram, giant/rest split and per-node triangles through the plan
+    equal networkx's and the every-edge sweep's at 1, 2, 3 and 8 workers."""
+    expected = networkx_sweep(net)
+    assert metrics._unordered(every_edge_pair_counts(net)) == expected[0]
+    for workers in (1, 2, 3, 8):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(metrics, "_WORKERS", workers)
+            assert snmodel_sweep(net) == expected
+    triangles = nx.triangles(to_nx(net))
+    assert local_clustering(net).tolist() == pytest.approx(
+        list(nx.clustering(to_nx(net)).values())
+    )
+    got = metrics._triangles_per_node(net, *metrics._by_component(net))
+    assert got.tolist() == [triangles[node] for node in range(net.n_nodes)]
+
+
+class TestSlicePlan:
+    """One plan over the component-ordered network slices the sweep and the
+    triangle count: the giant first, the others whole, each slice over the rows
+    of its own components."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(fragmented_graphs())
+    def test_fragmented_graphs_match_the_oracles(self, net):
+        assert_plan_matches_oracles(net)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [513, 513, 2, 2, 1, 1],  # tied giants; the other is wider than a chunk
+            [600, 257, 65, 64, 63, 2, 1],  # non-giants wider than a slice at 2+ workers
+            [256, 256, 255, 2, 1],  # tied giants of one slice at 2 workers
+            [511, 512, 64, 63, 2, 2, 1],  # a giant of exactly one chunk
+        ],
+        ids=["tied-513", "wide-non-giants", "tied-256", "one-chunk-giant"],
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_mixed_components_match_the_oracles(self, sizes, seed):
+        assert_plan_matches_oracles(components_of(sizes, random.Random(seed)))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_slices_hold_whole_components_and_each_source_once(self, workers):
+        net = components_of([600, 513, 257, 65, 64, 63, 2, 2, 2, 1, 1], random.Random(5))
+        _, ends, ordered = metrics._by_component(net)
+        # The giant, then the others by smallest id; single nodes have no row.
+        sizes = np.diff(ends, prepend=0).tolist()
+        assert sizes[0] == 600 and sorted(sizes[1:]) == [2, 2, 2, 63, 64, 65, 257, 513]
+        width = 512 // workers // 64 * 64
+        slices = metrics._slices(ordered, ends, width)
+        sources: list[int] = []
+        for lo, chunk, starts, rows in slices:
+            hi = lo + starts.size
+            assert {lo, hi} <= {0, *ends.tolist()}
+            assert 0 < chunk.size <= width and 0 <= rows.min() and rows.max() < starts.size
+            if hi - lo > width:  # cut apart: the rows are one component's
+                assert hi == ends[np.searchsorted(ends, lo, side="right")]
+            else:  # packed whole
+                assert chunk.tolist() == list(range(hi - lo))
+            sources += (lo + chunk).tolist()
+        assert sources == list(range(ends[-1]))
+        # The giant's slices come first, and only they start at row 0.
+        at_zero = [lo == 0 for lo, *_ in slices]
+        assert at_zero == sorted(at_zero, reverse=True) and sum(at_zero) == -(-600 // width)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_a_connected_network_is_swept_uncopied_in_even_slices(self, workers):
+        net = heap_tree(1100)
+        indptr, indices = net.to_csr()
+        _, ends, ordered = metrics._by_component(net)
+        assert ordered is net and ends.tolist() == [1100]
+        width = 512 // workers // 64 * 64
+        slices = metrics._slices(ordered, ends, width)
+        assert [chunk.tolist() for _, chunk, _, _ in slices] == [
+            list(range(first, min(first + width, 1100))) for first in range(0, 1100, width)
+        ]
+        for lo, _, starts, rows in slices:
+            assert lo == 0 and np.array_equal(starts, indptr[:-1]) and np.array_equal(rows, indices)
+
+    def test_fragments_sweep_and_count_over_their_own_rows(self, monkeypatch):
+        # 20 000 disjoint edges: no slice or triangle chunk spans more than 512 rows.
+        net = Network([None] * 40_000, np.arange(0, 40_000, 2), np.arange(1, 40_000, 2))
+        spans: list[int] = []
+        first_level = metrics._first_level
+
+        def recorded(chunk, starts, *args):
+            spans.append(starts.size)
+            return first_level(chunk, starts, *args)
+
+        monkeypatch.setattr(metrics, "_first_level", recorded)
+        report = compute_metrics(net)
+        assert report.path_length_distribution == {1: 1.0}
+        assert report.largest_component_fraction == 2 / 40_000
+        assert report.motif_census[3] == 0
+        assert 0 < max(spans) <= 512
+
+    def test_triangle_count_allocates_by_edges_on_fragmented_ids(self):
+        # 500 000 nodes and one edge: one chunk's words over every node would be 32 MB.
+        net = Network([None] * 500_000, [0], [1])
+        tracemalloc.start()
+        try:
+            assert triangle_count(net) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 def isolated_at_chunk_edges() -> Network:
@@ -691,7 +877,7 @@ class TestClustering:
         )
         monkeypatch.setattr(metrics, "np", counted)
         monkeypatch.setattr(metrics, "_first_level", counted_first_level)
-        triangles = metrics._triangles_per_node(net)
+        triangles = metrics._triangles_per_node(net, *metrics._by_component(net))
         assert built == [512, 512, 76]
         assert ored == []
         expected = nx.triangles(to_nx(net))
@@ -700,7 +886,7 @@ class TestClustering:
     def test_matches_networkx_with_isolated_nodes_at_chunk_edges(self):
         net = isolated_at_chunk_edges()
         expected = nx.triangles(to_nx(net))
-        assert metrics._triangles_per_node(net).tolist() == [
+        assert metrics._triangles_per_node(net, *metrics._by_component(net)).tolist() == [
             expected[node] for node in range(net.n_nodes)
         ]
 
