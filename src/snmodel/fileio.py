@@ -49,51 +49,61 @@ def parse_edge_list(text: str) -> Network:
 
     Comment and blank lines are skipped; a "# nodes N" comment sets the node
     count, which ids past it raise to one past the highest id. Duplicate edges
-    produce a warning and are kept once; self-loops, malformed lines and
-    negative counts or ids, or those past MAX_NODES, are errors that name the
-    offending line number.
+    warn and are kept once. Self-loops, malformed lines and negative counts or
+    ids, or those past MAX_NODES, are errors. One pass splits the lines and the
+    ids are then checked as arrays: an error names the first offending line,
+    once every duplicate edge before it has warned.
     """
-    n_nodes = 0
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    n_nodes, ids, linenos, fault = 0, [], [], ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             fields = line[1:].split()
             if len(fields) == 2 and fields[0] == "nodes":
                 try:
                     count = int(fields[1])
                 except ValueError:
-                    raise ValueError(f"line {lineno}: malformed node count") from None
-                if count < 0:
-                    raise ValueError(f"line {lineno}: node count must be >= 0")
+                    fault = f"line {lineno}: malformed node count"
+                    break
+                if not 0 <= count <= MAX_NODES:
+                    limit = "must be >= 0" if count < 0 else f"exceeds {MAX_NODES}"
+                    fault = f"line {lineno}: node count {limit}"
+                    break
                 n_nodes = max(n_nodes, count)
-                if n_nodes > MAX_NODES:
-                    raise ValueError(f"line {lineno}: node count exceeds {MAX_NODES}")
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected two ids, got {len(fields)} fields")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: ids must be integers") from None
-        if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: ids must be >= 0")
-        if max(u, v) >= MAX_NODES:
-            raise ValueError(f"line {lineno}: ids must be below {MAX_NODES}")
-        if u == v:
-            raise ValueError(f"line {lineno}: self-loop on node {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            warnings.warn(f"line {lineno}: duplicate edge {key}, keeping one")
-            continue
-        seen.add(key)
-        pairs.append(key)
-        n_nodes = max(n_nodes, u + 1, v + 1)
-    return Network.from_edges(n_nodes, pairs)
+        elif line:
+            fields = line.split()
+            if len(fields) != 2:
+                fault = f"line {lineno}: expected two ids, got {len(fields)} fields"
+                break
+            try:
+                ids += int(fields[0]), int(fields[1])
+            except ValueError:
+                fault = f"line {lineno}: ids must be integers"
+                break
+            linenos.append(lineno)
+    pairs = np.array(ids, dtype=object).reshape(-1, 2)  # Python ints: no id overflows
+    bad = (pairs < 0).any(1) | (pairs >= MAX_NODES).any(1) | (pairs[:, 0] == pairs[:, 1])
+    if bad.any():
+        k = int(np.argmax(bad))
+        u, v = ids[2 * k : 2 * k + 2]
+        if min(u, v) < 0:
+            fault = f"line {linenos[k]}: ids must be >= 0"
+        elif max(u, v) >= MAX_NODES:
+            fault = f"line {linenos[k]}: ids must be below {MAX_NODES}"
+        else:
+            fault = f"line {linenos[k]}: self-loop on node {u}"
+        pairs = pairs[:k]
+    pairs = pairs.astype(np.int64)
+    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    order = np.lexsort((hi, lo))  # stable: an edge's first line leads its copies
+    twice = np.zeros(lo.shape[0], dtype=bool)
+    twice[order[1:]] = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
+    for k in np.flatnonzero(twice).tolist():
+        warnings.warn(f"line {linenos[k]}: duplicate edge {(int(lo[k]), int(hi[k]))}, keeping one")
+    if fault:
+        raise ValueError(fault)
+    n_nodes = max(n_nodes, int(hi.max(initial=-1)) + 1)
+    return Network([None] * n_nodes, lo[~twice], hi[~twice])
 
 
 def read_edge_list(path: str | Path) -> Network:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,11 +65,6 @@ class Network:
         self.edge_u, self.edge_v = u, v
         self._degrees: np.ndarray | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
-
-    @classmethod
-    def from_edges(cls, n_nodes: int, edges: Iterable[tuple[int, int]]) -> Network:
-        pairs = list(edges)
-        return cls([None] * n_nodes, [p[0] for p in pairs], [p[1] for p in pairs])
 
     @property
     def n_nodes(self) -> int:

@@ -5,14 +5,16 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import warnings
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 
 import numpy as np
 
 from snmodel import structures
 from snmodel.distance import within_max_distance
+from snmodel.fileio import MAX_NODES
 from snmodel.growth import BATCH, INCREMENTAL, GrowthTrace, Instance, grow
 from snmodel.network import Network
 from snmodel.structures import Alphabet, Edit, EditProbabilities, edit_space_size
@@ -28,12 +30,18 @@ def edge_set(net: Network) -> set[tuple[int, int]]:
     return set(edge_pairs(net))
 
 
+def from_pairs(n_nodes: int, pairs: Iterable[tuple[int, int]]) -> Network:
+    """A structureless network on *n_nodes* nodes with the edges *pairs*."""
+    pairs = list(pairs)
+    return Network([None] * n_nodes, [p[0] for p in pairs], [p[1] for p in pairs])
+
+
 def random_network(rng: random.Random, n: int, p: float) -> Network:
     """G(n, p): each of the n(n-1)/2 node pairs is an edge with probability p."""
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
-    return Network.from_edges(n, edges)
+    return from_pairs(n, edges)
 
 
 def floyd_warshall(net: Network) -> list[list[float]]:
@@ -110,6 +118,51 @@ def every_edge_sweep(chunk: np.ndarray, starts: np.ndarray, indices: np.ndarray)
         if not counts.all():
             seen, frontier = seen[counts > 0], frontier[counts > 0]
             offsets = offsets[: len(seen) * n]
+
+
+def parse_edge_list_by_line(text: str) -> Network:
+    """``fileio.parse_edge_list`` as one loop that checks each line as it reads it."""
+    n_nodes = 0
+    pairs: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            fields = line[1:].split()
+            if len(fields) == 2 and fields[0] == "nodes":
+                try:
+                    count = int(fields[1])
+                except ValueError:
+                    raise ValueError(f"line {lineno}: malformed node count") from None
+                if count < 0:
+                    raise ValueError(f"line {lineno}: node count must be >= 0")
+                n_nodes = max(n_nodes, count)
+                if n_nodes > MAX_NODES:
+                    raise ValueError(f"line {lineno}: node count exceeds {MAX_NODES}")
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise ValueError(f"line {lineno}: expected two ids, got {len(fields)} fields")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: ids must be integers") from None
+        if u < 0 or v < 0:
+            raise ValueError(f"line {lineno}: ids must be >= 0")
+        if max(u, v) >= MAX_NODES:
+            raise ValueError(f"line {lineno}: ids must be below {MAX_NODES}")
+        if u == v:
+            raise ValueError(f"line {lineno}: self-loop on node {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            warnings.warn(f"line {lineno}: duplicate edge {key}, keeping one")
+            continue
+        seen.add(key)
+        pairs.append(key)
+        n_nodes = max(n_nodes, u + 1, v + 1)
+    return from_pairs(n_nodes, pairs)
 
 
 def validate(net: Network) -> None:

@@ -68,6 +68,7 @@ from oracles import (
     checkpoint_rows,
     edge_set,
     floyd_warshall,
+    from_pairs,
     random_network,
     shortest_path_lengths_bfs,
 )
@@ -398,12 +399,12 @@ def test_acceptance_08_property_suites():
 
     # Heterogeneity pinned at the extremes: 1 on stars, 0 on regular graphs.
     for n in range(3, 51):
-        star = Network.from_edges(n, [(0, i) for i in range(1, n)])
+        star = from_pairs(n, [(0, i) for i in range(1, n)])
         assert abs(heterogeneity_index(star) - 1.0) <= 1e-9
-        cycle = Network.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        cycle = from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
         assert abs(heterogeneity_index(cycle)) <= 1e-9
     for n in (3, 10, 25, 50):
-        complete = Network.from_edges(n, itertools.combinations(range(n), 2))
+        complete = from_pairs(n, itertools.combinations(range(n), 2))
         assert abs(heterogeneity_index(complete)) <= 1e-9
 
     # Distance symmetry, identity, and the group-count bound on random pairs.

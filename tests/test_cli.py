@@ -23,6 +23,8 @@ from snmodel.cli import _config_from_args, build_parser, main
 from snmodel.experiments import INSTANCE_KEYS
 from snmodel.network import Network
 
+from oracles import from_pairs
+
 INSTANCE = """\
 alphabet = ABC
 initial = ABCABC
@@ -822,7 +824,7 @@ class TestExperimentWriter:
         # would fill the result pipe: the child would block on it while the
         # caller blocks on the data pipe that the child no longer reads.
         self.needs_the_child(monkeypatch)
-        big = Network.from_edges(20_001, [(k, k + 1) for k in range(20_000)])
+        big = from_pairs(20_001, [(k, k + 1) for k in range(20_000)])
         report = metrics.compute_metrics(Network(["AT", "TT"], [0], [1]))
         caller, mark = os.getpid(), tmp_path / "child_claimed"
 

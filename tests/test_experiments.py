@@ -25,7 +25,8 @@ from snmodel.experiments import (
 )
 from snmodel.growth import BATCH, INCREMENTAL, grow
 from snmodel.metrics import compute_metrics
-from snmodel.network import Network
+
+from oracles import from_pairs
 
 MINIMAL = """\
 alphabet = ABC
@@ -169,8 +170,8 @@ class TestConfigFromMapping:
 class TestSummarize:
     def make_reports(self):
         nets = [
-            Network.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
-            Network.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+            from_pairs(4, [(0, 1), (1, 2), (2, 3)]),
+            from_pairs(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
         ]
         return [compute_metrics(n) for n in nets]
 
@@ -236,7 +237,7 @@ class TestSummarize:
 
     def test_metric_missing_from_every_report_has_no_mean(self):
         # Two nodes without an edge have no connected pair, so no path length.
-        reports = [compute_metrics(Network.from_edges(2, []))] * 2
+        reports = [compute_metrics(from_pairs(2, []))] * 2
         summary = summarize(reports, ("average_degree",))
         assert summary.means["average_path_length"] is None
         assert summary.stds["average_path_length"] is None
@@ -246,14 +247,14 @@ class TestSummarize:
         "other, metric, value",
         [
             # The isolated pair has no path length; the path's 4/3 is the reference.
-            (Network.from_edges(2, []), "average_path_length", 4 / 3),
+            (from_pairs(2, []), "average_path_length", 4 / 3),
             # A reference of 0 takes only an exact 0: the path's, not the triangle's 1.
-            (Network.from_edges(3, [(0, 1), (1, 2), (0, 2)]), "average_clustering", 0.0),
+            (from_pairs(3, [(0, 1), (1, 2), (0, 2)]), "average_clustering", 0.0),
         ],
         ids=["missing-value", "zero-reference"],
     )
     def test_seed_qualifies_only_with_a_value_near_the_reference(self, other, metric, value):
-        path = Network.from_edges(3, [(0, 1), (1, 2)])
+        path = from_pairs(3, [(0, 1), (1, 2)])
         reports = [compute_metrics(path), compute_metrics(other)]
         summary = summarize(reports, (metric,), {metric: value})
         assert (summary.within_10, summary.within_20) == (0.5, 0.5)

@@ -11,7 +11,7 @@ from snmodel import fileio
 from snmodel.metrics import compute_metrics
 from snmodel.network import Network
 
-from oracles import edge_set
+from oracles import edge_set, from_pairs
 
 
 def sample_net() -> Network:
@@ -44,7 +44,7 @@ class TestEdgeList:
         assert rows == [f"{a}\t{b}" for a, b in zip(u[order], v[order])]
 
     def test_nodes_header_preserves_isolated_nodes(self):
-        net = Network.from_edges(6, [(0, 1)])
+        net = from_pairs(6, [(0, 1)])
         text = fileio.render_edge_list(net)
         assert "# nodes 6" in text
         assert fileio.parse_edge_list(text).n_nodes == 6

@@ -30,7 +30,7 @@ from snmodel.growth import (
 from snmodel.network import Network
 from snmodel.structures import Alphabet, Edit, EditProbabilities, apply_random_edit
 
-from oracles import checkpoint_rows, edge_set, validate
+from oracles import checkpoint_rows, edge_set, from_pairs, validate
 
 AB = Alphabet.from_string("AB")
 ABC = Alphabet.from_string("ABC")
@@ -382,26 +382,26 @@ class TestPrune:
     def test_single_pass_keeps_survivors_below_threshold(self):
         # Path 0-1-2-3: ends have degree 1, middle degree 2. One pass keeps
         # the middle nodes even though their degree drops to 1 afterwards.
-        net = Network.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        net = from_pairs(4, [(0, 1), (1, 2), (2, 3)])
         pruned = prune_low_degree(net, 2)
         assert pruned.n_nodes == 2
         assert pruned.n_edges == 1
 
     def test_star_collapses_to_center(self):
-        net = Network.from_edges(9, [(0, i) for i in range(1, 9)])
+        net = from_pairs(9, [(0, i) for i in range(1, 9)])
         pruned = prune_low_degree(net, 2)
         assert pruned.n_nodes == 1
         assert pruned.n_edges == 0
 
     def test_zero_threshold_is_identity(self):
-        net = Network.from_edges(4, [(0, 1), (1, 2)])
+        net = from_pairs(4, [(0, 1), (1, 2)])
         pruned = prune_low_degree(net, 0)
         assert pruned.n_nodes == 4
         assert edge_set(pruned) == edge_set(net)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            prune_low_degree(Network.from_edges(2, [(0, 1)]), -1)
+            prune_low_degree(from_pairs(2, [(0, 1)]), -1)
 
 
 class TestGroupIndex:

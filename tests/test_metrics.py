@@ -42,6 +42,7 @@ from oracles import (
     edge_pairs,
     every_edge_sweep,
     floyd_warshall,
+    from_pairs,
     random_network,
     shortest_path_lengths_bfs,
 )
@@ -69,7 +70,7 @@ def sparse_multi_component(rng: random.Random, n: int) -> Network:
         for _ in range(len(block) // 2):
             u, v = rng.sample(block, 2)
             edges.add((min(u, v), max(u, v)))
-    return Network.from_edges(n, sorted(edges))
+    return from_pairs(n, sorted(edges))
 
 
 def assert_clustering_matches_networkx(net: Network) -> None:
@@ -104,7 +105,7 @@ def words_of_different_depths(rng: random.Random) -> Network:
     for _ in range(100):
         u, v = sorted(rng.sample(range(278, 700), 2))
         edges.add((u, v))
-    return Network.from_edges(700, sorted(edges))
+    return from_pairs(700, sorted(edges))
 
 
 def linked_sources(count: int) -> Network:
@@ -150,29 +151,29 @@ def small_graphs(draw) -> Network:
     n = draw(st.integers(1, 140))
     node = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
-    return Network.from_edges(n, sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]}))
+    return from_pairs(n, sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]}))
 
 
 class TestDegreeAndPaths:
     def test_average_degree_triangle(self):
-        assert average_degree(Network.from_edges(3, [(0, 1), (1, 2), (0, 2)])) == 2.0
+        assert average_degree(from_pairs(3, [(0, 1), (1, 2), (0, 2)])) == 2.0
 
     def test_degree_histogram_includes_isolated(self):
-        net = Network.from_edges(4, [(0, 1)])
+        net = from_pairs(4, [(0, 1)])
         assert degree_histogram(net) == {0: 2, 1: 2}
         assert degree_distribution(net) == {0: 0.5, 1: 0.5}
 
     def test_path_graph_lengths(self):
-        net = Network.from_edges(3, [(0, 1), (1, 2)])
+        net = from_pairs(3, [(0, 1), (1, 2)])
         assert path_length_histogram(net) == {1: 2, 2: 1}
         assert average_path_length(net) == pytest.approx(4 / 3)
 
     def test_four_cycle(self):
-        net = Network.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        net = from_pairs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert path_length_histogram(net) == {1: 4, 2: 2}
 
     def test_disconnected_pairs_excluded(self):
-        net = Network.from_edges(4, [(0, 1), (2, 3)])
+        net = from_pairs(4, [(0, 1), (2, 3)])
         assert path_length_histogram(net) == {1: 2}
         assert compute_metrics(net).path_length_distribution == {1: 1.0}
 
@@ -183,14 +184,14 @@ class TestDegreeAndPaths:
     )
     def test_empty_network_is_undefined(self, metric):
         with pytest.raises(ValueError, match="empty network"):
-            metric(Network.from_edges(0, []))
+            metric(from_pairs(0, []))
 
     def test_no_connected_pairs_is_undefined(self):
         with pytest.raises(ValueError):
-            average_path_length(Network.from_edges(2, []))
+            average_path_length(from_pairs(2, []))
 
     def test_bfs_from_single_source(self):
-        net = Network.from_edges(5, [(0, 1), (1, 2), (2, 3)])
+        net = from_pairs(5, [(0, 1), (1, 2), (2, 3)])
         assert shortest_path_lengths_bfs(net, 0) == {0: 0, 1: 1, 2: 2, 3: 3}
 
     def test_histogram_matches_floyd_warshall(self):
@@ -220,7 +221,7 @@ class TestDegreeAndPaths:
         if relabel is not None:
             perm = list(range(net.n_nodes))
             random.Random(relabel).shuffle(perm)
-            net = Network.from_edges(net.n_nodes, [(perm[u], perm[v]) for u, v in edge_pairs(net)])
+            net = from_pairs(net.n_nodes, [(perm[u], perm[v]) for u, v in edge_pairs(net)])
         expected = networkx_sweep(net)
         assert expected[1] == 572 / 700
         assert snmodel_sweep(net) == expected
@@ -279,7 +280,7 @@ def started(monkeypatch) -> list[threading.Thread]:
 
 def heap_tree(n: int) -> Network:
     """A connected tree on n nodes: node i hangs off node i // 2."""
-    return Network.from_edges(n, [(i // 2, i) for i in range(1, n)])
+    return from_pairs(n, [(i // 2, i) for i in range(1, n)])
 
 
 class TestSweepThreads:
@@ -398,7 +399,7 @@ def component_graphs(draw) -> Network:
             n += size
     perm = list(range(n))
     draw(st.randoms(use_true_random=False)).shuffle(perm)
-    return Network.from_edges(n, sorted({(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}))
+    return from_pairs(n, sorted({(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}))
 
 
 def every_edge_pair_counts(net: Network) -> list[int]:
@@ -450,7 +451,7 @@ class TestSweepLevels:
         if graph == "words":
             net = words_of_different_depths(random.Random(3))
         elif graph == "path":
-            net = Network.from_edges(700, [(u, u + 1) for u in range(699)])
+            net = from_pairs(700, [(u, u + 1) for u in range(699)])
         else:
             net = linked_sources(graph)
         assert_levels_match_oracle(net)
@@ -467,14 +468,14 @@ class TestSweepLevels:
     )
     def test_levels_match_the_oracle_on_tiny_graphs(self, n, edges, hist):
         # Graphs whose level 2 finds nothing or closes every node.
-        net = Network.from_edges(n, edges)
+        net = from_pairs(n, edges)
         assert path_length_histogram(net) == hist
         assert_levels_match_oracle(net)
 
     def test_no_level_gathers_for_level_1_or_finds_nothing(self, monkeypatch):
         # Sources on a 200-clique with a 300-node path: from level 2 on only
         # the path's nodes are open.
-        net = Network.from_edges(500, clique_with_path(0, 200, 300))
+        net = from_pairs(500, clique_with_path(0, 200, 300))
         indptr, indices = net.to_csr()
         chunk = np.arange(200)
         levels = every_edge_sweep(chunk, indptr[:-1], indices)
@@ -502,7 +503,7 @@ class TestSweepLevels:
         # 200-499) and a 100-node path off node 0 (500-599). Each level from
         # level 2 on closes a node of each path, and level 101 the short path's last.
         edges = clique_with_path(0, 200, 300) + [(0, 500)] + [(u, u + 1) for u in range(500, 599)]
-        net = Network.from_edges(600, edges)
+        net = from_pairs(600, edges)
         indptr, indices = net.to_csr()
         chunk = np.arange(200)
         levels = every_edge_sweep(chunk, indptr[:-1], indices)
@@ -547,7 +548,7 @@ def components_of(sizes: list[int], rng: random.Random) -> Network:
         n += size
     perm = list(range(n))
     rng.shuffle(perm)
-    return Network.from_edges(n, sorted({(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}))
+    return from_pairs(n, sorted({(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}))
 
 
 @st.composite
@@ -676,7 +677,7 @@ def isolated_at_chunk_edges() -> Network:
     and last nodes of 512-node chunks."""
     net = random_network(random.Random(1100), 1100, 0.05)
     isolated = {0, 511, 512, 1099}
-    return Network.from_edges(
+    return from_pairs(
         1100, [(u, v) for u, v in edge_pairs(net) if u not in isolated and v not in isolated]
     )
 
@@ -837,7 +838,7 @@ class TestEachOnCpus:
 
 class TestClustering:
     def test_triangle_with_pendant(self):
-        net = Network.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+        net = from_pairs(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
         coeff = local_clustering(net)
         assert coeff[0] == pytest.approx(1 / 3)
         assert coeff[1] == 1.0
@@ -846,7 +847,7 @@ class TestClustering:
         assert average_clustering(net) == pytest.approx((1 / 3 + 1 + 1 + 0) / 4)
 
     def test_low_degree_counts_as_zero_in_mean(self):
-        net = Network.from_edges(2, [(0, 1)])
+        net = from_pairs(2, [(0, 1)])
         assert average_clustering(net) == 0.0
 
     @pytest.mark.parametrize("n", [513, 1100])
@@ -903,7 +904,7 @@ class TestClustering:
             )
 
     def test_clustering_by_degree(self):
-        net = Network.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+        net = from_pairs(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
         by_degree = compute_metrics(net).clustering_by_degree
         assert by_degree[3] == pytest.approx(1 / 3)
         assert by_degree[2] == 1.0
@@ -929,13 +930,13 @@ class TestClustering:
         self.assert_means_are_masked_means(random_network(random.Random(n), n, 0.05))
 
     def test_triangle_count(self):
-        net = Network.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        net = from_pairs(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
         assert triangle_count(net) == 2
 
 
 class TestMotifCensus:
     def test_triangle_plus_isolated(self):
-        net = Network.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+        net = from_pairs(4, [(0, 1), (1, 2), (0, 2)])
         assert motif_census_3(net) == {0: 0, 1: 3, 2: 0, 3: 1}
 
     def test_matches_brute_force(self):
@@ -952,35 +953,35 @@ class TestMotifCensus:
 
     def test_requires_three_nodes(self):
         with pytest.raises(ValueError):
-            motif_census_3(Network.from_edges(2, [(0, 1)]))
+            motif_census_3(from_pairs(2, [(0, 1)]))
 
 
 class TestHeterogeneity:
     def test_stars_reach_one(self):
         for n in range(3, 51):
-            net = Network.from_edges(n, [(0, i) for i in range(1, n)])
+            net = from_pairs(n, [(0, i) for i in range(1, n)])
             assert heterogeneity_index(net) == pytest.approx(1.0, abs=1e-9)
 
     def test_regular_graphs_are_zero(self):
-        cycle = Network.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
+        cycle = from_pairs(8, [(i, (i + 1) % 8) for i in range(8)])
         assert heterogeneity_index(cycle) == pytest.approx(0.0, abs=1e-12)
-        complete = Network.from_edges(
+        complete = from_pairs(
             6, list(itertools.combinations(range(6), 2))
         )
         assert heterogeneity_index(complete) == pytest.approx(0.0, abs=1e-12)
 
     def test_path_graph_value(self):
         # Two end edges contribute (1 - 1/sqrt(2))^2 each.
-        net = Network.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        net = from_pairs(4, [(0, 1), (1, 2), (2, 3)])
         expected = 2 * (1 - 1 / math.sqrt(2)) ** 2 / (4 - 2 * math.sqrt(3))
         assert heterogeneity_index(net) == pytest.approx(expected)
 
     def test_requires_three_nodes(self):
         with pytest.raises(ValueError):
-            heterogeneity_index(Network.from_edges(2, [(0, 1)]))
+            heterogeneity_index(from_pairs(2, [(0, 1)]))
 
     def test_empty_graph_is_zero(self):
-        assert heterogeneity_index(Network.from_edges(5, [])) == 0.0
+        assert heterogeneity_index(from_pairs(5, [])) == 0.0
 
 
 class TestPowerLawFit:
@@ -1020,7 +1021,7 @@ class TestPowerLawFit:
 
 class TestComponentsAndReport:
     def test_component_sizes(self):
-        net = Network.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        net = from_pairs(5, [(0, 1), (1, 2), (3, 4)])
         sizes = sorted((len(c) for c in nx.connected_components(to_nx(net))), reverse=True)
         assert sizes == [3, 2]
         assert compute_metrics(net).largest_component_fraction == 0.6
@@ -1036,7 +1037,7 @@ class TestComponentsAndReport:
         ids=["triangle-first", "path-first"],
     )
     def test_report_breaks_component_ties_like_largest_component(self, edges):
-        net = Network.from_edges(6, edges)
+        net = from_pairs(6, edges)
         report = compute_metrics(net)
         assert report.average_path_length_largest_component == average_path_length(
             largest_component(net)
@@ -1084,7 +1085,7 @@ class TestComponentsAndReport:
         assert report.average_path_length == expected
 
     def test_report_on_small_graph(self):
-        net = Network.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+        net = from_pairs(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
         report = compute_metrics(net)
         assert report.n_nodes == 4
         assert report.n_edges == 4
@@ -1096,7 +1097,7 @@ class TestComponentsAndReport:
         assert sum(report.path_length_distribution.values()) == pytest.approx(1.0)
 
     def test_report_handles_undefined_metrics(self):
-        net = Network.from_edges(2, [])
+        net = from_pairs(2, [])
         report = compute_metrics(net)
         assert report.average_path_length is None
         assert report.heterogeneity is None
@@ -1114,7 +1115,7 @@ class TestComponentsAndReport:
         net = random_network(rng, 25, 0.25)
         perm = list(range(25))
         rng.shuffle(perm)
-        relabeled = Network.from_edges(
+        relabeled = from_pairs(
             25, [(perm[u], perm[v]) for u, v in edge_pairs(net)]
         )
         a = compute_metrics(net)
@@ -1129,4 +1130,4 @@ class TestComponentsAndReport:
 
 def grow_star_like() -> Network:
     edges = [(0, i) for i in range(1, 10)] + [(1, 2), (3, 4)]
-    return Network.from_edges(10, edges)
+    return from_pairs(10, edges)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from snmodel.experiments import (
 from snmodel.network import Network
 from snmodel.structures import Alphabet
 
-from oracles import edge_set
+from oracles import edge_set, from_pairs, parse_edge_list_by_line
 
 MAX_NUMBER = 10**6
 
@@ -98,7 +99,7 @@ def networks(draw) -> Network:
     n = draw(st.integers(0, 40))
     pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))))
     edges = sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]}) if n else []
-    return Network.from_edges(n, edges)
+    return from_pairs(n, edges)
 
 
 @st.composite
@@ -145,3 +146,72 @@ class TestRoundTrips:
         text = "".join(f"{key} = {value}\n" for key, value in mapping.items())
         assert parse_key_values(text) == mapping
         assert parse_instance_file(text) == config_from_mapping(mapping)
+
+
+#: Ids and node counts the reader must reject, or accept without allocating
+#: by them: negatives, MAX_NODES itself, past int64 on both sides, spellings
+#: ``int`` accepts, and non-integers.
+odd_id = st.sampled_from(
+    ["-1", "-7", str(2**63 - 1), str(2**63), str(2**64), str(-(2**63) - 1), "+2", "1_0", "x", "0x1"]
+)
+edge_id = st.one_of(st.integers(0, 6).map(str), odd_id)
+odd_count = st.sampled_from(["-1", "x", "1.5", "+3", str(2**63), str(2**64)])
+
+
+@st.composite
+def edge_list_lines(draw) -> str:
+    """Edge-list text: valid pairs with copies either way round, and up to two faulty lines."""
+    small = st.integers(0, 6)
+    pairs = draw(st.lists(st.tuples(small, small).filter(lambda p: p[0] != p[1]), max_size=12))
+    lines = [f"{u}\t{v}" for u, v in pairs]
+    lines += draw(st.lists(st.one_of(
+        st.integers(0, 12).map(lambda c: f"# nodes {c}"),
+        st.sampled_from(["", "  ", "# comment", "#nodes 3", "# nodes"]),
+    ), max_size=4))
+    lines = draw(st.permutations(lines))
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []:
+        lines.insert(draw(st.integers(0, len(lines))), f"{v} {u}" if draw(st.booleans()) else f"{u} {v}")
+    for line in draw(st.lists(st.one_of(
+        st.tuples(edge_id, edge_id).map(" ".join),
+        small.map(lambda i: f"{i}\t{i}"),
+        odd_count.map(lambda c: f"# nodes {c}"),
+        st.lists(edge_id, min_size=1, max_size=3).map(" ".join),
+    ), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines)
+
+
+def outcome(parse, text: str) -> tuple:
+    """The error text, or the network's structures and edges; and the warnings, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            net = parse(text)
+            result = (net.structures, net.edge_u.tolist(), net.edge_v.tolist())
+        except ValueError as exc:
+            result = ("error", str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+class TestEdgeListAgainstLineReader:
+    """``parse_edge_list`` gives what the line-at-a-time reader gives."""
+
+    @given(edge_list_lines())
+    @settings(deadline=None, max_examples=500)
+    def test_same_outcome(self, text):
+        assert outcome(fileio.parse_edge_list, text) == outcome(parse_edge_list_by_line, text)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("0\t1\n-1\t2\n0 1 2", "line 2: ids must be >= 0"),
+            ("# nodes x\n3\t3", "line 1: malformed node count"),
+            ("3\t3\n# nodes -1", "line 1: self-loop on node 3"),
+            (f"{2**63}\t{2**63}\n1\t1", f"line 1: ids must be below {fileio.MAX_NODES}"),
+            ("0 1\n1 0\n1 1", "line 3: self-loop on node 1"),
+        ],
+    )
+    def test_the_first_faulty_line_is_named(self, text, error):
+        expected = outcome(parse_edge_list_by_line, text)
+        assert expected[0] == ("error", error)
+        assert outcome(fileio.parse_edge_list, text) == expected

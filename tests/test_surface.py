@@ -60,7 +60,6 @@ SURFACE = {
     "GroupIndex": {"add", "append", "distances", "encode", "join", "pop"},
     "Network": {
         "degrees",
-        "from_edges",
         "induced_prefix",
         "n_edges",
         "n_nodes",
