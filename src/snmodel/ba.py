@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 from .network import Network
 from .structures import below
@@ -69,4 +70,4 @@ def grow_ba(params: BAParams) -> Network:
             repeated.append(t)
             repeated.append(new)
 
-    return Network([None] * params.target_nodes, edges_u, edges_v)
+    return Network(repeat(None, params.target_nodes), edges_u, edges_v)

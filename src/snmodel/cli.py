@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import NoReturn
 
@@ -225,19 +226,22 @@ _parser: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one snm command; each warning it raises is one ``warning:`` line on stderr."""
     global _parser
     if _parser is None:
         _parser = build_parser()
-    try:
-        args = _parser.parse_args(argv)
-        for key, convert in _NUMBER_FLAGS.items():
-            if getattr(args, key, None) is not None:
-                setattr(args, key, experiments.convert_value(key, convert, getattr(args, key)))
-        return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:
-        # A MemoryError raised before allocating, as for a huge node count, has no message.
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # gives an in-process caller its own handler back
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = _parser.parse_args(argv)
+            for key, convert in _NUMBER_FLAGS.items():
+                if getattr(args, key, None) is not None:
+                    setattr(args, key, experiments.convert_value(key, convert, getattr(args, key)))
+            return args.func(args)
+        except (ValueError, OSError, MemoryError) as exc:
+            # A MemoryError raised before allocating, as for a huge node count, has no message.
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -3,18 +3,18 @@
 Every writer emits a version header comment and fully sorted content so that
 identical inputs produce byte-identical files. ``write_networks`` makes and
 writes a run's networks, in one forked child beside the caller where it can:
-both make networks, claimed through a pipe, and the child writes them all:
-the caller's come to it down a one-way ``multiprocessing.connection``.
+both make networks, claimed through a pipe; the caller's go down a one-way
+``multiprocessing.connection`` to the child, which writes them all and returns every report.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import signal
 import threading
 import warnings
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Mapping, NoReturn
 
@@ -103,7 +103,7 @@ def parse_edge_list(text: str) -> Network:
     if fault:
         raise ValueError(fault)
     n_nodes = max(n_nodes, int(hi.max(initial=-1)) + 1)
-    return Network([None] * n_nodes, lo[~twice], hi[~twice])
+    return Network(repeat(None, n_nodes), lo[~twice], hi[~twice])
 
 
 def read_edge_list(path: str | Path) -> Network:
@@ -206,12 +206,12 @@ def write_networks(n_networks: int, make: Make) -> list[MetricsReport]:
 
     Where fork exists, at least two CPUs are usable and no other thread is
     alive, 2 or more networks fork one child. Each process, when free, makes
-    the index that a token in a pipe carries. The caller sends each network
-    it makes (structures and edges, not cached views) and its report down a
-    connection; the child writes every network in index order and sends back
-    its own reports. An error at index k leaves exactly the networks below k
-    written; a child that failed raises one OSError with its message, in
-    place of any error the caller met. The bytes are the same as in-process.
+    the index that a token in a pipe carries. The caller sends each index it
+    makes and what ``make`` returned down a connection; the child writes
+    every network in index order and sends back every report. An error at
+    index k leaves exactly the networks below k written; a child that failed
+    raises one OSError with its message, in place of any error the caller
+    met. The bytes are the same as in-process.
     """
     forkable = hasattr(os, "fork") and _WORKERS >= 2 and threading.active_count() == 1
     if n_networks < 2 or not forkable:
@@ -236,20 +236,17 @@ def write_networks(n_networks: int, make: Make) -> list[MetricsReport]:
         _serve(n_networks, make, token, data_r, result_w)
     data_r.close()
     result_w.close()
-    reports: dict[int, MetricsReport] = {}
     try:
         i = 0
         while i < n_networks:
-            directory, net, report = make(i)
-            reports[i] = report
-            data_w.send((i, directory, net.structures, net.edge_u, net.edge_v, report))
+            data_w.send((i, make(i)))
             i = _claim(token)
     finally:
         data_w.close()  # the end of the data ends the child's claims
         for fd in token:
             os.close(fd)
         try:
-            result = result_r.recv_bytes()  # before reaping: the reports may exceed the pipe
+            result = result_r.recv()  # before reaping: the reports may exceed the pipe
         except (EOFError, OSError):  # nothing sent, or a result cut short
             result = b""
         result_r.close()
@@ -257,8 +254,7 @@ def write_networks(n_networks: int, make: Make) -> list[MetricsReport]:
         if status:
             code = os.waitstatus_to_exitcode(status)
             raise OSError(result.decode(errors="replace") or f"the child ended with exit code {code}")
-    reports.update(pickle.loads(result))
-    return [reports[i] for i in range(n_networks)]
+    return result
 
 
 def _claim(token: tuple[int, int]) -> int:
@@ -279,41 +275,41 @@ def _serve(n_networks: int, make: Make, token: tuple[int, int], data, result) ->
     *data* and *result* are one-way connections. A connection reads exactly
     one record at a time, so ``data.poll()`` sees every record that waits. At
     the end of the data, or in a record cut short, only the contiguous run of
-    indexes is written: a gap is an index the caller failed at. An index
-    that fails here ends the claims, and its error goes back once every lower
-    index is written. It ignores SIGINT, so an interrupted caller still gets
-    what it sent written, and ends by ``os._exit``, never in the caller's stack.
+    indexes is written, and its reports go back: a gap is an index the caller
+    failed at. An index that fails here ends the claims, and its error goes
+    back once every lower index is written. It ignores SIGINT, so an interrupted
+    caller still gets what it sent written, and ends by ``os._exit``, never in the caller's stack.
     """
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         held: dict[int, tuple[Path, Network, MetricsReport]] = {}
-        own: dict[int, MetricsReport] = {}
-        written, end, claiming, failure = 0, n_networks, True, None
-        while written < end:
+        reports: list[MetricsReport] = []
+        end, claiming, failure = n_networks, True, None
+        while len(reports) < end:
             if claiming and not data.poll():
                 i = _claim(token)
                 claiming = i < n_networks
                 if claiming:
                     try:
                         held[i] = make(i)
-                        own[i] = held[i][2]
                     except Exception as exc:
                         end, claiming, failure = i, False, exc
             else:
                 try:
-                    i, directory, structures, edge_u, edge_v, report = data.recv()
+                    i, made = data.recv()
                 except (EOFError, OSError):  # the end, or a record cut short
                     break
-                held[i] = (directory, Network(structures, edge_u, edge_v), report)
-            while written in held:
-                write_network(*held.pop(written))
-                written += 1
-        if failure is not None and written == end:
+                held[i] = made
+            while len(reports) in held:
+                directory, net, report = held.pop(len(reports))
+                write_network(directory, net, report)
+                reports.append(report)
+        if failure is not None and len(reports) == end:
             raise failure
-        result.send_bytes(pickle.dumps(own, pickle.HIGHEST_PROTOCOL))
+        result.send(reports)
         status = 0
     except BaseException as exc:
-        result.send_bytes((str(exc) or type(exc).__name__).encode()[:_MESSAGE_BYTES])
+        result.send((str(exc) or type(exc).__name__).encode()[:_MESSAGE_BYTES])
     finally:
         os._exit(status)

@@ -31,7 +31,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -140,7 +140,7 @@ def _by_component(net: Network) -> tuple[np.ndarray, np.ndarray, Network]:
     if order.size == net.n_nodes and np.array_equal(order, np.arange(order.size)):
         return order, ends, net
     rows = np.argsort(by)[np.searchsorted(linked, (net.edge_u, net.edge_v))]  # edge ends' rows
-    return order, ends, Network([None] * order.size, *rows)
+    return order, ends, Network(repeat(None, order.size), *rows)
 
 
 def _slices(net: Network, ends: np.ndarray, width: int) -> list[tuple]:
@@ -327,18 +327,6 @@ def average_clustering(net: Network) -> float:
     return float(local_clustering(net).mean())
 
 
-def _mean_by_degree(degrees: np.ndarray, coeff: np.ndarray) -> dict[int, float]:
-    # A stable sort keeps each degree's coefficients in node order, the order
-    # coeff[degrees == k].mean() sums them in, so the means are the same floats.
-    grouped = coeff[np.argsort(degrees, kind="stable")]
-    sizes = np.bincount(degrees)
-    ends = np.cumsum(sizes).tolist()
-    return {
-        k: float(np.add.reduce(grouped[ends[k] - sizes[k] : ends[k]])) / int(sizes[k])
-        for k in np.flatnonzero(sizes).tolist()
-    }
-
-
 def triangle_count(net: Network) -> int:
     return int(_triangles_per_node(net, *_by_component(net)).sum()) // 3
 
@@ -448,7 +436,8 @@ def compute_metrics(net: Network, fit_k_min: int | None = None) -> MetricsReport
     total_pairs = sum(hist.values())
     deg_dist = degree_distribution(net)
     triangles = _triangles_per_node(net, order, ends, ordered)
-    coeff = _clustering_coefficients(net.degrees(), triangles)
+    degrees = net.degrees()
+    coeff = _clustering_coefficients(degrees, triangles)
     return MetricsReport(
         n_nodes=net.n_nodes,
         n_edges=net.n_edges,
@@ -460,7 +449,7 @@ def compute_metrics(net: Network, fit_k_min: int | None = None) -> MetricsReport
         heterogeneity=heterogeneity_index(net) if net.n_nodes > 2 else None,
         degree_distribution=deg_dist,
         path_length_distribution={l: c / total_pairs for l, c in hist.items()},
-        clustering_by_degree=_mean_by_degree(net.degrees(), coeff),
+        clustering_by_degree={k: float(coeff[degrees == k].mean()) for k in deg_dist},
         motif_census=(
             _census_from_triangles(net, int(triangles.sum()) // 3) if net.n_nodes >= 3 else None
         ),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class Network:
 
     def __init__(
         self,
-        structures: Sequence[str | None],
+        structures: Iterable[str | None],
         edge_u: np.ndarray | Sequence[int] = (),
         edge_v: np.ndarray | Sequence[int] = (),
     ) -> None:
@@ -65,6 +65,10 @@ class Network:
         self.edge_u, self.edge_v = u, v
         self._degrees: np.ndarray | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __reduce__(self) -> tuple:
+        """Pickled as its structures and edges: the cached views are rebuilt on use."""
+        return Network, (self.structures, self.edge_u, self.edge_v)
 
     @property
     def n_nodes(self) -> int:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from multiprocessing.connection import Connection
 from pathlib import Path
 
@@ -249,7 +250,8 @@ class TestMetrics:
 
 def test_runtime_imports_no_scipy(tmp_path):
     # numpy is the only runtime dependency. A fresh interpreter that runs two
-    # subcommands also sees a lazy import.
+    # subcommands also sees a lazy import. Nor do they load numpy.ma, which
+    # np.unique imports on first use: 1.7 MB of resident memory.
     out = tmp_path / "run"
     script = f"""
 import sys
@@ -258,7 +260,7 @@ from snmodel.cli import main
 out = {str(out)!r}
 assert main(["generate", "--instance", str(instances_dir() / "celegans.instance"), "--out", out]) == 0
 assert main(["metrics", "--edges", out + "/edges.tsv", "--out", out + "/again.json"]) == 0
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma"))
 """
     src = str(Path(snmodel.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -816,6 +818,34 @@ class TestExperimentWriter:
         assert len(forks) == 1
         _assert_no_child_left()
 
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_every_report_comes_back_in_index_order(self, tmp_path, monkeypatch, forks, forked):
+        # In the forked case the caller is slowed, so that the child makes
+        # indexes too: every report, whoever made it, comes back from the child.
+        if forked:
+            self.needs_the_child(monkeypatch)
+        else:
+            monkeypatch.setattr(fileio, "_WORKERS", 1)
+        caller, marks = os.getpid(), tmp_path / "marks"
+        marks.mkdir()
+
+        def make(i: int) -> tuple[Path, Network, metrics.MetricsReport]:
+            if os.getpid() == caller and forked:
+                time.sleep(0.05)
+            (marks / f"{i}_{os.getpid()}").touch()
+            net = from_pairs(i + 3, [(k, k + 1) for k in range(i + 2)])
+            return tmp_path / f"seed_{i}", net, metrics.compute_metrics(net)
+
+        reports = fileio.write_networks(6, make)
+        assert [r.n_nodes for r in reports] == [i + 3 for i in range(6)]
+        for i, report in enumerate(reports):
+            rendered = fileio.render_json(fileio.report_to_dict(report, fileio.METRICS_FORMAT))
+            assert rendered == (tmp_path / f"seed_{i}" / "metrics.json").read_text()
+        makers = {p.name.split("_")[1] for p in marks.iterdir()}
+        assert len(makers) == 1 + forked
+        assert len(forks) == forked
+        _assert_no_child_left()
+
     def test_long_child_message_is_capped_and_cannot_deadlock(
         self, tmp_path, capsys, monkeypatch, forks
     ):
@@ -1278,3 +1308,49 @@ class TestRepeatedCalls:
         assert main([*argv, str(tmp_path / "again"), "--target-nodes", "12"]) == 0
         assert (tmp_path / "again" / "edges.tsv").read_bytes() == (small / "edges.tsv").read_bytes()
         assert len(builds) == 1
+
+
+#: An edge list whose lines 2 and 4 repeat the edge of line 1.
+DUPLICATES = "0 1\n1 0\n1 2\n0 1\n"
+DUPLICATE_WARNINGS = (
+    "warning: line 2: duplicate edge (0, 1), keeping one\n"
+    "warning: line 4: duplicate edge (0, 1), keeping one\n"
+)
+
+
+class TestWarnings:
+    """Each library warning a command raises is one ``warning:`` line on stderr."""
+
+    def test_duplicate_edges_in_metrics_and_prune(self, tmp_path, capsys):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text(DUPLICATES)
+        assert main(["metrics", "--edges", str(edges)]) == 0
+        assert capsys.readouterr().err == DUPLICATE_WARNINGS
+        out = tmp_path / "pruned.tsv"
+        assert main(["prune", "--edges", str(edges), "--min-degree", "1", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == DUPLICATE_WARNINGS
+        assert captured.out == f"kept 3 of 3 nodes (2 edges) in {out}\n"
+
+    def test_asymmetric_match_file(self, tmp_path, capsys):
+        matches = tmp_path / "matches.txt"
+        matches.write_text("AT = CT\n")
+        argv = [
+            "generate", "--instance", str(instances_dir() / "ecoli.instance"),
+            "--match-file", str(matches), "--target-nodes", "20", "--out", str(tmp_path / "g"),
+        ]
+        assert main(argv) == 0
+        expected = "warning: match file is not symmetric; missing reverse rules were added\n"
+        assert capsys.readouterr().err == expected
+
+    def test_repeated_call_warns_again_and_restores_the_handler(self, tmp_path, capsys):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text(DUPLICATES)
+        handler = warnings.showwarning
+        for _ in range(2):
+            assert main(["metrics", "--edges", str(edges)]) == 0
+            assert capsys.readouterr().err == DUPLICATE_WARNINGS
+            assert warnings.showwarning is handler
+        with pytest.warns(UserWarning) as record:  # outside main, warnings are as before
+            fileio.read_edge_list(edges)
+        assert [f"warning: {w.message}\n" for w in record] == DUPLICATE_WARNINGS.splitlines(True)

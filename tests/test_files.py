@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,19 @@ class TestEdgeList:
         net = fileio.parse_edge_list("0\t1\n1\t2\n")
         assert net.n_nodes == 3
         assert edge_set(net) == {(0, 1), (1, 2)}
+
+    def test_structureless_reader_builds_one_structure_list(self, tmp_path):
+        # 3 000 000 structureless nodes: their list of Nones is 24 MB, made once.
+        path = tmp_path / "edges.tsv"
+        path.write_text("# nodes 3000000\n0\t1\n")
+        tracemalloc.start()
+        try:
+            net = fileio.read_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (net.n_nodes, net.n_edges) == (3_000_000, 1)
+        assert peak < 30e6
 
     def test_duplicate_edge_warns_and_keeps_one(self):
         with pytest.warns(UserWarning, match="duplicate"):

@@ -914,7 +914,7 @@ class TestClustering:
     def assert_means_are_masked_means(net: Network) -> None:
         degrees, coeff = net.degrees(), local_clustering(net)
         expected = {int(k): float(coeff[degrees == k].mean()) for k in np.unique(degrees)}
-        got = metrics._mean_by_degree(degrees, coeff)
+        got = compute_metrics(net).clustering_by_degree
         assert list(got.items()) == list(expected.items())
         assert all(type(k) is int and type(v) is float for k, v in got.items())
 

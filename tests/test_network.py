@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from snmodel.metrics import compute_metrics
 from snmodel.network import Network, component_labels
 
 from oracles import edge_pairs, edge_set, from_pairs, validate
@@ -64,6 +67,21 @@ class TestConstruction:
         net = Network(["A", "A"], np.array([0]), np.array([1]))
         with pytest.raises(AssertionError):
             validate(net)
+
+
+class TestPickle:
+    def test_pickle_holds_structures_and_edges_only(self):
+        net = Network(["AT", None, "TT", "CA", "AA"], [0, 1, 2, 0, 3], [1, 2, 3, 2, 4])
+        before = pickle.dumps(net)
+        compute_metrics(net)
+        assert net._degrees is not None and net._csr is not None
+        after = pickle.dumps(net)
+        back = pickle.loads(after)
+        assert back.structures == net.structures
+        assert np.array_equal(back.edge_u, net.edge_u)
+        assert np.array_equal(back.edge_v, net.edge_v)
+        assert back._degrees is None and back._csr is None
+        assert len(after) <= len(before)
 
 
 class TestSlicing:
