@@ -3,22 +3,21 @@
 The growth loop derives a candidate structure from a randomly chosen template
 by one edit, drawn by an edit drawer bound once per run, and rejects
 duplicates and, in incremental mode, candidates that would be isolated. The
-edit reports where the word starts to change, so ``GroupIndex.add`` writes
-the candidate's row straight into the row store from its template's row: a
-mutant's row is the template's padded row copied inside the store with at
-most one id replaced; any other edit keeps the template's prefix and appends
-the suffix encoded from the group it starts in, compared with the template's.
+edit reports where the word starts to change, so ``GroupIndex.add`` builds
+the candidate's row from its template's row: a mutant's row is the
+template's padded row copied inside the store with at most one id replaced;
+any other edit's row, the template's prefix and the suffix encoded from the
+group it starts in, compared with the template's, is stored by ``append``.
 So the distance to the template is known: exact, or at most 1 for a mutant. A
 candidate within max_distance of its template has a neighbour already; only
 one further away is searched for a neighbour, by a scan over every structure,
 the template included, and taken back by ``pop`` if it has none. A row is
-plain bytes, so an attempt allocates no numpy array. The index
-keeps every row once, in one padded buffer that the scan and the join read in
-place through numpy views; no view outlives its call, since the buffer cannot
-grow while one lives. Distances are static, so the edge relation depends on
-the accepted structures alone: once the loop ends, one pairwise join over
-them yields every edge, the same edges an insertion-time search would have
-added.
+plain bytes, so an attempt allocates no numpy array. The index keeps every
+row once, in one padded buffer that the scan and the join read in place
+through numpy views; no view outlives its call, since the buffer cannot grow
+while one lives. Distances are static, so the edge relation depends on the
+accepted structures alone: once the loop ends, one pairwise join over them
+yields every edge, the same edges an insertion-time search would have added.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -126,19 +126,19 @@ class GroupIndex:
     A row is the packed little-endian int32 bytes of a structure's ids, so
     ``encode`` returns plain bytes and ``append`` takes them. The index
     starts with the rows of the words it is given; ``append`` stores one
-    more. ``add`` writes the row of one edit of an indexed structure in
-    place, from that structure's row, re-encoding only the groups the edit
-    may have changed, and returns its distance to that structure. ``pop``
-    takes the last row back.
+    more. ``add`` stores the row of one edit of an indexed structure, built
+    from that structure's row by re-encoding only the groups the edit may
+    have changed, and returns its distance to that structure. ``pop`` takes
+    the last row back.
 
     Each row is kept once, in one row store: a bytearray of every row, each
     padded with -1 ids (0xff bytes, an id no group has) to the width of the
-    longest row so far, and an array of the rows' group counts. A row longer
-    than the width widens every row first, to at least twice the width; a
-    row taken back leaves the width as it is. ``distances`` and ``join``
-    read the store in place, as numpy views of an id matrix and of the
-    counts. A view must not outlive the call that made it: while one lives,
-    the next ``append`` or ``add`` raises BufferError.
+    longest row so far, and an array of the rows' group counts. Only
+    ``append`` pads a row: one longer than the width widens every row first,
+    to at least twice the width. A row taken back leaves the width as it is.
+    ``distances`` and ``join`` read the store in place, as numpy views of an
+    id matrix and of the counts. A view must not outlive the call that made
+    it: while one lives, the next ``append`` or ``add`` raises BufferError.
     ``distances`` answers one query by a scan over every row.
 
     ``join`` returns every pair within d = max_distance at once, as a
@@ -224,9 +224,13 @@ class GroupIndex:
         return b"".join([self._group(word[i : i + unit]) for i in range(0, end, unit)])
 
     def append(self, encoded: bytes) -> None:
-        """Store one more row, the packed ids *encoded*."""
+        """Store one more row, *encoded*; a row longer than the width widens every row first."""
         groups = len(encoded) // 4
-        self._fit(groups)
+        if groups > self._width:
+            n, width = len(self._counts), max(groups, 2 * self._width)
+            wide = np.full((n, width), self._PAD, dtype="<i4")
+            wide[:, : self._width] = np.frombuffer(self._store, "<i4").reshape(n, self._width)
+            self._store, self._width = bytearray(wide), width
         self._store += encoded.ljust(4 * self._width, b"\xff")
         self._counts.append(groups)
 
@@ -239,15 +243,15 @@ class GroupIndex:
         the template's padded row inside the store with that one group's id
         replaced, or none in the trailing partial group; its distance is
         bounded by the groups replaced, 1 or 0. Any other edit keeps the
-        template's prefix and encodes the suffix from that group on, and its
-        distance is exact: the suffix's misses against the template's row
-        from there.
+        template's prefix and encodes the suffix from that group on, and
+        ``append`` stores the row; its distance is exact: the suffix's misses
+        against the template's row from there.
         """
         unit, count = self._unit, self._counts[template]
         k = at // unit
-        store, w4 = self._store, 4 * self._width
-        lo = w4 * template
         if same_length:
+            store, w4 = self._store, 4 * self._width
+            lo = w4 * template
             self._counts.append(count)
             if k == count:  # the trailing partial group, in no id
                 store += store[lo : lo + w4]
@@ -258,33 +262,18 @@ class GroupIndex:
             store += self._group(word[k * unit : (k + 1) * unit])
             store += store[at_id + 4 : lo + w4]
             return 1
-        suffix = self.encode(word[k * unit :])
-        pairs, misses, lo = self._pair_set, 0, lo + 4 * k
+        row, suffix = self._row(template), self.encode(word[k * unit :])
+        pairs, misses, lo = self._pair_set, 0, 4 * k
         for i in range(0, 4 * min(count - k, len(suffix) // 4), 4):
-            a, b = store[lo + i : lo + i + 4], suffix[i : i + 4]
+            a, b = row[lo + i : lo + i + 4], suffix[i : i + 4]
             misses += a != b and (not pairs or _id(a) << 32 | _id(b) not in pairs)
-        groups = k + len(suffix) // 4
-        if groups > self._width:
-            self._fit(groups)
-            store, w4 = self._store, 4 * self._width
-            lo = w4 * template + 4 * k
-        store += store[lo - 4 * k : lo]
-        store += suffix.ljust(w4 - 4 * k, b"\xff")
-        self._counts.append(groups)
+        self.append(row[:lo] + suffix)
         return misses
 
     def pop(self) -> None:
         """Remove the last row."""
         del self._store[-4 * self._width :]
         self._counts.pop()
-
-    def _fit(self, groups: int) -> None:
-        """Widen every row, to at least twice the width, if *groups* exceed it."""
-        if groups > self._width:
-            n, width = len(self._counts), max(groups, 2 * self._width)
-            wide = np.full((n, width), self._PAD, dtype="<i4")
-            wide[:, : self._width] = np.frombuffer(self._store, "<i4").reshape(n, self._width)
-            self._store, self._width = bytearray(wide), width
 
     def _row(self, i: int) -> bytearray:
         """Row *i* without its padding."""
@@ -362,10 +351,8 @@ class GroupIndex:
         max_d = self._max_d
 
         def most_blocks(limit: int) -> int:
-            blocks, n_keys = max_d + 1, max_d + 1
-            # C(m+1, d) = C(m, d) * (m+1) / (m+1-d)
-            while blocks < limit and n_keys * (blocks + 1) // (blocks + 1 - max_d) <= self._KEYS:
-                n_keys = n_keys * (blocks + 1) // (blocks + 1 - max_d)
+            blocks = max_d + 1
+            while blocks < limit and comb(blocks + 1, max_d) <= self._KEYS:
                 blocks += 1
             return blocks
 

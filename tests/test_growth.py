@@ -6,6 +6,7 @@ import itertools
 import random
 import tracemalloc
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -505,6 +506,22 @@ class TestGroupIndex:
             words.append("".join(word))
         cfg = self.config(unit, max_d, kind)
         self.assert_join_is_brute_force(GroupIndex(cfg, words), words, cfg)
+
+    @pytest.mark.parametrize("max_d", range(5))
+    def test_join_blocks_follow_the_class_docstring(self, max_d):
+        # Single groups while they take at most _KEYS keys, C(blocks, d);
+        # otherwise the most blocks of about _BLOCK groups within _KEYS keys.
+        index = GroupIndex(DistanceConfig(2, max_d), [])
+
+        def most_blocks(limit: int) -> int:
+            fitting = range(max_d + 2, limit + 1)
+            return max([max_d + 1] + [m for m in fitting if comb(m, max_d) <= GroupIndex._KEYS])
+
+        for g0 in range(201):
+            blocks = most_blocks(g0)
+            if blocks < g0:
+                blocks = most_blocks(g0 // GroupIndex._BLOCK)
+            assert index._blocks(g0) == (blocks, max(1, g0 // blocks)), g0
 
     @given(
         st.lists(st.integers(0, 12), min_size=1, max_size=20),

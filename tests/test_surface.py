@@ -6,7 +6,8 @@ Their public functions and methods, and the public attributes a ``Network``
 instance holds, must equal the explicit list below, and each listed name
 must have a user: the package's ``__all__``, the benchmark's tracer, or a
 call elsewhere in ``src/``. A helper that only tests use cannot return
-unnoticed, and a name whose last user is gone shows up too.
+unnoticed, and a name whose last user is gone shows up too. Every private
+name ``src/`` binds must be loaded in ``src/`` outside its own definition.
 """
 
 from __future__ import annotations
@@ -127,3 +128,25 @@ def test_every_listed_name_has_a_user():
     users = set(snmodel.__all__) | _traced() | _called_in_src()
     listed = set().union(*SURFACE.values())
     assert listed <= users, f"{sorted(listed - users)} have no user; {HINT}"
+
+
+def _private_bound_in_src() -> set[str]:
+    """The private names src/ binds: by def, class, assignment or ``self._name =``."""
+    found: set[str] = set()
+    for path in sorted((ROOT / "src" / "snmodel").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if isinstance(node.value, ast.Name) and node.value.id == "self":
+                    found.add(node.attr)
+    dunder = {name for name in found if name.startswith("__") and name.endswith("__")}
+    return {name for name in found if name.startswith("_") and name != "_"} - dunder
+
+
+def test_every_private_name_has_a_src_user():
+    # A private name nothing in src/ loads outside its own definition is dead code.
+    unused = _private_bound_in_src() - _called_in_src()
+    assert not unused, f"{sorted(unused)} are bound in src/ but never loaded there"
