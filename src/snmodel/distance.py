@@ -124,5 +124,15 @@ def structure_distance(s1: str, s2: str, cfg: DistanceConfig) -> int:
 
 
 def within_max_distance(s1: str, s2: str, cfg: DistanceConfig) -> bool:
-    """Edge rule: the distance is at most ``cfg.max_distance``."""
-    return structure_distance(s1, s2, cfg) <= cfg.max_distance
+    """Edge rule: the distance is at most ``cfg.max_distance``.
+
+    Groups are compared only until one more than that differ.
+    """
+    unit, table, left = cfg.unit_distance, cfg.match_table or {}, cfg.max_distance
+    for lo in range(0, min(len(s1), len(s2)) // unit * unit, unit):
+        g1, g2 = s1[lo : lo + unit], s2[lo : lo + unit]
+        if g1 != g2 and sorted(g1) != sorted(g2) and g2 not in table.get(g1, ()):
+            left -= 1
+            if left < 0:
+                return False
+    return True

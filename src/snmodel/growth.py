@@ -18,6 +18,13 @@ through numpy views; no view outlives its call, since the buffer cannot grow
 while one lives. Distances are static, so the edge relation depends on the
 accepted structures alone: once the loop ends, one pairwise join over them
 yields every edge, the same edges an insertion-time search would have added.
+
+Growth by mutation alone in batch mode or at max_distance >= 1 tests no
+candidate for isolation, so it reads no row before the join. It runs a flat
+loop of its own that draws each mutation inline, by the edit drawer's rule
+on the same stream, and records only each accepted mutant's template, its
+changed group and that group's id. ``GroupIndex._add_mutants`` writes the
+mutants' rows after the loop, in place in the store.
 """
 
 from __future__ import annotations
@@ -129,7 +136,8 @@ class GroupIndex:
     more. ``add`` stores the row of one edit of an indexed structure, built
     from that structure's row by re-encoding only the groups the edit may
     have changed, and returns its distance to that structure. ``pop`` takes
-    the last row back.
+    the last row back. Mutation-only growth that tests no isolation writes
+    its mutants' rows after its loop, all at once, by ``_add_mutants``.
 
     Each row is kept once, in one row store: a bytearray of every row, each
     padded with -1 ids (0xff bytes, an id no group has) to the width of the
@@ -138,7 +146,7 @@ class GroupIndex:
     to at least twice the width. A row taken back leaves the width as it is.
     ``distances`` and ``join`` read the store in place, as numpy views of an
     id matrix and of the counts. A view must not outlive the call that made
-    it: while one lives, the next ``append`` or ``add`` raises BufferError.
+    it: while one lives, the next row stored raises BufferError.
     ``distances`` answers one query by a scan over every row.
 
     ``join`` returns every pair within d = max_distance at once, as a
@@ -269,6 +277,41 @@ class GroupIndex:
             misses += a != b and (not pairs or _id(a) << 32 | _id(b) not in pairs)
         self.append(row[:lo] + suffix)
         return misses
+
+    def _add_mutants(self, templates: array, columns: array, ids: bytearray) -> None:
+        """Store the rows of mutants, each one mutation of an earlier row, in order.
+
+        Mutant j copies the padded row of row ``templates[j]`` with the id in
+        group ``columns[j]`` replaced by the j-th packed id of *ids*, or
+        none where that is the pad (a mutation in the trailing partial
+        group). The rows are written in place, in dependency waves: a
+        mutant's wave is its depth below the rows stored before, found with
+        the row it descends from by pointer jumping, so each wave copies
+        rows already written.
+        """
+        first, template = len(self._counts), np.frombuffer(templates, np.intc)
+        # Each row's depth to the stored row it descends from, its root;
+        # a root is its own parent, at depth 0.
+        depth = np.repeat(np.intp([0, 1]), [first, template.shape[0]])
+        up = np.concatenate([np.arange(first, dtype=np.intc), template])
+        while (up >= first).any():
+            depth += depth[up]
+            up = up[up]
+        depth = depth[first:]
+        self._counts.frombytes(np.frombuffer(self._counts, np.intc)[up[first:]].tobytes())
+        self._store += bytes(4 * self._width * template.shape[0])
+        rows = np.frombuffer(self._store, "<i4").reshape(len(self._counts), self._width)
+        column, new_id = np.frombuffer(columns, np.intc), np.frombuffer(ids, "<i4")
+        # Wave d's mutants sort together, those with an id to set first.
+        key = 2 * depth + (new_id == self._PAD)
+        order = np.argsort(key, kind="stable")
+        ends = np.cumsum(np.bincount(key, minlength=2 * int(depth.max(initial=0)) + 2))
+        dst, src, new_id = first + order, template[order], new_id[order]
+        cell = dst * self._width + column[order]
+        flat, ends = rows.reshape(-1), ends.tolist()
+        for lo, mid, hi in zip(ends[1::2], ends[2::2], ends[3::2]):
+            rows[dst[lo:hi]] = rows[src[lo:hi]]
+            flat[cell[lo:mid]] = new_id[lo:mid]
 
     def pop(self) -> None:
         """Remove the last row."""
@@ -426,45 +469,88 @@ def grow(instance: Instance) -> tuple[Network, GrowthTrace]:
     """
     rng = random.Random(instance.seed)
     bits = rng.getrandbits
-    draw = edit_drawer(instance.probs, instance.alphabet, rng)
     initial = instance.initial_structures
     structures = list(initial)
     seen = set(structures)
     index = GroupIndex(instance.distance, structures)
 
+    probs, alphabet = instance.probs, instance.alphabet
     batch = instance.mode == BATCH
     max_distance = instance.distance.max_distance
     target, budget = instance.target_nodes, instance.attempt_budget
     # A space larger than the budget is not listed: None never equals a count.
     if batch:
-        space_size = edit_space_size(initial, instance.probs, instance.alphabet, budget)
+        space_size = edit_space_size(initial, probs, alphabet, budget)
     else:
         space_size = _word_space_size(instance, budget + len(initial))
-    mutate, n = Edit.MUTATE, len(structures)
+    n = len(structures)
     attempts = duplicates = isolated = failed = 0
-    while n < target and attempts < budget and n != space_size:
-        attempts += 1
-        template = below(bits, len(initial) if batch else n)
-        word, kind, at = draw(structures[template])
-        if word is None:
-            failed += 1
-            continue
-        if word in seen:
-            duplicates += 1
-            continue
-        distance = index.add(template, word, at, kind is mutate)
-        # A candidate within reach of its template has a neighbour already;
-        # one further away is searched for one over every structure so far,
-        # its template included, and taken back if it has none. The scan
-        # reads the stored candidate too; its own last entry is left out.
-        if not batch and distance > max_distance:
-            if not (index.distances(index._row(n))[:-1] <= max_distance).any():
-                index.pop()
-                isolated += 1
+    if not (probs.insert or probs.delete or probs.duplicate) and (batch or max_distance):
+        # A mutant lies within distance 1 of its template: no isolation test.
+        # The drawer's mutation and below's rule are written inline, the kind
+        # draw included, so this loop draws the general one's stream.
+        symbols, position = alphabet.symbols, alphabet._index  # type: ignore[attr-defined]
+        random_, others, unit, pool = rng.random, len(symbols) - 1, index._unit, n
+        others_bits = others.bit_length()
+        templates, columns, ids = array("i"), array("i"), bytearray()
+        while n < target and attempts < budget and n != space_size:
+            attempts += 1
+            k = pool.bit_length()
+            template = bits(k)
+            while template >= pool:
+                template = bits(k)
+            word = structures[template]
+            random_()  # the kind draw: always a mutation
+            size = len(word)
+            k = size.bit_length()
+            at = bits(k)
+            while at >= size:
+                at = bits(k)
+            pick = bits(others_bits)
+            while pick >= others:
+                pick = bits(others_bits)
+            if pick >= position[word[at]]:
+                pick += 1
+            word = word[:at] + symbols[pick] + word[at + 1 :]
+            if word in seen:
+                duplicates += 1
                 continue
-        seen.add(word)
-        structures.append(word)
-        n += 1
+            seen.add(word)
+            structures.append(word)
+            column = at // unit
+            group = word[column * unit : column * unit + unit]
+            templates.append(template)
+            columns.append(column)
+            ids += index._group(group) if len(group) == unit else b"\xff\xff\xff\xff"
+            n += 1
+            if not batch:
+                pool = n
+        index._add_mutants(templates, columns, ids)
+    else:
+        draw, mutate = edit_drawer(probs, alphabet, rng), Edit.MUTATE
+        while n < target and attempts < budget and n != space_size:
+            attempts += 1
+            template = below(bits, len(initial) if batch else n)
+            word, kind, at = draw(structures[template])
+            if word is None:
+                failed += 1
+                continue
+            if word in seen:
+                duplicates += 1
+                continue
+            distance = index.add(template, word, at, kind is mutate)
+            # A candidate within reach of its template has a neighbour already;
+            # one further away is searched for one over every structure so far,
+            # its template included, and taken back if it has none. The scan
+            # reads the stored candidate too; its own last entry is left out.
+            if not batch and distance > max_distance:
+                if not (index.distances(index._row(n))[:-1] <= max_distance).any():
+                    index.pop()
+                    isolated += 1
+                    continue
+            seen.add(word)
+            structures.append(word)
+            n += 1
 
     trace = GrowthTrace(
         attempts=attempts,

@@ -1,7 +1,9 @@
 """Node structures (symbol words) and the stochastic edits that derive new ones.
 
-``edit_drawer`` is the one implementation of the edit draw: growth binds it
-once per run, and ``apply_random_edit`` is its one-call form.
+``edit_drawer`` implements the edit draw: growth binds it once per run, and
+``apply_random_edit`` is its one-call form. Growth by mutation alone with no
+isolation test draws its mutations inline by the same rule, from the same
+stream; ``tests/test_replay.py`` holds it to the draws of ``apply_random_edit``.
 """
 
 from __future__ import annotations
@@ -107,8 +109,11 @@ def edit_drawer(
 ) -> Callable[[str], tuple[str | None, Edit, int]]:
     """The edit draw of one run: ``draw(word) -> (new_word, kind, at)``.
 
-    The one implementation of the edit draw. It binds the generator's
-    methods, the kinds' probability bounds and the alphabet once per run.
+    It binds the generator's methods, the kinds' probability bounds and the
+    alphabet once per run. Growth by mutation alone with no isolation test
+    does not call it: its loop draws each mutation inline by the rule below,
+    the kind draw included, and ``tests/test_replay.py`` holds that loop to
+    ``apply_random_edit``.
     ``draw`` draws one edit kind from *probs* and applies it to *word* with
     uniform random parameters.
 

@@ -276,12 +276,14 @@ def replay_growth(instance: Instance) -> tuple[list[str], list[tuple[int, int]],
     while len(words) < instance.target_nodes and trace.attempts < budget and len(words) != space:
         trace.attempts += 1
         pool = initial if batch else words
-        word, _, _ = reference_edit(pool[rng.randrange(len(pool))], probs, alphabet, rng)
+        template = pool[rng.randrange(len(pool))]
+        word, _, _ = reference_edit(template, probs, alphabet, rng)
         if word is None:
             trace.rejected_edit_failed += 1
         elif word in words:
             trace.rejected_duplicate += 1
-        elif not batch and not any(within_max_distance(word, w, cfg) for w in words):
+        # The template is one of the words, and the likeliest neighbour: it goes first.
+        elif not batch and not any(within_max_distance(word, w, cfg) for w in (template, *words)):
             trace.rejected_isolated += 1
         else:
             words.append(word)

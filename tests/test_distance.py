@@ -190,6 +190,13 @@ class TestDistanceProperties:
         extended = structure_distance(s1, s2, DistanceConfig(2, 0, match_table=table))
         assert extended <= base
 
+    @given(words, words, st.integers(1, 3), st.integers(0, 4), st.booleans())
+    def test_edge_rule_is_the_distance_bound(self, s1, s2, unit, max_d, linked):
+        # within_max_distance stops comparing early; it must still be the bound.
+        table = table_from("AA = BB\nAB = CC\n", 2, ABC) if linked and unit == 2 else None
+        cfg = DistanceConfig(unit, max_d, match_table=table)
+        assert within_max_distance(s1, s2, cfg) == (structure_distance(s1, s2, cfg) <= max_d)
+
     @given(words, st.integers(1, 3))
     def test_prefix_extension_keeps_distance(self, s, unit):
         # Appending symbols to one side only adds disregarded groups.

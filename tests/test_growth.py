@@ -6,6 +6,7 @@ import itertools
 import random
 import tracemalloc
 import warnings
+from array import array
 from math import comb
 
 import numpy as np
@@ -635,6 +636,44 @@ class TestGroupIndex:
                 words.pop()
                 self.assert_rows_are_encodings(index, words)
         self.assert_join_is_brute_force(index, words, cfg)
+
+    @given(
+        st.lists(st.text(alphabet="ABC", min_size=1, max_size=9), min_size=1, max_size=4),
+        st.integers(0, 60),
+        st.integers(1, 3),
+        st.sampled_from([None, "linking", "order-only"]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    # A chain of mutants of one odd-length word, the last group partial.
+    @example(["ABCAB"], 12, 2, "linking", False, 5)
+    @settings(max_examples=300, deadline=None)
+    def test_mutant_rows_written_at_once_equal_rows_added_one_by_one(
+        self, words, steps, unit, table, from_initial, seed
+    ):
+        # Mutation-only growth records each mutant's template, changed group
+        # and that group's id, and writes every row after its loop. A template
+        # may be an earlier mutant, so the rows come in dependency waves.
+        cfg = self.config(unit, 1, table)
+        one_by_one, at_once = GroupIndex(cfg, words), GroupIndex(cfg, words)
+        words, initial = list(words), len(words)
+        templates, columns, ids = array("i"), array("i"), bytearray()
+        rng = random.Random(seed)
+        for _ in range(steps):
+            # From the initial words alone, as batch growth draws, every row is in wave 1.
+            template = rng.randrange(initial if from_initial else len(words))
+            word, _, at = apply_random_edit(words[template], MUTATE_ONLY, ABC, rng)
+            one_by_one.add(template, word, at, True)
+            k = at // unit
+            group = word[k * unit : (k + 1) * unit]
+            templates.append(template)
+            columns.append(k)
+            ids += at_once._group(group) if len(group) == unit else b"\xff" * 4
+            words.append(word)
+        at_once._add_mutants(templates, columns, ids)
+        assert at_once._store == one_by_one._store
+        assert at_once._counts == one_by_one._counts
+        self.assert_rows_are_encodings(at_once, words)
 
     @given(
         st.lists(st.text(alphabet="ABC", min_size=1, max_size=9), min_size=1, max_size=25),
