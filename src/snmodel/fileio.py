@@ -4,7 +4,8 @@ Every writer emits a version header comment and fully sorted content so that
 identical inputs produce byte-identical files. ``write_networks`` makes and
 writes a run's networks, in one forked child beside the caller where it can:
 both make networks, claimed through a pipe; the caller's go down a one-way
-``multiprocessing.connection`` to the child, which writes them all and returns every report.
+``multiprocessing.connection``, sized to hold the caller's backlog, to the
+child, which writes them all and returns every report.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import signal
 import threading
 import warnings
+from contextlib import suppress
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Mapping, NoReturn
@@ -197,6 +199,9 @@ def write_network(directory: str | Path, net: Network, report: MetricsReport) ->
 
 #: The most bytes of a failed child's message that it sends back: they fit the empty pipe.
 _MESSAGE_BYTES = 4096
+#: The data pipe's size where the platform sets it (Linux's default ceiling): the default 64 KiB
+#: holds one celegans seed's 35 KB record, so the next send would wait on a busy child.
+_PIPE_BYTES = 1 << 20
 
 Make = Callable[[int], tuple[Path, Network, MetricsReport]]
 
@@ -211,7 +216,9 @@ def write_networks(n_networks: int, make: Make) -> list[MetricsReport]:
     every network in index order and sends back every report. An error at
     index k leaves exactly the networks below k written; a child that failed
     raises one OSError with its message, in place of any error the caller
-    met. The bytes are the same as in-process.
+    met. The bytes are the same as in-process. The data pipe holds
+    ``_PIPE_BYTES`` where ``fcntl.F_SETPIPE_SZ`` exists, so that the caller's
+    sends do not wait while the child makes a network of its own.
     """
     forkable = hasattr(os, "fork") and _WORKERS >= 2 and threading.active_count() == 1
     if n_networks < 2 or not forkable:
@@ -222,12 +229,15 @@ def write_networks(n_networks: int, make: Make) -> list[MetricsReport]:
             reports.append(report)
         return reports
     # Imported here: it pulls in socket and selectors, milliseconds that every
-    # snm start would pay at the module's top.
+    # snm start would pay at the module's top; fcntl is POSIX-only, as fork is.
+    import fcntl
     from multiprocessing.connection import Pipe
 
     token = os.pipe()
     os.write(token[1], (1).to_bytes(8, "little"))  # index 0 is the caller's
     data_r, data_w = Pipe(duplex=False)
+    with suppress(AttributeError, OSError):  # no F_SETPIPE_SZ, or past the host's limit
+        fcntl.fcntl(data_w.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
     result_r, result_w = Pipe(duplex=False)
     pid = os.fork()
     if pid == 0:

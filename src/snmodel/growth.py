@@ -166,8 +166,9 @@ class GroupIndex:
     the connected component of a group's id in the pair codes, so equal
     groups share one. The table relation is not transitive, so keys may
     over-match; verification against the exact relation removes the extras.
-    Per key, the rows are grouped by their key, the pairs inside each group
-    are verified in bounded chunks, and a pair an earlier key already
+    Per key, the rows that share their key with another are grouped by it,
+    the pairs inside each group are verified in chunks that bound the ids
+    compared at once (see ``_close``), and a pair an earlier key already
     grouped together is dropped, so each pair is verified once. A structure
     with fewer groups is short: it is verified against every other one.
     """
@@ -373,9 +374,12 @@ class GroupIndex:
             )
             total = terms.sum(axis=1)
             keys: list[np.ndarray] = []
+            # As many ids per chunk as _CHUNK rows of one slab (see _close).
+            width = max(ids.shape[1], self._SLAB)
+            chunk = self._CHUNK * self._SLAB // width if width <= 2 * self._SLAB else self._CHUNK
             for left_out in combinations(range(blocks), max_d):
                 key = total - terms[:, left_out].sum(axis=1)
-                for a, c in self._equal_key_pairs(key, self._CHUNK):
+                for a, c in self._equal_key_pairs(key, chunk):
                     # A pair whose key agrees in an earlier key was verified there.
                     for earlier in keys:
                         keep = earlier[a] != earlier[c]
@@ -414,12 +418,16 @@ class GroupIndex:
     ) -> np.ndarray:
         """Positions of the pairs (u, v) of *rows* that lie within max_distance.
 
-        The groups are compared a slab at a time, so a chunk's memory does
-        not grow with the structures' length, and a pair leaves as soon as
-        its misses exceed max_distance: most candidate pairs of long
-        structures differ early.
+        Rows at most two slabs wide are compared whole, in the chunks ``join``
+        cuts for them. Wider ones are compared a slab at a time, so a chunk's
+        memory does not grow with the structures' length, and a pair leaves as
+        soon as its misses exceed max_distance: most long pairs differ early.
         """
         common = np.minimum(counts[u], counts[v])
+        if rows.shape[1] <= 2 * self._SLAB:
+            ru = np.take(rows, u, axis=0)
+            matches = self._matches(ru, np.take(rows, v, axis=0)) & (ru != self._PAD)
+            return np.flatnonzero(common - np.count_nonzero(matches, axis=1) <= self._max_d)
         matched = np.zeros(u.shape[0], dtype=np.int32)
         live = np.arange(u.shape[0])
         for lo in range(0, rows.shape[1], self._SLAB):
@@ -434,11 +442,17 @@ class GroupIndex:
     @staticmethod
     def _equal_key_pairs(key: np.ndarray, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Chunks of about *chunk* position pairs (a, c), a < c, with equal *key*."""
-        n = key.shape[0]
         order = np.argsort(key)
         ordered = key[order]
-        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        ends = np.r_[starts[1:], n]
+        same = ordered[1:] == ordered[:-1]
+        # Only rows whose key occurs twice or more pair; their runs stay whole.
+        paired = np.append(same, False) | np.concatenate(([False], same))
+        order = order[paired]
+        n = order.shape[0]
+        if not n:
+            return
+        starts = np.flatnonzero(np.concatenate(([True], ~same))[paired])
+        ends = np.append(starts[1:], n)
         # Each sorted position pairs with the later positions of its run.
         later = np.repeat(ends, ends - starts) - np.arange(n) - 1
         total = np.cumsum(later)

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from snmodel import structures
-from snmodel.distance import within_max_distance
+from snmodel.distance import DistanceConfig, within_max_distance
 from snmodel.fileio import MAX_NODES
 from snmodel.growth import BATCH, INCREMENTAL, GrowthTrace, Instance, grow
 from snmodel.network import Network
@@ -246,19 +246,48 @@ def reference_edit(
     return word[:end] + word[start:end] + word[end:], kind, end
 
 
+def matrix_edges(words: list[str], cfg: DistanceConfig) -> list[tuple[int, int]]:
+    """Every pair (u, v), u < v, of *words* within max_distance, sorted: the
+    edge rule without a match table, as one numpy distance-matrix row per word.
+
+    Each word's full groups become code points, each group's symbols sorted,
+    so two groups are equal exactly when they hold the same multiset. A word's
+    row counts its unequal groups against every earlier word over the groups
+    both have. Nothing here comes from ``GroupIndex``.
+    """
+    assert not cfg.match_table, "the matrix rule knows no match table"
+    unit = cfg.unit_distance
+    counts = np.array([len(word) // unit for word in words], dtype=np.int64)
+    width = int(counts.max(initial=0))
+    points = np.full((len(words), width, unit), -1, dtype=np.int64)
+    for i, word in enumerate(words):
+        group_points = [ord(symbol) for symbol in word[: counts[i] * unit]]
+        points[i, : counts[i]] = np.sort(np.reshape(group_points, (-1, unit)), axis=1)
+    # One number per distinct sorted group, so that a group compares at once.
+    _, labels = np.unique(points.reshape(-1, unit), axis=0, return_inverse=True)
+    labels = labels.reshape(len(words), width)
+    columns = np.arange(width)
+    edges = []
+    for v in range(1, len(words)):
+        common = columns < np.minimum(counts[:v], counts[v])[:, None]
+        misses = np.count_nonzero((labels[:v] != labels[v]) & common, axis=1)
+        edges += [(u, v) for u in np.flatnonzero(misses <= cfg.max_distance).tolist()]
+    return sorted(edges)
+
+
 def replay_growth(instance: Instance) -> tuple[list[str], list[tuple[int, int]], GrowthTrace]:
-    """Growth of *instance* replayed by string distance: its structures,
+    """Growth of *instance* replayed on the words themselves: its structures,
     sorted edges and trace.
 
     The replay draws the random stream growth draws: a template, uniform over
     the structures so far (batch: over the initial ones), then its edit by
-    ``reference_edit``.
-    Duplicates are found in the word list, and a candidate's isolation and
-    every edge are decided by ``within_max_distance`` alone. Batch growth
-    stops early once every single edit of the initial words has been drawn,
-    wires its words at the end and drops the isolated ones. Incremental
-    growth by mutation alone stops early once it holds every word of the
-    initial lengths.
+    ``reference_edit``. Duplicates are found in the set of words so far, and
+    a candidate's isolation is decided by ``within_max_distance``. The edges
+    come from ``matrix_edges``, or with a match table from
+    ``within_max_distance`` on every pair. Batch growth stops early once
+    every single edit of the initial words has been drawn, wires its words
+    at the end and drops the isolated ones. Incremental growth by mutation
+    alone stops early once it holds every word of the initial lengths.
     """
     rng = random.Random(instance.seed)
     cfg, probs, alphabet = instance.distance, instance.probs, instance.alphabet
@@ -272,7 +301,7 @@ def replay_growth(instance: Instance) -> tuple[list[str], list[tuple[int, int]],
     else:
         space = None
     trace = GrowthTrace()
-    words = list(initial)
+    words, known = list(initial), set(initial)
     while len(words) < instance.target_nodes and trace.attempts < budget and len(words) != space:
         trace.attempts += 1
         pool = initial if batch else words
@@ -280,19 +309,23 @@ def replay_growth(instance: Instance) -> tuple[list[str], list[tuple[int, int]],
         word, _, _ = reference_edit(template, probs, alphabet, rng)
         if word is None:
             trace.rejected_edit_failed += 1
-        elif word in words:
+        elif word in known:
             trace.rejected_duplicate += 1
         # The template is one of the words, and the likeliest neighbour: it goes first.
         elif not batch and not any(within_max_distance(word, w, cfg) for w in (template, *words)):
             trace.rejected_isolated += 1
         else:
             words.append(word)
+            known.add(word)
             trace.accepted += 1
     trace.saturated = len(words) < instance.target_nodes
-    edges = [
-        (u, v) for v in range(len(words)) for u in range(v)
-        if within_max_distance(words[u], words[v], cfg)
-    ]
+    if cfg.match_table:
+        edges = [
+            (u, v) for v in range(len(words)) for u in range(v)
+            if within_max_distance(words[u], words[v], cfg)
+        ]
+    else:
+        edges = matrix_edges(words, cfg)
     if batch:
         linked = sorted({node for edge in edges for node in edge})
         trace.rejected_isolated += len(words) - len(linked)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing.connection
 import os
+import pickle
 import re
 import shlex
 import signal
@@ -931,6 +933,61 @@ class TestExperimentWriter:
             "caller_0", "caller_2", "child_1", "child_3"
         ]
         assert sorted(p.name for p in tmp_path.glob("seed_*")) == ["seed_0", "seed_1"]
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    def test_caller_sends_while_the_child_makes_its_first_seed(
+        self, tmp_path, monkeypatch, forks
+    ):
+        # The child holds its first index until the caller has sent 20
+        # celegans records of about 36 KB. A data pipe of the default 64 KiB
+        # holds one: the caller's next send would wait on the child, and the
+        # child's wait would run out.
+        import fcntl
+
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("the data pipe keeps its default size where it cannot be set")
+        self.needs_the_child(monkeypatch)
+        net, _ = experiments.run_single(
+            experiments.load_instance_file(instances_dir() / "celegans.instance").instance
+        )
+        report = metrics.compute_metrics(net)
+        assert len(pickle.dumps((1, (tmp_path / "seed_1", net, report)))) > 30_000
+        caller, marks, pipes, sizes = os.getpid(), tmp_path / "marks", [], []
+        marks.mkdir()
+        pipe = multiprocessing.connection.Pipe
+
+        def recorded_pipe(duplex=True):
+            pipes.append(pipe(duplex))
+            return pipes[-1]
+
+        def wait_for(name: str) -> bool:
+            deadline = time.monotonic() + 10
+            while not (marks / name).exists():
+                if time.monotonic() > deadline:
+                    return False
+                time.sleep(0.002)
+            return True
+
+        def make(i: int) -> tuple[Path, Network, metrics.MetricsReport]:
+            if os.getpid() != caller:
+                (marks / "child_busy").touch()
+                if i == 1:
+                    (marks / ("in_time" if wait_for("caller_sent_20") else "too_late")).touch()
+            elif i == 0:
+                assert wait_for("child_busy"), "the child claimed nothing"
+                sizes.append(fcntl.fcntl(pipes[0][1].fileno(), fcntl.F_GETPIPE_SZ))
+            elif i == 21:  # records 0 and 2-20 are sent
+                (marks / "caller_sent_20").touch()
+            return tmp_path / f"seed_{i}", net, report
+
+        monkeypatch.setattr(multiprocessing.connection, "Pipe", recorded_pipe)
+        assert len(fileio.write_networks(22, make)) == 22
+        assert (marks / "in_time").exists(), "the caller's sends waited on the busy child"
+        assert sizes[0] >= 1 << 20
+        assert sorted(p.name for p in tmp_path.glob("seed_*")) == sorted(
+            f"seed_{i}" for i in range(22)
+        )
         assert len(forks) == 1
         _assert_no_child_left()
 

@@ -491,22 +491,103 @@ class TestGroupIndex:
     @settings(max_examples=150, deadline=None)
     def test_join_on_long_rows(self, groups, unit, max_d, kind, seed):
         # Row 0 has 16-40 groups, so the join splits them into d + k blocks
-        # with k > 1 whenever groups // 8 - d > 1. The other rows are a few
-        # mutations from earlier ones, so many pairs lie near the threshold;
-        # some are cut short (short rows, verified against all) or extended.
-        rng = random.Random(seed)
+        # with k > 1 whenever groups // 8 - d > 1.
+        words = self.near_words(random.Random(seed), groups, unit, max_d, 40, 3)
+        cfg = self.config(unit, max_d, kind)
+        self.assert_join_is_brute_force(GroupIndex(cfg, words), words, cfg)
+
+    @staticmethod
+    def near_words(
+        rng: random.Random, groups: int, unit: int, max_d: int, most: int, extension: int
+    ) -> list[str]:
+        """A random word of *groups* groups, then 10 to *most* words a few mutations
+        from earlier ones, so many pairs lie near the threshold; some are cut short
+        (short rows, verified against all) or extended by up to *extension* groups."""
         words = ["".join(rng.choices("ABC", k=groups * unit))]
-        for _ in range(rng.randint(10, 40)):
+        for _ in range(rng.randint(10, most)):
             word = list(rng.choice(words))
             for _ in range(rng.randint(1, 2 * max_d)):
                 word[rng.randrange(len(word))] = rng.choice("ABC")
             if rng.random() < 0.2 and len(word) > 1:
                 word = word[: rng.randrange(1, len(word))]
             elif rng.random() < 0.1:
-                word += rng.choices("ABC", k=rng.randint(1, 3 * unit))
+                word += rng.choices("ABC", k=rng.randint(1, extension * unit))
             words.append("".join(word))
+        return words
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @given(
+        st.integers(1, 2),
+        st.integers(1, 3),
+        st.sampled_from([None, "linking", "order-only"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_join_at_most_and_past_two_slabs(self, wide, unit, max_d, kind, seed):
+        # The join verifies rows at most two slabs wide whole, and wider ones a
+        # slab at a time, each pair only while its misses so far stay within
+        # max_distance. Wide rows start past two slabs and some grow by up to
+        # two more, so that many pad columns meet real groups.
+        slabs = 2 * GroupIndex._SLAB
+        rng = random.Random(seed)
+        groups = rng.randint(slabs + 1, 2 * slabs) if wide else rng.randint(slabs - 8, slabs)
+        words = self.near_words(rng, groups, unit, max_d, 20, slabs if wide else 8)
+        if not wide:
+            words = [word[: slabs * unit + unit - 1] for word in words]
+        assert (max(len(word) // unit for word in words) > slabs) == wide
         cfg = self.config(unit, max_d, kind)
         self.assert_join_is_brute_force(GroupIndex(cfg, words), words, cfg)
+
+    @pytest.mark.parametrize("groups", [32, 40, 64, 65, 100])
+    def test_join_memory_does_not_grow_with_row_width(self, groups):
+        # 400 words that differ only in their first block share every key
+        # that leaves it out: about 80 000 candidate pairs. Rows at most two
+        # slabs wide are compared whole, so a chunk holds fewer of the wider
+        # ones; a full chunk of 64-group rows would peak near 5.4 MB.
+        rng = random.Random(0)
+        tail = "".join(rng.choices("ABCD", k=2 * (groups - 8)))
+        words = list({"".join(rng.choices("ABCD", k=16)) + tail for _ in range(400)})
+        index = GroupIndex(DistanceConfig(2, 1), words)
+        tracemalloc.start()
+        try:
+            index.join()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=120), st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_key_pairs_are_every_equal_pair_once(self, keys, chunk):
+        self.assert_equal_key_pairs(keys, chunk)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            list(range(300)),  # every key unique: no pair
+            [7] * 300,  # one run of every row: 44 850 pairs, six chunks
+            # Runs of 100 rows, 4950 pairs each, in shuffled positions: the
+            # second run straddles the first chunk's end; singletons between.
+            random.Random(0).sample([k // 100 for k in range(400)] + list(range(10, 60)), 450),
+        ],
+        ids=["all-unique", "one-run", "runs-across-chunks"],
+    )
+    def test_equal_key_pairs_in_join_sized_chunks(self, keys):
+        self.assert_equal_key_pairs(keys, GroupIndex._CHUNK)
+
+    @staticmethod
+    def assert_equal_key_pairs(keys: list[int], chunk: int) -> None:
+        """``_equal_key_pairs`` yields every pair of positions with equal keys
+        once, in chunks of at most *chunk* pairs while no run is longer."""
+        chunks = list(GroupIndex._equal_key_pairs(np.array(keys, dtype=np.int64), chunk))
+        pairs = [pair for first, second in chunks for pair in zip(first.tolist(), second.tolist())]
+        expected = {
+            (a, c) for c in range(len(keys)) for a in range(c) if keys[a] == keys[c]
+        }
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == expected
+        longest = max((keys.count(k) for k in set(keys)), default=0)
+        assert all(0 < len(first) <= max(chunk, longest - 1) for first, _ in chunks)
 
     @pytest.mark.parametrize("max_d", range(5))
     def test_join_blocks_follow_the_class_docstring(self, max_d):

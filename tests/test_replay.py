@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snmodel import growth, instances_dir
-from snmodel.distance import DistanceConfig, parse_match_file
+from snmodel.distance import DistanceConfig, parse_match_file, within_max_distance
 from snmodel.experiments import load_instance_file
 from snmodel.growth import BATCH, INCREMENTAL, GroupIndex, GrowthTrace, Instance, grow
 from snmodel.structures import Alphabet, EditProbabilities
 
-from oracles import edge_pairs, replay_growth
+from oracles import edge_pairs, matrix_edges, replay_growth
 
 #: Not transitive: AB = CC = DD, yet AB is not DD, and BA (= AB) is not CC.
 LINKING = "AA = BB\nAB = CC\nCC = DD\n"
@@ -64,12 +64,11 @@ def loops(monkeypatch) -> list[str]:
     return taken
 
 
-#: Incremental replays cost O(n^2) string distances: comparison and pruned
-#: run one seed at 2000 nodes, about 7 s each.
+#: comparison and pruned run at 2000 nodes: their edges come from the
+#: matrix rule, about 0.2 s and 0.4 s a seed.
 @pytest.mark.parametrize(
     "name, seed",
-    [(name, seed) for name in ("celegans", "ecoli") for seed in (1, 2, 3)]
-    + [("comparison", 1), ("pruned", 1)],
+    [(name, seed) for name in ("celegans", "ecoli", "comparison", "pruned") for seed in (1, 2, 3)],
 )
 def test_shipped_instance_replays(name, seed, loops):
     instance = replace(shipped(name), seed=seed)
@@ -197,3 +196,18 @@ def instances(draw) -> Instance:
 @settings(max_examples=200, deadline=None)
 def test_random_configs_replay(instance):
     assert_replays(instance)
+
+
+@given(
+    st.lists(st.text("ABCDE", min_size=1, max_size=16), max_size=30),
+    st.integers(1, 4),
+    st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_matrix_edges_are_the_string_rule(words, unit, max_distance):
+    # The replay's edge rule without a match table, against the string route.
+    cfg = DistanceConfig(unit, max_distance)
+    assert matrix_edges(words, cfg) == [
+        (u, v) for u in range(len(words)) for v in range(u + 1, len(words))
+        if within_max_distance(words[u], words[v], cfg)
+    ]
