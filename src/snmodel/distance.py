@@ -100,7 +100,7 @@ class DistanceConfig:
                             f"match table group {g!r} has length {len(g)}, "
                             f"not unit_distance {self.unit_distance}"
                         )
-                # structure_distance looks up one direction, GroupIndex both.
+                # structure_distance and within_max_distance look up one direction.
                 for partner in partners:
                     if group not in self.match_table.get(partner, ()):
                         raise ValueError(

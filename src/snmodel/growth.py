@@ -1,30 +1,30 @@
 """Growth of structured-node networks, incremental or batch, and pruning.
 
 The growth loop derives a candidate structure from a randomly chosen template
-by one edit, drawn by an edit drawer bound once per run, and rejects
-duplicates and, in incremental mode, candidates that would be isolated. The
-edit reports where the word starts to change, so ``GroupIndex.add`` builds
-the candidate's row from its template's row: a mutant's row is the
-template's padded row copied inside the store with at most one id replaced;
-any other edit's row, the template's prefix and the suffix encoded from the
-group it starts in, compared with the template's, is stored by ``append``.
-So the distance to the template is known: exact, or at most 1 for a mutant. A
-candidate within max_distance of its template has a neighbour already; only
-one further away is searched for a neighbour, by a scan over every structure,
-the template included, and taken back by ``pop`` if it has none. A row is
-plain bytes, so an attempt allocates no numpy array. The index keeps every
-row once, in one padded buffer that the scan and the join read in place
-through numpy views; no view outlives its call, since the buffer cannot grow
-while one lives. Distances are static, so the edge relation depends on the
-accepted structures alone: once the loop ends, one pairwise join over them
-yields every edge, the same edges an insertion-time search would have added.
+by one edit, drawn inline by ``structures.apply_random_edit``'s rule, and
+rejects duplicates and, in incremental mode, candidates that would be
+isolated. The edit reports where the word starts to change, so
+``GroupIndex.add`` builds the candidate's row from its template's row: a
+mutant's row is the template's padded row copied inside the store with at
+most one id replaced; any other edit's row, the template's prefix and the
+suffix encoded from the group it starts in, compared with the template's, is
+stored by ``append``. So the distance to the template is known: exact, or at
+most 1 for a mutant. A candidate within max_distance of its template has a
+neighbour already; only one further away is searched for a neighbour, by a
+scan over every structure, the template included, and taken back by ``pop``
+if it has none. A row is plain bytes, so an attempt allocates no numpy
+array. The index keeps every row once, in one padded buffer that the scan
+and the join read in place through numpy views; no view outlives its call,
+since the buffer cannot grow while one lives. Distances are static, so the
+edge relation depends on the accepted structures alone: once the loop ends,
+one pairwise join over them yields every edge, the same edges an
+insertion-time search would have added.
 
 Growth by mutation alone in batch mode or at max_distance >= 1 tests no
-candidate for isolation, so it reads no row before the join. It runs a flat
-loop of its own that draws each mutation inline, by the edit drawer's rule
-on the same stream, and records only each accepted mutant's template, its
-changed group and that group's id. ``GroupIndex._add_mutants`` writes the
-mutants' rows after the loop, in place in the store.
+candidate for isolation, so it reads no row before the join. Its attempts
+record only each accepted mutant's template, its changed group and that
+group's id, and ``GroupIndex._add_mutants`` writes the mutants' rows after
+the loop, in place in the store.
 """
 
 from __future__ import annotations
@@ -38,11 +38,12 @@ from math import comb
 
 import numpy as np
 
+from . import structures
 from .distance import DistanceConfig
 from .network import Network, component_labels
-from .structures import Alphabet, Edit, EditProbabilities, below, edit_drawer, edit_space_size
+from .structures import Alphabet, EditProbabilities, below, edit_space_size
 
-# Growth draws its edits through edit_drawer; this name is kept for the
+# grow draws its edits inline, by this function's rule; the name is kept for the
 # benchmark's tracer (perfbench/tracer.py), which wraps growth.apply_random_edit.
 from .structures import apply_random_edit  # noqa: F401
 
@@ -479,14 +480,16 @@ def grow(instance: Instance) -> tuple[Network, GrowthTrace]:
     stops once it has drawn every single edit of them, and after wiring
     drops every isolated node, initial ones included. Incremental growth by
     mutation alone stops once it holds every word of its initial lengths.
-    Both stop at target_nodes or when the attempt budget runs out.
+    Both stop at target_nodes or when the attempt budget runs out. One
+    loop draws every template and edit inline, by ``apply_random_edit``'s
+    rule on the same stream, each parameter by ``below``'s rule.
     """
     rng = random.Random(instance.seed)
-    bits = rng.getrandbits
+    random_, bits = rng.random, rng.getrandbits
     initial = instance.initial_structures
-    structures = list(initial)
-    seen = set(structures)
-    index = GroupIndex(instance.distance, structures)
+    words = list(initial)
+    seen = set(words)
+    index = GroupIndex(instance.distance, words)
 
     probs, alphabet = instance.probs, instance.alphabet
     batch = instance.mode == BATCH
@@ -497,25 +500,27 @@ def grow(instance: Instance) -> tuple[Network, GrowthTrace]:
         space_size = edit_space_size(initial, probs, alphabet, budget)
     else:
         space_size = _word_space_size(instance, budget + len(initial))
-    n = len(structures)
+    # A mutant lies within distance 1 of its template: no isolation test.
+    deferred = not (probs.insert or probs.delete or probs.duplicate) and (batch or max_distance)
+    to_mutate, to_insert, to_delete = probs._bounds[:3]  # type: ignore[attr-defined]
+    symbols, position = alphabet.symbols, alphabet._index  # type: ignore[attr-defined]
+    n_symbols, max_length = len(symbols), structures.DEFAULT_MAX_LENGTH
+    # An instance that can mutate has two symbols or more: others >= 1.
+    others, unit = n_symbols - 1, index._unit
+    others_bits = others.bit_length()
+    templates, columns, ids = array("i"), array("i"), bytearray()
+    n = pool = len(words)
     attempts = duplicates = isolated = failed = 0
-    if not (probs.insert or probs.delete or probs.duplicate) and (batch or max_distance):
-        # A mutant lies within distance 1 of its template: no isolation test.
-        # The drawer's mutation and below's rule are written inline, the kind
-        # draw included, so this loop draws the general one's stream.
-        symbols, position = alphabet.symbols, alphabet._index  # type: ignore[attr-defined]
-        random_, others, unit, pool = rng.random, len(symbols) - 1, index._unit, n
-        others_bits = others.bit_length()
-        templates, columns, ids = array("i"), array("i"), bytearray()
-        while n < target and attempts < budget and n != space_size:
-            attempts += 1
-            k = pool.bit_length()
+    while n < target and attempts < budget and n != space_size:
+        attempts += 1
+        k = pool.bit_length()
+        template = bits(k)
+        while template >= pool:
             template = bits(k)
-            while template >= pool:
-                template = bits(k)
-            word = structures[template]
-            random_()  # the kind draw: always a mutation
-            size = len(word)
+        word = words[template]
+        size = len(word)
+        r = random_()
+        if r < to_mutate:
             k = size.bit_length()
             at = bits(k)
             while at >= size:
@@ -526,45 +531,49 @@ def grow(instance: Instance) -> tuple[Network, GrowthTrace]:
             if pick >= position[word[at]]:
                 pick += 1
             word = word[:at] + symbols[pick] + word[at + 1 :]
-            if word in seen:
-                duplicates += 1
+        elif r < to_insert:
+            if size + 1 > max_length:
+                failed += 1
                 continue
-            seen.add(word)
-            structures.append(word)
+            at = below(bits, size + 1)
+            word = word[:at] + symbols[below(bits, n_symbols)] + word[at:]
+        elif r < to_delete:
+            if size < 2:
+                failed += 1
+                continue
+            at = below(bits, size)
+            word = word[:at] + word[at + 1 :]
+        else:
+            start = below(bits, size)
+            at = start + 1 + below(bits, size - start)
+            if size + at - start > max_length:
+                failed += 1
+                continue
+            word = word[:at] + word[start:at] + word[at:]
+        if word in seen:
+            duplicates += 1
+            continue
+        if deferred:
             column = at // unit
             group = word[column * unit : column * unit + unit]
             templates.append(template)
             columns.append(column)
             ids += index._group(group) if len(group) == unit else b"\xff\xff\xff\xff"
-            n += 1
-            if not batch:
-                pool = n
-        index._add_mutants(templates, columns, ids)
-    else:
-        draw, mutate = edit_drawer(probs, alphabet, rng), Edit.MUTATE
-        while n < target and attempts < budget and n != space_size:
-            attempts += 1
-            template = below(bits, len(initial) if batch else n)
-            word, kind, at = draw(structures[template])
-            if word is None:
-                failed += 1
-                continue
-            if word in seen:
-                duplicates += 1
-                continue
-            distance = index.add(template, word, at, kind is mutate)
-            # A candidate within reach of its template has a neighbour already;
-            # one further away is searched for one over every structure so far,
-            # its template included, and taken back if it has none. The scan
-            # reads the stored candidate too; its own last entry is left out.
+        else:
+            distance = index.add(template, word, at, len(word) == size)
+            # The scan reads the stored candidate too; its own last entry is left out.
             if not batch and distance > max_distance:
                 if not (index.distances(index._row(n))[:-1] <= max_distance).any():
                     index.pop()
                     isolated += 1
                     continue
-            seen.add(word)
-            structures.append(word)
-            n += 1
+        seen.add(word)
+        words.append(word)
+        n += 1
+        if not batch:
+            pool = n
+    if deferred:
+        index._add_mutants(templates, columns, ids)
 
     trace = GrowthTrace(
         attempts=attempts,
@@ -575,10 +584,10 @@ def grow(instance: Instance) -> tuple[Network, GrowthTrace]:
         saturated=n < target,
     )
     # Distances are static, so the edges follow from the accepted structures alone.
-    net = Network(structures, *index.join())
+    net = Network(words, *index.join())
     if batch and not net.degrees().all():
         net = prune_low_degree(net, 1)
-        trace.rejected_isolated += len(structures) - net.n_nodes
+        trace.rejected_isolated += len(words) - net.n_nodes
     return net, trace
 
 

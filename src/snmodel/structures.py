@@ -1,15 +1,15 @@
 """Node structures (symbol words) and the stochastic edits that derive new ones.
 
-``edit_drawer`` implements the edit draw: growth binds it once per run, and
-``apply_random_edit`` is its one-call form. Growth by mutation alone with no
-isolation test draws its mutations inline by the same rule, from the same
-stream; ``tests/test_replay.py`` holds it to the draws of ``apply_random_edit``.
+``apply_random_edit`` states the edit draw: the kind by ``rng.random()``,
+then the parameters by ``randrange`` and ``randint``. ``growth.grow`` draws
+each edit inline by the same rule, from the same stream, its parameters
+through ``below``; ``tests/test_replay.py`` holds growth to a replay that
+edits by ``apply_random_edit``.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -24,10 +24,6 @@ class Edit(str, Enum):
     INSERT = "insert"
     DELETE = "delete"
     DUPLICATE = "duplicate"
-
-
-# Module names, because looking up an Enum member on its class is slow.
-_MUTATE, _INSERT, _DELETE, _DUPLICATE = Edit
 
 
 @dataclass(frozen=True)
@@ -104,18 +100,14 @@ def below(bits, n: int) -> int:
     return r
 
 
-def edit_drawer(
-    probs: EditProbabilities, alphabet: Alphabet, rng: random.Random
-) -> Callable[[str], tuple[str | None, Edit, int]]:
-    """The edit draw of one run: ``draw(word) -> (new_word, kind, at)``.
-
-    It binds the generator's methods, the kinds' probability bounds and the
-    alphabet once per run. Growth by mutation alone with no isolation test
-    does not call it: its loop draws each mutation inline by the rule below,
-    the kind draw included, and ``tests/test_replay.py`` holds that loop to
-    ``apply_random_edit``.
-    ``draw`` draws one edit kind from *probs* and applies it to *word* with
-    uniform random parameters.
+def apply_random_edit(
+    word: str,
+    probs: EditProbabilities,
+    alphabet: Alphabet,
+    rng: random.Random,
+) -> tuple[str | None, Edit, int]:
+    """Draw one edit kind from *probs* and apply it to *word* with uniform
+    random parameters; returns ``(new_word, kind, at)``.
 
     ``new_word`` is None when the attempt fails: a delete drawn on a
     length-1 structure, a mutation over a 1-symbol alphabet, or a result
@@ -123,8 +115,8 @@ def edit_drawer(
     ``new_word[:at] == word[:at]``: ``at`` is the mutated, inserted or
     deleted position, or the end of a duplicated segment, where its copy
     begins. A mutation changes position ``at`` alone. The kind is drawn by
-    ``rng.random()``, and every parameter by ``below``, which gives what
-    ``rng.randrange`` and ``rng.randint`` would. Parameter draws:
+    ``rng.random()``, the parameters by ``rng.randrange`` and
+    ``rng.randint``:
 
     - mutate: position uniform over the word, new symbol uniform over the
       alphabet minus the current symbol (the edit always changes the word);
@@ -133,55 +125,31 @@ def edit_drawer(
     - duplicate: start uniform over the word, segment length uniform over
       1..len-start, copy inserted immediately after the segment.
     """
-    random_, bits = rng.random, rng.getrandbits
-    # Kind i is drawn below bound i and at or above the bounds before it.
-    to_mutate, to_insert, to_delete = probs._bounds[:3]  # type: ignore[attr-defined]
-    symbols, position = alphabet.symbols, alphabet._index  # type: ignore[attr-defined]
-    n_symbols, max_length = len(symbols), DEFAULT_MAX_LENGTH
-
-    def draw(word: str) -> tuple[str | None, Edit, int]:
-        r = random_()
-        n = len(word)
-        if r < to_mutate:
-            if n_symbols < 2:
-                return None, _MUTATE, 0
-            index = below(bits, n)
-            pick = below(bits, n_symbols - 1)
-            if pick >= position[word[index]]:
-                pick += 1
-            return word[:index] + symbols[pick] + word[index + 1 :], _MUTATE, index
-
-        if r < to_insert:
-            if n + 1 > max_length:
-                return None, _INSERT, 0
-            index = below(bits, n + 1)
-            symbol = symbols[below(bits, n_symbols)]
-            return word[:index] + symbol + word[index:], _INSERT, index
-
-        if r < to_delete:
-            if n < 2:
-                return None, _DELETE, 0
-            index = below(bits, n)
-            return word[:index] + word[index + 1 :], _DELETE, index
-
-        start = below(bits, n)
-        length = 1 + below(bits, n - start)
-        if n + length > max_length:
-            return None, _DUPLICATE, 0
-        end = start + length
-        return word[:end] + word[start:end] + word[end:], _DUPLICATE, end
-
-    return draw
-
-
-def apply_random_edit(
-    word: str,
-    probs: EditProbabilities,
-    alphabet: Alphabet,
-    rng: random.Random,
-) -> tuple[str | None, Edit, int]:
-    """Draw one edit of *word*: ``edit_drawer(probs, alphabet, rng)(word)``."""
-    return edit_drawer(probs, alphabet, rng)(word)
+    r = rng.random()
+    bounds = probs._bounds  # type: ignore[attr-defined]
+    kind = next(kind for kind, bound in zip(Edit, bounds) if r < bound)
+    symbols, n = alphabet.symbols, len(word)
+    if kind is Edit.MUTATE:
+        if len(symbols) < 2:
+            return None, kind, 0
+        i = rng.randrange(n)
+        others = [symbol for symbol in symbols if symbol != word[i]]
+        return word[:i] + others[rng.randrange(len(others))] + word[i + 1 :], kind, i
+    if kind is Edit.INSERT:
+        if n + 1 > DEFAULT_MAX_LENGTH:
+            return None, kind, 0
+        i = rng.randrange(n + 1)
+        return word[:i] + symbols[rng.randrange(len(symbols))] + word[i:], kind, i
+    if kind is Edit.DELETE:
+        if n < 2:
+            return None, kind, 0
+        i = rng.randrange(n)
+        return word[:i] + word[i + 1 :], kind, i
+    start = rng.randrange(n)
+    end = start + rng.randint(1, n - start)
+    if n + end - start > DEFAULT_MAX_LENGTH:
+        return None, kind, 0
+    return word[:end] + word[start:end] + word[end:], kind, end
 
 
 def edit_space_size(
@@ -189,7 +157,7 @@ def edit_space_size(
 ) -> int | None:
     """Distinct words among *words* and all their single edits.
 
-    Lists exactly what ``edit_drawer`` can return for each edit kind
+    Lists exactly what ``apply_random_edit`` can return for each edit kind
     it can draw, so once that many distinct structures exist every further
     draw from *words* repeats one. Returns None, without listing, when the
     edit counts (mutate L(A-1), insert (L+1)A, delete L, duplicate L(L+1)/2

@@ -12,12 +12,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from snmodel import structures
 from snmodel.distance import DistanceConfig, within_max_distance
 from snmodel.fileio import MAX_NODES
 from snmodel.growth import BATCH, INCREMENTAL, GrowthTrace, Instance, grow
 from snmodel.network import Network
-from snmodel.structures import Alphabet, Edit, EditProbabilities, edit_space_size
+from snmodel.structures import apply_random_edit, edit_space_size
 
 
 def edge_pairs(net: Network) -> Iterator[tuple[int, int]]:
@@ -208,44 +207,6 @@ def checkpoint_rows(
     return rows
 
 
-def reference_edit(
-    word: str, probs: EditProbabilities, alphabet: Alphabet, rng: random.Random
-) -> tuple[str | None, Edit, int]:
-    """One random edit of *word*, drawn by ``rng.random``, ``randrange`` and ``randint``.
-
-    The reference of ``structures.edit_drawer``: the same results from the
-    same stream. The kind is the first whose cumulative probability, over
-    the total, exceeds ``rng.random()``. A failed edit (nothing to delete,
-    one symbol to mutate with, or a result longer than
-    ``DEFAULT_MAX_LENGTH``) returns ``(None, kind, 0)``.
-    """
-    bounds = list(itertools.accumulate((probs.mutate, probs.insert, probs.delete, probs.duplicate)))
-    r = rng.random()
-    kind = next(kind for kind, bound in zip(Edit, bounds) if r < bound / bounds[-1])
-    symbols, n = alphabet.symbols, len(word)
-    if kind is Edit.MUTATE:
-        if len(symbols) < 2:
-            return None, kind, 0
-        i = rng.randrange(n)
-        others = [symbol for symbol in symbols if symbol != word[i]]
-        return word[:i] + others[rng.randrange(len(others))] + word[i + 1 :], kind, i
-    if kind is Edit.INSERT:
-        if n + 1 > structures.DEFAULT_MAX_LENGTH:
-            return None, kind, 0
-        i = rng.randrange(n + 1)
-        return word[:i] + symbols[rng.randrange(len(symbols))] + word[i:], kind, i
-    if kind is Edit.DELETE:
-        if n < 2:
-            return None, kind, 0
-        i = rng.randrange(n)
-        return word[:i] + word[i + 1 :], kind, i
-    start = rng.randrange(n)
-    end = start + rng.randint(1, n - start)
-    if n + end - start > structures.DEFAULT_MAX_LENGTH:
-        return None, kind, 0
-    return word[:end] + word[start:end] + word[end:], kind, end
-
-
 def matrix_edges(words: list[str], cfg: DistanceConfig) -> list[tuple[int, int]]:
     """Every pair (u, v), u < v, of *words* within max_distance, sorted: the
     edge rule without a match table, as one numpy distance-matrix row per word.
@@ -281,7 +242,7 @@ def replay_growth(instance: Instance) -> tuple[list[str], list[tuple[int, int]],
 
     The replay draws the random stream growth draws: a template, uniform over
     the structures so far (batch: over the initial ones), then its edit by
-    ``reference_edit``. Duplicates are found in the set of words so far, and
+    ``apply_random_edit``. Duplicates are found in the set of words so far, and
     a candidate's isolation is decided by ``within_max_distance``. The edges
     come from ``matrix_edges``, or with a match table from
     ``within_max_distance`` on every pair. Batch growth stops early once
@@ -306,7 +267,7 @@ def replay_growth(instance: Instance) -> tuple[list[str], list[tuple[int, int]],
         trace.attempts += 1
         pool = initial if batch else words
         template = pool[rng.randrange(len(pool))]
-        word, _, _ = reference_edit(template, probs, alphabet, rng)
+        word, _, _ = apply_random_edit(template, probs, alphabet, rng)
         if word is None:
             trace.rejected_edit_failed += 1
         elif word in known:

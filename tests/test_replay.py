@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snmodel import growth, instances_dir
+from snmodel import instances_dir, structures
 from snmodel.distance import DistanceConfig, parse_match_file, within_max_distance
 from snmodel.experiments import load_instance_file
 from snmodel.growth import BATCH, INCREMENTAL, GroupIndex, GrowthTrace, Instance, grow
-from snmodel.structures import Alphabet, EditProbabilities
+from snmodel.structures import Alphabet, Edit, EditProbabilities
 
 from oracles import edge_pairs, matrix_edges, replay_growth
 
@@ -42,26 +42,22 @@ def shipped(name: str):
 
 
 @pytest.fixture
-def loops(monkeypatch) -> list[str]:
-    """The growth loop each run takes from now on: "mutation" or "general".
+def deferred(monkeypatch) -> list[int]:
+    """The rows each run from now on deferred to ``GroupIndex._add_mutants``:
+    one entry, its mutant count, per run that did.
 
-    Mutation-only growth that needs no isolation test writes its rows after
-    its loop; every other run binds an edit drawer.
+    Growth by mutation alone that needs no isolation test writes its rows
+    after its loop; every other run stores each row as it accepts it.
     """
-    taken: list[str] = []
-    add_mutants, drawer = GroupIndex._add_mutants, growth.edit_drawer
+    counts: list[int] = []
+    add_mutants = GroupIndex._add_mutants
 
-    def mutation_loop(*args):
-        taken.append("mutation")
-        return add_mutants(*args)
+    def counted(index, templates, *args):
+        counts.append(len(templates))
+        return add_mutants(index, templates, *args)
 
-    def general_loop(*args):
-        taken.append("general")
-        return drawer(*args)
-
-    monkeypatch.setattr(GroupIndex, "_add_mutants", mutation_loop)
-    monkeypatch.setattr(growth, "edit_drawer", general_loop)
-    return taken
+    monkeypatch.setattr(GroupIndex, "_add_mutants", counted)
+    return counts
 
 
 #: comparison and pruned run at 2000 nodes: their edges come from the
@@ -70,16 +66,17 @@ def loops(monkeypatch) -> list[str]:
     "name, seed",
     [(name, seed) for name in ("celegans", "ecoli", "comparison", "pruned") for seed in (1, 2, 3)],
 )
-def test_shipped_instance_replays(name, seed, loops):
+def test_shipped_instance_replays(name, seed, deferred):
     instance = replace(shipped(name), seed=seed)
     if name in ("comparison", "pruned"):
         instance = replace(instance, target_nodes=2000, max_attempts=2000)
-    assert assert_replays(instance).accepted > 0
+    trace = assert_replays(instance)
+    assert trace.accepted > 0
     # ecoli also inserts duplicated segments; the others grow by mutation alone.
-    assert loops == ["general" if name == "ecoli" else "mutation"]
+    assert deferred == ([] if name == "ecoli" else [trace.accepted])
 
 
-def test_mutation_only_growth_stops_once_it_holds_every_word(loops):
+def test_mutation_only_growth_stops_once_it_holds_every_word(deferred):
     # Over AB, lengths 2 and 3 give 4 + 8 = 12 words, and mutants reach them all.
     instance = Instance(
         alphabet=Alphabet.from_string("AB"),
@@ -93,14 +90,15 @@ def test_mutation_only_growth_stops_once_it_holds_every_word(loops):
     assert trace.accepted == 10
     assert trace.saturated
     assert trace.attempts < instance.attempt_budget
-    assert loops == ["mutation"]
+    assert deferred == [10]
 
 
-def test_batch_instance_replays(loops):
+def test_batch_instance_replays(deferred):
     # Drawing stops early: the initial word has 205 distinct single edits.
     instance = shipped("batch")
-    assert assert_replays(instance).attempts < instance.attempt_budget
-    assert loops == ["mutation"]
+    trace = assert_replays(instance)
+    assert trace.attempts < instance.attempt_budget
+    assert deferred == [trace.accepted]
 
 
 def mutants_of(initial: tuple[str, ...], **overrides) -> Instance:
@@ -118,42 +116,42 @@ def mutants_of(initial: tuple[str, ...], **overrides) -> Instance:
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_mutation_only_at_max_distance_0_rejects_isolated_mutants(seed, loops):
+def test_mutation_only_at_max_distance_0_rejects_isolated_mutants(seed, deferred):
     # A mutant of a full group lies at distance 1 from its template, so it
-    # must pass the isolation test of the general loop.
+    # must pass the isolation test, which reads its row as it is drawn.
     instance = mutants_of(("ABAB", "BACD", "ABCDA"), distance=DistanceConfig(2, 0), seed=seed)
     trace = assert_replays(instance)
     assert trace.rejected_isolated > 0
     assert trace.accepted > 0
-    assert loops == ["general"]
+    assert deferred == []
 
 
 @pytest.mark.parametrize("mode", [INCREMENTAL, BATCH])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_mutations_in_the_trailing_partial_group(mode, seed, loops):
+def test_mutations_in_the_trailing_partial_group(mode, seed, deferred):
     # A mutation of the last symbol of an odd-length word changes no group id.
     instance = mutants_of(("ABCDA", "DCBADCB"), mode=mode, seed=seed)
-    assert_replays(instance)
+    trace = assert_replays(instance)
     # Two words that differ in their last symbol alone: one such mutation at least.
     heads = [word[:-1] for word in replay_growth(instance)[0]]
     assert len(set(heads)) < len(heads)
-    assert loops == ["mutation"]
+    assert deferred == [trace.accepted]
 
 
 @pytest.mark.parametrize("mode", [INCREMENTAL, BATCH])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_mutation_only_growth_with_a_linking_table(mode, seed, loops):
+def test_mutation_only_growth_with_a_linking_table(mode, seed, deferred):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = parse_match_file(LINKING, 2, Alphabet.from_string("ABCD"))
     distance = DistanceConfig(2, 1, match_table=table)
-    assert_replays(mutants_of(("AABBCCDD", "ABCDDCBA"), distance=distance, mode=mode, seed=seed))
-    assert loops == ["mutation"]
+    instance = mutants_of(("AABBCCDD", "ABCDDCBA"), distance=distance, mode=mode, seed=seed)
+    assert deferred == [assert_replays(instance).accepted]
 
 
 @pytest.mark.parametrize("max_distance", [0, 1, 2])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_batch_mutants_of_initial_words_of_several_lengths(max_distance, seed, loops):
+def test_batch_mutants_of_initial_words_of_several_lengths(max_distance, seed, deferred):
     instance = mutants_of(
         ("A", "ABC", "ABCD", "DCBADC", "ABCDABCDA"),
         distance=DistanceConfig(2, max_distance),
@@ -162,7 +160,41 @@ def test_batch_mutants_of_initial_words_of_several_lengths(max_distance, seed, l
     )
     trace = assert_replays(instance)
     assert trace.accepted > 0
-    assert loops == ["mutation"]
+    assert deferred == [trace.accepted]
+
+
+@pytest.mark.parametrize("max_length", [12, structures.DEFAULT_MAX_LENGTH])
+@pytest.mark.parametrize("symbols", ["AB", "ABCDEFGHILMNOPQRST"])
+@pytest.mark.parametrize(
+    "probs",
+    [EditProbabilities(**{kind.value: 1.0}) for kind in Edit]
+    + [
+        EditProbabilities(mutate=0.4, insert=0.2, delete=0.2, duplicate=0.2),
+        EditProbabilities(mutate=0.5, delete=0.5),
+        EditProbabilities(insert=0.3, duplicate=0.7),
+    ],
+)
+def test_edit_draws_replay_under_a_length_cap(probs, symbols, max_length, monkeypatch, deferred):
+    # Growth draws every edit parameter by below's rule, the replay by
+    # randrange and randint. At max length 12 some inserts and duplications
+    # fail after their draws; over 18 symbols two initial words are already
+    # longer than that. grow reads the cap when it is called.
+    monkeypatch.setattr(structures, "DEFAULT_MAX_LENGTH", max_length)
+    instance = Instance(
+        alphabet=Alphabet.from_string(symbols),
+        initial_structures=(
+            symbols[0], symbols[::-1], (symbols * 4)[:7], (symbols * 6)[:11], symbols * 3,
+        ),
+        probs=probs,
+        distance=DistanceConfig(2, 1),
+        target_nodes=300,
+        max_attempts=1500,
+        seed=max_length,
+    )
+    trace = assert_replays(instance)
+    if max_length == 12 and (probs.insert or probs.duplicate):
+        assert trace.rejected_edit_failed > 0
+    assert deferred == ([trace.accepted] if probs.mutate == 1.0 else [])
 
 
 @st.composite

@@ -57,7 +57,7 @@ SURFACE = {
         "triangle_count",
     },
     "snmodel.growth": {"grow", "prune_low_degree"},
-    "snmodel.structures": {"apply_random_edit", "below", "edit_drawer", "edit_space_size"},
+    "snmodel.structures": {"apply_random_edit", "below", "edit_space_size"},
     "GroupIndex": {"add", "append", "distances", "encode", "join", "pop"},
     "Network": {
         "degrees",
